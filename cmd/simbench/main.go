@@ -1,35 +1,25 @@
-// Command simbench times the hot paths this repository optimizes and
-// writes the results to BENCH_sim.json:
+// Command simbench times the component-sharded max-min fill on a large
+// ECMP fabric and merges the result into BENCH_sim.json as a
+// sim_<topo>_<machines> entry: build an ECMP Clos or fat-tree at
+// -machines scale, warm up background traffic, measure per-event-step
+// latency, then time whole-network refills.
 //
-//  1. the 1024-node background-traffic simulation (the §V-E substrate):
-//     a calibration-style probe sweep over a simulated cluster, timed
-//     with the O(network) global max-min allocator versus the
-//     dirty-subgraph incremental one;
-//  2. a quick-profile expdriver run: every figure, timed in the
-//     pre-optimization configuration (serial sweeps, global allocator,
-//     no calibration memo) versus the optimized one (parallel sweeps,
-//     incremental allocator, calibration-trace memo);
-//  3. with -topo clos|fattree, a large-fabric sweep instead: an ECMP
-//     Clos or fat-tree at -machines scale, reporting per-event-step
-//     latency and the component-sharded fill versus the joint
-//     (unsharded) fill — the tentpole speedup — as a sim_<topo>_<N>
-//     entry merged into the existing report file.
+// Refills are semantic no-ops, so the run fails (exit 1) if any refill
+// moves the rate fingerprint, or if the refilled rates differ by a
+// single bit from a fresh whole-network reference fill. The reference
+// fill is quadratic, so that check is skipped above 32,768 machines.
 //
 // Usage:
 //
-//	simbench [-quick] [-reps N] [-out BENCH_sim.json]
-//	         [-topo tree|clos|fattree] [-machines N] [-parallelism N]
+//	simbench [-topo clos|fattree] [-machines N] [-reps N] [-out BENCH_sim.json]
 //
-// -quick shrinks the tree benchmarks for CI smoke runs. -parallelism
-// pins the mat worker pool (and the expdriver sweep width) so reported
-// numbers are reproducible across hosts; every phase reports the worker
-// count it effectively ran with.
+// The mat worker pool runs at GOMAXPROCS; every entry records
+// GOMAXPROCS and the host's CPU count next to its timings.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -37,47 +27,10 @@ import (
 	"runtime"
 	"time"
 
-	"netconstant/internal/cancel"
 	"netconstant/internal/cli"
 	"netconstant/internal/cloud"
-	"netconstant/internal/exp"
-	"netconstant/internal/mat"
-	"netconstant/internal/simnet"
 	"netconstant/internal/topo"
 )
-
-type simReport struct {
-	Machines    int     `json:"machines"`
-	VMs         int     `json:"vms"`
-	BgSources   int     `json:"bg_sources"`
-	Steps       int     `json:"steps"`
-	Workers     int     `json:"workers"` // effective mat parallelism
-	GlobalSec   float64 `json:"global_s"`
-	IncrSec     float64 `json:"incremental_s"`
-	Speedup     float64 `json:"speedup"`
-	NormEGlobal float64 `json:"norm_e_global"`
-	NormEIncr   float64 `json:"norm_e_incremental"`
-}
-
-type driverReport struct {
-	Figures          int     `json:"figures"`
-	BaselineWorkers  int     `json:"baseline_workers"` // serial by construction
-	OptimizedWorkers int     `json:"optimized_workers"`
-	BaselineSec      float64 `json:"baseline_s"` // serial, global fill, no memo
-	OptimizedSec     float64 `json:"optimized_s"`
-	Speedup          float64 `json:"speedup"`
-	MemoHits         int     `json:"memo_hits"`
-	MemoMisses       int     `json:"memo_misses"`
-}
-
-type report struct {
-	Quick       bool         `json:"quick"`
-	GoMaxProc   int          `json:"gomaxprocs"`
-	Reps        int          `json:"reps"`
-	Parallelism int          `json:"parallelism"`
-	Sim         simReport    `json:"sim_1024"`
-	Expdriver   driverReport `json:"expdriver_quick"`
-}
 
 // fabricReport is one large-fabric sweep entry (sim_<topo>_<machines>).
 type fabricReport struct {
@@ -90,55 +43,21 @@ type fabricReport struct {
 	PairsTotal  int     `json:"ecmp_pairs"`
 	PairsMulti  int     `json:"ecmp_multipath_pairs"`
 	Components  int     `json:"refill_components"`
-	Workers     int     `json:"workers"` // effective mat parallelism for the sharded-N phase
+	GoMaxProcs  int     `json:"gomaxprocs"` // mat worker-pool size
+	NProc       int     `json:"nproc"`
 	Reps        int     `json:"reps"`
 	BuildSec    float64 `json:"build_s"`
 	WarmupSec   float64 `json:"warmup_s"`
 	Steps       int     `json:"steps"`
 	StepSec     float64 `json:"per_step_s"`
-	FillJoint   float64 `json:"fill_joint_s"`      // unsharded fill, the pre-optimization baseline
-	FillShard1  float64 `json:"fill_sharded_1w_s"` // component-sharded, 1 worker
-	FillShardN  float64 `json:"fill_sharded_nw_s"` // component-sharded, Workers workers
-	Speedup     float64 `json:"shard_speedup"`     // joint / sharded-N
+	RefillSec   float64 `json:"refill_s"` // best of reps
 	Verified    bool    `json:"verified_vs_global"`
 	TotalSec    float64 `json:"total_s"`
 }
 
-// simWorkload runs one calibration-style sweep over a freshly built
-// simulated cluster and returns the measured Norm(N_E) proxy (the mean
-// bandwidth of the snapshot — enough to check the two allocators agree).
-func simWorkload(racks, servers, vms, bgLinks, steps int) float64 {
-	sc := cloud.NewSimCluster(cloud.SimClusterConfig{
-		Tree: topo.TreeConfig{
-			Racks:          racks,
-			ServersPerRack: servers,
-			IntraRackBps:   1e9 / 8,
-			InterRackBps:   2e9 / 8,
-		},
-		VMs:      vms,
-		Seed:     42,
-		BgLinks:  bgLinks,
-		BgBytes:  64 << 20,
-		BgLambda: 1,
-		HotRacks: racks / 2,
-		// 1 MB probes, as the Fig 12/13 experiments use.
-		ProbeBulk: 1 << 20,
-	})
-	defer sc.StopBackground()
-	tc := cloud.SnapshotTP(sc, steps, 5)
-	m := tc.Bandwidth.Matrix()
-	var sum float64
-	n := 0
-	for i := 0; i < m.Rows(); i++ {
-		for _, v := range m.Row(i) {
-			if v > 0 {
-				sum += v
-				n++
-			}
-		}
-	}
-	return sum / float64(n)
-}
+// verifyMaxMachines is the largest fabric checked against the quadratic
+// whole-network reference fill.
+const verifyMaxMachines = 32768
 
 // timeBest runs fn reps times and returns the best wall-clock seconds —
 // the standard way to suppress scheduler noise on shared machines. A
@@ -160,8 +79,8 @@ func timeBest(ctx context.Context, reps int, fn func()) float64 {
 }
 
 // mergeReport merges the given keys into the JSON object at path (other
-// keys are preserved), so fabric entries and the base report can share
-// one BENCH_sim.json.
+// keys are preserved), so entries from several runs share one
+// BENCH_sim.json.
 func mergeReport(path string, set map[string]any) error {
 	obj := map[string]json.RawMessage{}
 	if buf, err := os.ReadFile(path); err == nil {
@@ -184,7 +103,7 @@ func mergeReport(path string, set map[string]any) error {
 }
 
 // buildFabric constructs the benchmark fabric for -topo at -machines
-// scale and returns it with a display label.
+// scale.
 func buildFabric(kind string, machines int) (*topo.Topology, error) {
 	switch kind {
 	case "clos":
@@ -202,10 +121,10 @@ func buildFabric(kind string, machines int) (*topo.Topology, error) {
 
 // runFabric is the large-fabric sweep: build, warm up background
 // traffic, measure per-event-step latency, then time whole-network
-// refills under the joint (unsharded) fill and the component-sharded
-// fill at 1 and N workers, checking byte-identity across all of them.
-func runFabric(ctx context.Context, kind string, machines, reps, workers int) (fabricReport, error) {
-	fr := fabricReport{Topo: kind, Machines: machines, Reps: reps, Workers: workers}
+// refills and check they leave every rate bit unchanged.
+func runFabric(ctx context.Context, kind string, machines, reps int) (fabricReport, error) {
+	fr := fabricReport{Topo: kind, Machines: machines, Reps: reps,
+		GoMaxProcs: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
 	totalStart := time.Now()
 
 	buildStart := time.Now()
@@ -256,31 +175,16 @@ func runFabric(ctx context.Context, kind string, machines, reps, workers int) (f
 	}
 	fr.ActiveFlows = s.ActiveFlows()
 
-	// Whole-network refills are semantic no-ops under max-min backends,
-	// so they can be repeated for timing without perturbing the
-	// simulation; the fingerprint must not move across any mode.
-	var fpJoint, fpShard1, fpShardN uint64
-	s.SetShardedFill(false)
-	fr.FillJoint = timeBest(ctx, reps, func() { s.RefillAll() })
-	fpJoint = s.RateFingerprint()
-	s.SetShardedFill(true)
-
-	oldPar := mat.SetParallelism(1)
-	fr.FillShard1 = timeBest(ctx, reps, func() { fr.Components, _ = s.RefillAll() })
-	fpShard1 = s.RateFingerprint()
-	mat.SetParallelism(workers)
-	fr.FillShardN = timeBest(ctx, reps, func() { s.RefillAll() })
-	fpShardN = s.RateFingerprint()
-	mat.SetParallelism(oldPar)
-
-	if fpJoint != fpShard1 || fpShard1 != fpShardN {
-		return fr, fmt.Errorf("rate fingerprints diverged: joint %#x, sharded@1 %#x, sharded@%d %#x",
-			fpJoint, fpShard1, workers, fpShardN)
+	// Whole-network refills are semantic no-ops, so they can be repeated
+	// for timing without perturbing the simulation; the fingerprint must
+	// not move.
+	before := s.RateFingerprint()
+	fr.RefillSec = timeBest(ctx, reps, func() { fr.Components, _ = s.RefillAll() })
+	if after := s.RateFingerprint(); after != before {
+		return fr, fmt.Errorf("refill moved the rate fingerprint: %#x -> %#x", before, after)
 	}
-	// Bit-exact differential against the whole-network reference fill
-	// (quadratic; skipped at the largest scale to keep the sweep fast —
-	// the fingerprint identity above still pins all modes together).
-	if machines <= 32768 {
+	// Bit-exact differential against the whole-network reference fill.
+	if machines <= verifyMaxMachines {
 		s.SetVerifyGlobal(true)
 		s.RefillAll()
 		s.SetVerifyGlobal(false)
@@ -289,155 +193,50 @@ func runFabric(ctx context.Context, kind string, machines, reps, workers int) (f
 		}
 		fr.Verified = true
 	}
-	fr.Speedup = fr.FillJoint / fr.FillShardN
 	fr.TotalSec = time.Since(totalStart).Seconds()
 	return fr, nil
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced scale for CI smoke runs")
+func main() { os.Exit(run()) }
+
+func run() int {
 	reps := flag.Int("reps", 2, "repetitions per timing (best-of)")
 	out := flag.String("out", "BENCH_sim.json", "report path")
-	topoKind := flag.String("topo", "tree", "benchmark fabric: tree (full report), clos or fattree (large-fabric sweep)")
-	machines := flag.Int("machines", 4096, "fabric scale for -topo clos|fattree")
-	par := flag.Int("parallelism", 0, "mat worker-pool size and expdriver sweep width (0 = GOMAXPROCS)")
+	topoKind := flag.String("topo", "clos", "benchmark fabric: clos or fattree")
+	machines := flag.Int("machines", 4096, "fabric scale (servers)")
 	flag.Parse()
+	if *topoKind != "clos" && *topoKind != "fattree" {
+		return cli.Usagef("simbench", "-topo must be clos or fattree, got %q", *topoKind)
+	}
+	if *reps < 1 || *machines < 1 {
+		return cli.Usagef("simbench", "-reps and -machines must be ≥ 1")
+	}
 
-	// Pin the worker pool up front so every phase below — and the
-	// effective counts it reports — follows one knob.
-	mat.SetParallelism(*par)
-	workers := mat.Parallelism()
-
-	// First SIGINT/SIGTERM: finish the current repetition/figure, then
-	// exit 130 without writing a report (partial timings would be
-	// misleading). Second signal: force quit.
+	// First SIGINT/SIGTERM: finish the current repetition, then exit 130
+	// without writing a report (partial timings would be misleading).
+	// Second signal: force quit.
 	ctx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
 	defer cli.SignalDrain("simbench", "finishing the current repetition", cancelRun)()
-	bailIfInterrupted := func() {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "simbench: interrupted — no report written")
-			os.Exit(cli.ExitInterrupted)
-		}
+
+	fr, err := runFabric(ctx, *topoKind, *machines, *reps)
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "simbench: interrupted — no report written")
+		return cli.ExitInterrupted
 	}
-
-	// --- Large-fabric sweep mode. ---
-	if *topoKind != "tree" {
-		fr, err := runFabric(ctx, *topoKind, *machines, *reps, workers)
-		bailIfInterrupted()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			os.Exit(cli.ExitFailure)
-		}
-		key := fmt.Sprintf("sim_%s_%d", *topoKind, *machines)
-		if err := mergeReport(*out, map[string]any{key: fr}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(cli.ExitFailure)
-		}
-		fmt.Printf("%s %d machines (%d nodes, %d links): %d ECMP pairs (%d multipath), %d bg sources, %d active flows\n",
-			*topoKind, fr.Machines, fr.Nodes, fr.Links, fr.PairsTotal, fr.PairsMulti, fr.BgSources, fr.ActiveFlows)
-		fmt.Printf("  build %.2fs, warmup %.2fs, %.1fµs/step over %d steps\n",
-			fr.BuildSec, fr.WarmupSec, fr.StepSec*1e6, fr.Steps)
-		fmt.Printf("  refill (%d components): joint %.3fs, sharded@1 %.3fs, sharded@%d %.3fs (%.1fx, verified=%v)\n",
-			fr.Components, fr.FillJoint, fr.FillShard1, fr.Workers, fr.FillShardN, fr.Speedup, fr.Verified)
-		fmt.Printf("wrote %s (%s)\n", *out, key)
-		return
+	if err != nil {
+		return cli.Failf("simbench", "%v", err)
 	}
-
-	rep := report{Quick: *quick, GoMaxProc: runtime.GOMAXPROCS(0), Reps: *reps, Parallelism: workers}
-
-	// --- 1. The 1024-node background-traffic simulation. ---
-	racks, servers, vms, bgLinks, steps := 32, 32, 24, 48, 2
-	if *quick {
-		racks, servers, vms, bgLinks, steps = 8, 8, 10, 16, 2
+	key := fmt.Sprintf("sim_%s_%d", *topoKind, *machines)
+	if err := mergeReport(*out, map[string]any{key: fr}); err != nil {
+		return cli.Failf("simbench", "%v", err)
 	}
-	rep.Sim = simReport{Machines: racks * servers, VMs: vms, BgSources: bgLinks, Steps: steps, Workers: workers}
-
-	prev := simnet.SetDefaultGlobalFill(true)
-	rep.Sim.NormEGlobal = simWorkload(racks, servers, vms, bgLinks, steps)
-	rep.Sim.GlobalSec = timeBest(ctx, *reps, func() { simWorkload(racks, servers, vms, bgLinks, steps) })
-
-	simnet.SetDefaultGlobalFill(false)
-	rep.Sim.NormEIncr = simWorkload(racks, servers, vms, bgLinks, steps)
-	rep.Sim.IncrSec = timeBest(ctx, *reps, func() { simWorkload(racks, servers, vms, bgLinks, steps) })
-	simnet.SetDefaultGlobalFill(prev)
-	bailIfInterrupted()
-
-	rep.Sim.Speedup = rep.Sim.GlobalSec / rep.Sim.IncrSec
-	if d := math.Abs(rep.Sim.NormEGlobal-rep.Sim.NormEIncr) / rep.Sim.NormEGlobal; d > 1e-6 {
-		fmt.Fprintf(os.Stderr, "simbench: allocators disagree: global %v vs incremental %v (rel %.2e)\n",
-			rep.Sim.NormEGlobal, rep.Sim.NormEIncr, d)
-		os.Exit(cli.ExitFailure)
-	}
-	fmt.Printf("sim %d machines, %d probes-steps: global %.2fs, incremental %.2fs (%.1fx)\n",
-		rep.Sim.Machines, steps, rep.Sim.GlobalSec, rep.Sim.IncrSec, rep.Sim.Speedup)
-
-	// --- 2. The quick-profile expdriver run. ---
-	figs := exp.Figures()
-	if *quick {
-		// CI smoke: the calibration- and simulation-heavy subset.
-		keep := map[string]bool{"fig6": true, "fig7": true, "fig9a": true, "fig12": true}
-		var sub []exp.Figure
-		for _, f := range figs {
-			if keep[f.Name] {
-				sub = append(sub, f)
-			}
-		}
-		figs = sub
-	}
-	rep.Expdriver.Figures = len(figs)
-
-	runAll := func(cfg exp.Config) {
-		cfg.Ctx = ctx
-		for _, f := range figs {
-			if _, err := f.Run(cfg); err != nil {
-				if errors.Is(err, cancel.ErrCanceled) {
-					return // in-flight points drained; the outer checks bail
-				}
-				fmt.Fprintf(os.Stderr, "simbench: %s: %v\n", f.Name, err)
-				os.Exit(cli.ExitFailure)
-			}
-		}
-	}
-
-	baseCfg := exp.Quick()
-	baseCfg.Workers = 1
-	rep.Expdriver.BaselineWorkers = 1
-	prev = simnet.SetDefaultGlobalFill(true)
-	rep.Expdriver.BaselineSec = timeBest(ctx, *reps, func() { runAll(baseCfg) })
-	simnet.SetDefaultGlobalFill(false)
-
-	optCfg := exp.Quick()
-	optCfg.Workers = workers
-	rep.Expdriver.OptimizedWorkers = workers
-	var lastMemo *cloud.CalibrationMemo
-	rep.Expdriver.OptimizedSec = timeBest(ctx, *reps, func() {
-		cfg := optCfg
-		cfg.Memo = cloud.NewCalibrationMemo(0)
-		lastMemo = cfg.Memo
-		runAll(cfg)
-	})
-	simnet.SetDefaultGlobalFill(prev)
-	bailIfInterrupted()
-	st := lastMemo.Stats()
-	rep.Expdriver.MemoHits, rep.Expdriver.MemoMisses = st.Hits, st.Misses
-	rep.Expdriver.Speedup = rep.Expdriver.BaselineSec / rep.Expdriver.OptimizedSec
-	fmt.Printf("expdriver quick (%d figures): baseline %.2fs, optimized %.2fs (%.1fx; memo %d hits / %d misses)\n",
-		rep.Expdriver.Figures, rep.Expdriver.BaselineSec, rep.Expdriver.OptimizedSec,
-		rep.Expdriver.Speedup, st.Hits, st.Misses)
-
-	// Merge rather than overwrite so large-fabric entries (sim_clos_*,
-	// sim_fattree_*) written by -topo runs survive.
-	if err := mergeReport(*out, map[string]any{
-		"quick":           rep.Quick,
-		"gomaxprocs":      rep.GoMaxProc,
-		"reps":            rep.Reps,
-		"parallelism":     rep.Parallelism,
-		"sim_1024":        rep.Sim,
-		"expdriver_quick": rep.Expdriver,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitFailure)
-	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Printf("%s %d machines (%d nodes, %d links): %d ECMP pairs (%d multipath), %d bg sources, %d active flows\n",
+		*topoKind, fr.Machines, fr.Nodes, fr.Links, fr.PairsTotal, fr.PairsMulti, fr.BgSources, fr.ActiveFlows)
+	fmt.Printf("  build %.2fs, warmup %.2fs, %.1fµs/step over %d steps\n",
+		fr.BuildSec, fr.WarmupSec, fr.StepSec*1e6, fr.Steps)
+	fmt.Printf("  refill (%d components, GOMAXPROCS %d of %d CPUs): %.3fms, verified=%v\n",
+		fr.Components, fr.GoMaxProcs, fr.NProc, fr.RefillSec*1e3, fr.Verified)
+	fmt.Printf("wrote %s (%s)\n", *out, key)
+	return cli.ExitOK
 }

@@ -85,8 +85,8 @@ var layeringAllowed = map[string][]string{
 	"internal/plan": {"internal/cli", "internal/exp"},
 	"internal/chaos": {
 		"internal/cancel", "internal/checkpoint", "internal/cloud", "internal/core",
-		"internal/exp", "internal/faults", "internal/mat", "internal/plan",
-		"internal/rpca", "internal/simnet", "internal/stats", "internal/topo",
+		"internal/exp", "internal/faults", "internal/plan", "internal/rpca",
+		"internal/simnet", "internal/stats", "internal/topo",
 	},
 	"internal/serve": {
 		"internal/cancel", "internal/checkpoint", "internal/cloud", "internal/core",
@@ -106,9 +106,8 @@ var layeringAllowed = map[string][]string{
 	"cmd/netconstant":  {"internal/cli", "internal/cloud", "internal/core", "internal/faults", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 	"cmd/netconstantd": {"internal/cli", "internal/serve"},
 	"cmd/netlint":      {"internal/analysis", "internal/cli"},
-	"cmd/rpcabench":    {"internal/cli", "internal/mat", "internal/rpca"},
 	"cmd/servebench":   {"internal/cli", "internal/serve", "internal/stats"},
-	"cmd/simbench":     {"internal/cancel", "internal/cli", "internal/cloud", "internal/exp", "internal/mat", "internal/simnet", "internal/topo"},
+	"cmd/simbench":     {"internal/cli", "internal/cloud", "internal/topo"},
 	"cmd/simcluster":   {"internal/cli", "internal/cloud", "internal/core", "internal/mapping", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 	"cmd/streambench":  {"internal/cli", "internal/mat", "internal/rpca"},
 }

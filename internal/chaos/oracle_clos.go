@@ -7,15 +7,16 @@ package chaos
 // fill after every event (simnet's own verifyGlobal differential), (b)
 // the entire observable outcome — rate fingerprint, component counts,
 // ECMP pair statistics, allocator agreement bits — is byte-identical at
-// mat worker counts 1 and 8 and across repeated runs, (c) the max-min
-// invariants hold at the end, and (d) the bottleneck-structure backend
-// agrees with progressive filling within 1e-9 relative.
+// GOMAXPROCS 1 and 8 (which sizes the mat worker pool) and across
+// repeated runs, (c) the max-min invariants hold at the end, and (d) a
+// bottleneck-structure fill agrees with progressive filling within 1e-9
+// relative.
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 
-	"netconstant/internal/mat"
 	"netconstant/internal/simnet"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
@@ -41,9 +42,9 @@ func oracleClos(p Plan) (fails []Failure) {
 	guard(oracle, &fails, func() {
 		var runs [4]closObs
 		for i, workers := range []int{1, 8, 1, 8} {
-			old := mat.SetParallelism(workers)
+			old := runtime.GOMAXPROCS(workers)
 			obs, ofail := shardedClosRun(p)
-			mat.SetParallelism(old)
+			runtime.GOMAXPROCS(old)
 			fails = append(fails, ofail...)
 			runs[i] = obs
 			if obs.Err != "" {
@@ -112,7 +113,7 @@ func shardedClosRun(p Plan) (closObs, []Failure) {
 		return obs, fails
 	}
 	if agree > closAgreementTol {
-		fails = append(fails, failf(oracle, "bottleneck-structure backend disagrees with max-min by %g relative (tol %g)", agree, closAgreementTol))
+		fails = append(fails, failf(oracle, "bottleneck-structure fill disagrees with max-min by %g relative (tol %g)", agree, closAgreementTol))
 	}
 	if s.ActiveFlows() > 0 {
 		if err := s.CheckInvariants(); err != nil {

@@ -96,7 +96,9 @@ type memoCall struct {
 	gen, allGen uint64
 }
 
-// MemoStats reports cache effectiveness.
+// MemoStats reports cache effectiveness. Every successful request counts
+// once: as a miss if it ran the measurement, else as a hit (served from
+// the cache or from a computation already in flight).
 type MemoStats struct {
 	Hits, Misses, Entries int
 }
@@ -243,6 +245,11 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 				// request retries from scratch.
 				return nil, call.err
 			}
+			// A coalesced wait is served without measuring, like a
+			// cache hit, so hits + misses counts every request.
+			m.mu.Lock()
+			m.hits++
+			m.mu.Unlock()
 			return call.tc.Clone(), nil
 		case <-ctx.Done():
 			return nil, cancel.Wrap("cloud.CalibrationMemo", 0, 0, context.Cause(ctx))

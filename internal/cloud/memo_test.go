@@ -75,21 +75,29 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 }
 
 // TestMemoConcurrentSingleFlight: concurrent requests for one key share a
-// single computation.
+// single computation, and every request is accounted as a hit or a miss
+// — including those that joined the in-flight computation.
 func TestMemoConcurrentSingleFlight(t *testing.T) {
 	m := NewCalibrationMemo(4)
 	key := memoKey(6, 200)
 	var mu sync.Mutex
 	computes := 0
+	const requests = 8
+	// The computation stays open until every request has been issued, so
+	// most of them join it in flight instead of hitting the cache later.
+	var issued sync.WaitGroup
+	issued.Add(requests)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < requests; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			issued.Done()
 			_, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
+				issued.Wait()
 				return measureFor(t, key), nil
 			})
 			if err != nil {
@@ -100,6 +108,9 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 	wg.Wait()
 	if computes != 1 {
 		t.Fatalf("computed %d times under concurrency, want 1", computes)
+	}
+	if st := m.Stats(); st.Hits+st.Misses != requests || st.Misses != 1 {
+		t.Fatalf("stats %+v: want 1 miss and hits + misses = %d requests", st, requests)
 	}
 }
 

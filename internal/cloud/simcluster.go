@@ -30,9 +30,6 @@ type SimClusterConfig struct {
 	// e.g. a Clos or fat-tree fabric from the topo builders. Multi-path
 	// fabrics are fine: the simulator routes with deterministic ECMP.
 	Topo *topo.Topology
-	// Alloc selects the simulator's bandwidth-sharing backend;
-	// simnet.AllocDefault keeps the incremental max-min default.
-	Alloc simnet.AllocatorKind
 	// VMs is the number of cluster members, placed on distinct servers
 	// chosen uniformly at random.
 	VMs  int
@@ -62,7 +59,6 @@ func NewSimCluster(cfg SimClusterConfig) *SimCluster {
 		t = topo.NewTree(cfg.Tree)
 	}
 	s := simnet.New(t)
-	s.SetAllocator(cfg.Alloc)
 	rng := stats.NewRNG(cfg.Seed)
 	servers := t.Servers()
 	if cfg.VMs <= 0 || cfg.VMs > len(servers) {

@@ -8,10 +8,10 @@ package mat
 // its *output* into disjoint index ranges, and each output element is
 // computed with exactly the same floating-point operation order as the
 // plain sequential loop. Chunk geometry therefore never influences a
-// single bit of the result: running with SetParallelism(1), with the
-// pool saturated, or with any worker count produces byte-identical
-// matrices. Reductions that would need cross-chunk accumulation (the
-// norms) deliberately stay sequential.
+// single bit of the result: running with GOMAXPROCS=1, with the pool
+// saturated, or with any worker count produces byte-identical matrices.
+// Reductions that would need cross-chunk accumulation (the norms)
+// deliberately stay sequential.
 //
 // Dispatch never blocks on pool availability: if the pool is busy (a
 // nested or concurrent parallel call) the caller simply runs its chunks
@@ -20,7 +20,6 @@ package mat
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // task is one parallelizable kernel invocation; Run processes the
@@ -58,18 +57,11 @@ const parMinWork = 1 << 15
 var (
 	poolOnce sync.Once
 	thePool  *workerPool
-
-	// parallelism is the target worker count; initialized on first use to
-	// GOMAXPROCS. Stored atomically so kernels can gate without locking.
-	parallelism atomic.Int32
 )
 
 func getPool() *workerPool {
 	poolOnce.Do(func() {
 		thePool = &workerPool{jobs: make(chan poolJob, poolQueueCap)}
-		if parallelism.Load() == 0 {
-			parallelism.Store(int32(runtime.GOMAXPROCS(0)))
-		}
 	})
 	return thePool
 }
@@ -89,28 +81,19 @@ func (p *workerPool) worker() {
 	}
 }
 
-// Parallelism reports the worker count the mat kernels target.
+// Parallelism reports the worker count the mat kernels target: the
+// current GOMAXPROCS. GOMAXPROCS=1 disables the pool entirely; results
+// are byte-identical at every setting.
+//
 //netlint:hotpath
 func Parallelism() int {
-	getPool()
-	return int(parallelism.Load())
-}
-
-// SetParallelism sets the worker count used by the parallel kernels and
-// returns the previous value. n <= 0 restores the default (GOMAXPROCS at
-// the time of the call). SetParallelism(1) disables the pool entirely;
-// results are byte-identical at every setting.
-func SetParallelism(n int) int {
-	getPool()
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(parallelism.Swap(int32(n)))
+	return runtime.GOMAXPROCS(0)
 }
 
 // parGate reports whether a kernel with the given total scalar-op count
 // should try the pool at all. Kernels use it to skip building a task in
-// the (allocation-free) sequential fast path.
+// the (allocation-free) sequential fast path; the size check comes first
+// so small kernels never pay for the GOMAXPROCS read.
 func parGate(work int) bool {
 	return work >= 2*parMinWork && Parallelism() > 1
 }
@@ -136,6 +119,7 @@ func (t shardTask) Run(lo, hi int) {
 // max-min fill is the canonical user: connected components of the
 // flow↔link sharing graph are arithmetically independent, so filling them
 // in any interleaving is byte-identical to the sequential loop.
+//
 //netlint:hotpath
 func ParallelShards(n int, f func(shard int)) {
 	parallelFor(n, 1, shardTask{f})

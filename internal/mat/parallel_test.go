@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -32,11 +33,11 @@ func vecBitsEqual(a, b []float64) bool {
 	return true
 }
 
-// withParallelism runs f at the given worker count and restores the
-// previous setting.
+// withParallelism runs f with GOMAXPROCS (and so the pool's worker
+// count) pinned to n, then restores the previous setting.
 func withParallelism(n int, f func()) {
-	old := SetParallelism(n)
-	defer SetParallelism(old)
+	old := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(old)
 	f()
 }
 

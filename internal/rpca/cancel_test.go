@@ -43,7 +43,6 @@ func TestSolversReturnTypedCancel(t *testing.T) {
 		{"Decompose", func() (*Result, error) { return s.Decompose(a, Options{Ctx: ctx}) }},
 		{"DecomposeIALM", func() (*Result, error) { return s.DecomposeIALM(a, IALMOptions{Ctx: ctx}) }},
 		{"DecomposeMasked", func() (*Result, error) { return s.DecomposeMasked(a, mask, IALMOptions{Ctx: ctx}) }},
-		{"DecomposeFullSVT", func() (*Result, error) { return DecomposeFullSVT(a, Options{Ctx: ctx}) }},
 		{"package Decompose", func() (*Result, error) { return Decompose(a, Options{Ctx: ctx}) }},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package rpca
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"netconstant/internal/mat"
@@ -94,9 +95,9 @@ func TestSolverResultsDetached(t *testing.T) {
 // TestAPGStepAllocationFree is the headline regression for the arena
 // rewrite: once the solver is bound and past the cold SVT, each APG
 // iteration must perform zero heap allocations (sequential path;
-// parallelism is forced to 1 because pool dispatch allocates task chunks).
+// GOMAXPROCS is pinned to 1 because pool dispatch allocates task chunks).
 func TestAPGStepAllocationFree(t *testing.T) {
-	defer mat.SetParallelism(mat.SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(7))
 	a := syntheticTP(rng, 48, 512, 3, 0.05)
 
@@ -118,7 +119,7 @@ func TestAPGStepAllocationFree(t *testing.T) {
 // TestIALMStepAllocationFree: same guarantee for the IALM iteration,
 // masked variant included.
 func TestIALMStepAllocationFree(t *testing.T) {
-	defer mat.SetParallelism(mat.SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(8))
 	a := syntheticTP(rng, 48, 512, 3, 0.05)
 

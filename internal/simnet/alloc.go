@@ -1,9 +1,9 @@
 package simnet
 
-// Allocator backends and the exported knobs around the component-sharded
-// fill: allocator selection, the sharding ablation switch, whole-network
-// refills for benchmarking, rate fingerprints for byte-identity checks,
-// and the bottleneck-structure backend.
+// Oracles and benchmark hooks around the component-sharded fill: the
+// whole-network differential verifier, whole-network refills, rate
+// fingerprints for byte-identity checks, and the bottleneck-structure
+// agreement check.
 
 import (
 	"math"
@@ -12,72 +12,10 @@ import (
 	"netconstant/internal/topo"
 )
 
-// AllocatorKind selects the bandwidth-sharing backend of a Sim.
-type AllocatorKind int
-
-const (
-	// AllocDefault leaves the current backend unchanged (SetAllocator
-	// with AllocDefault is a pure query).
-	AllocDefault AllocatorKind = iota
-	// AllocMaxMin is the incremental max-min allocator: progressive
-	// filling restricted to the dirty component(s), sharded across
-	// components. The default.
-	AllocMaxMin
-	// AllocGlobalMaxMin refills the whole network on every event — the
-	// pre-optimization baseline, bit-identical to AllocMaxMin.
-	AllocGlobalMaxMin
-	// AllocBottleneck is the bottleneck-structure backend (after
-	// Ros-Giralt et al.): level-synchronous water-filling that freezes
-	// every current-minimum link per round instead of one. It computes
-	// the same max-min allocation in exact arithmetic, but its
-	// floating-point rounding may differ from progressive filling by
-	// ulps, so it is differential-tested within tolerance, never bit for
-	// bit.
-	AllocBottleneck
-)
-
-// String names the allocator for reports and benchmark JSON.
-func (k AllocatorKind) String() string {
-	switch k {
-	case AllocDefault:
-		return "default"
-	case AllocMaxMin:
-		return "maxmin"
-	case AllocGlobalMaxMin:
-		return "global-maxmin"
-	case AllocBottleneck:
-		return "bottleneck-structure"
-	}
-	return "unknown"
-}
-
-// SetAllocator selects the bandwidth-sharing backend and returns the
-// previous one. AllocDefault queries without changing. Switching between
-// backends mid-simulation is allowed — the next event recomputes rates
-// under the new backend.
-func (s *Sim) SetAllocator(k AllocatorKind) AllocatorKind {
-	prev := s.alloc
-	if k != AllocDefault {
-		s.alloc = k
-	}
-	return prev
-}
-
-// SetShardedFill toggles component-restricted filling and returns the
-// previous setting. Off, every event fills its whole dirty range jointly
-// (the pre-sharding allocator); rates are byte-identical either way, so
-// this is purely a performance ablation.
-func (s *Sim) SetShardedFill(on bool) bool {
-	prev := s.sharded
-	s.sharded = on
-	return prev
-}
-
 // SetVerifyGlobal arms (or disarms) the differential oracle: after every
 // incremental max-min recompute, every active flow's rate is re-derived
 // with a fresh whole-network fill and the first bitwise mismatch is
-// recorded (see VerifyError). Quadratic — tests only. The check only
-// runs under AllocMaxMin; the bottleneck backend is not bit-comparable.
+// recorded (see VerifyError). Quadratic — tests only.
 func (s *Sim) SetVerifyGlobal(on bool) bool {
 	prev := s.verifyGlobal
 	s.verifyGlobal = on
@@ -88,13 +26,12 @@ func (s *Sim) SetVerifyGlobal(on bool) bool {
 func (s *Sim) VerifyError() error { return s.verifyErr }
 
 // RefillAll recomputes every active flow's allocation from scratch by
-// seeding the recompute with every occupied link. Under max-min backends
-// the result bit-equals the standing rates, so unchanged flows keep
-// their completion timers and simulation state is undisturbed — which
-// makes RefillAll repeatable for benchmarking the fill itself. It
-// returns the dirty-subgraph shape of the refill: the number of
-// connected components and of active flows visited (1 and ActiveFlows()
-// under AllocGlobalMaxMin, which has no component structure).
+// seeding the recompute with every occupied link. The result bit-equals
+// the standing rates, so unchanged flows keep their completion timers
+// and simulation state is undisturbed — which makes RefillAll repeatable
+// for benchmarking the fill itself. It returns the dirty-subgraph shape
+// of the refill: the number of connected components and of active flows
+// visited.
 func (s *Sim) RefillAll() (components, flows int) {
 	s.allSeeds = s.allSeeds[:0]
 	for i, fl := range s.linkFlows {
@@ -103,9 +40,6 @@ func (s *Sim) RefillAll() (components, flows int) {
 		}
 	}
 	s.recompute(s.allSeeds)
-	if s.alloc == AllocGlobalMaxMin {
-		return 1, len(s.active)
-	}
 	return len(s.comps), len(s.dirtyFlows)
 }
 
@@ -128,67 +62,12 @@ func (s *Sim) RateFingerprint() uint64 {
 	return h
 }
 
-// fillSpanBottleneck fills one component span with the
-// bottleneck-structure backend: each round finds the minimum fair share
-// among the span's links, freezes the whole level — every link currently
-// at that minimum — and fixes all their flows at that share. Level
-// membership is decided from the pre-round state before any flow is
-// fixed, because fixing flows on one level link perturbs the residual
-// share of its siblings.
-func (s *Sim) fillSpanBottleneck(sp compSpan) {
-	remaining := sp.flowHi - sp.flowLo
-	var level []int
-	for remaining > 0 {
-		minShare := math.Inf(1)
-		for k := sp.linkLo; k < sp.linkHi; k++ {
-			if s.fillUnfix[k] == 0 {
-				continue
-			}
-			if share := s.fillCap[k] / float64(s.fillUnfix[k]); share < minShare {
-				minShare = share
-			}
-		}
-		if math.IsInf(minShare, 1) {
-			for i := sp.flowLo; i < sp.flowHi; i++ {
-				if f := s.dirtyFlows[i]; f.unfixed {
-					f.newRate = math.Inf(1)
-					f.unfixed = false
-				}
-			}
-			return
-		}
-		level = level[:0]
-		for k := sp.linkLo; k < sp.linkHi; k++ {
-			if s.fillUnfix[k] > 0 && s.fillCap[k]/float64(s.fillUnfix[k]) == minShare {
-				level = append(level, k)
-			}
-		}
-		// At least the first link attaining the minimum still has an
-		// unfixed flow, so every round makes progress.
-		for _, k := range level {
-			for _, f := range s.linkFlows[s.dirtyLinks[k]] {
-				if !f.unfixed {
-					continue
-				}
-				f.newRate = minShare
-				f.unfixed = false
-				remaining--
-				for _, l := range f.path {
-					kk := s.linkSlot[l]
-					s.fillCap[kk] -= minShare
-					if s.fillCap[kk] < 0 {
-						s.fillCap[kk] = 0
-					}
-					s.fillUnfix[kk]--
-				}
-			}
-		}
-	}
-}
-
 // bottleneckRates computes a whole-network bottleneck-structure fill
-// from scratch and returns the per-flow rates without touching simulator
-// state — the specification side of AllocatorAgreement.
+// (after Ros-Giralt et al.) from scratch and returns the per-flow rates
+// without touching simulator state. Each round freezes every link at the
+// current minimum fair share instead of one, so its rounding may differ
+// from progressive filling by ulps — the second side of
+// AllocatorAgreement, compared within tolerance, never bit for bit.
 func (s *Sim) bottleneckRates() map[int64]float64 {
 	capLeft := make([]float64, len(s.linkFlows))
 	nUnfix := make([]int, len(s.linkFlows))
@@ -249,9 +128,9 @@ func (s *Sim) bottleneckRates() map[int64]float64 {
 	return rates
 }
 
-// AllocatorAgreement recomputes the current allocation from scratch with
-// both backends — progressive-filling max-min and bottleneck-structure —
-// and returns the maximum relative per-flow rate difference, without
+// AllocatorAgreement recomputes the current allocation from scratch two
+// ways — progressive-filling max-min and bottleneck-structure — and
+// returns the maximum relative per-flow rate difference, without
 // touching simulator state. Theory says the two compute the same
 // allocation; the observed value is floating-point rounding skew
 // (typically well under 1e-12, asserted ≤1e-9 by the differential

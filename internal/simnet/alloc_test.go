@@ -3,9 +3,9 @@ package simnet
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
-	"netconstant/internal/mat"
 	"netconstant/internal/topo"
 )
 
@@ -37,14 +37,10 @@ func randomFabric(rng *rand.Rand) *topo.Topology {
 
 // loadFabric drives a seeded workload — staggered random pair flows plus
 // background churn — to simulated time 3 and returns the simulator with
-// flows still in flight. configure, if non-nil, runs on the fresh
-// simulator before any flow starts.
-func loadFabric(tr *topo.Topology, seed int64, verify bool, configure func(*Sim)) *Sim {
+// flows still in flight.
+func loadFabric(tr *topo.Topology, seed int64, verify bool) *Sim {
 	s := New(tr)
 	s.SetVerifyGlobal(verify)
-	if configure != nil {
-		configure(s)
-	}
 	rng := rand.New(rand.NewSource(seed))
 	srv := tr.Servers()
 	for k := 0; k < 50; k++ {
@@ -70,21 +66,21 @@ func loadFabric(tr *topo.Topology, seed int64, verify bool, configure func(*Sim)
 	return s
 }
 
-// Property test for the tentpole: on random Clos and fat-tree fabrics
-// with random placements and background flows, the component-sharded
-// parallel fill must be byte-identical to the sequential fill at every
-// worker count, and to the whole-network reference fill (verifyGlobal
-// runs the global allocator side by side after every event).
+// Property test: on random Clos and fat-tree fabrics with random
+// placements and background flows, the component-sharded parallel fill
+// must be byte-identical to the sequential fill at every worker count
+// (GOMAXPROCS sizes the mat worker pool), and to the whole-network
+// reference fill (verifyGlobal runs it side by side after every event).
 func TestPropertyShardedByteIdenticalAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := randomFabric(rand.New(rand.NewSource(seed)))
 		var want uint64
 		for i, workers := range []int{1, 2, 8} {
-			old := mat.SetParallelism(workers)
-			s := loadFabric(tr, seed, true, nil)
+			old := runtime.GOMAXPROCS(workers)
+			s := loadFabric(tr, seed, true)
 			comps, flows := s.RefillAll()
 			fp := s.RateFingerprint()
-			mat.SetParallelism(old)
+			runtime.GOMAXPROCS(old)
 			if err := s.VerifyError(); err != nil {
 				t.Fatalf("seed %d workers %d: sharded fill diverged from global: %v", seed, workers, err)
 			}
@@ -96,27 +92,6 @@ func TestPropertyShardedByteIdenticalAcrossWorkers(t *testing.T) {
 			} else if fp != want {
 				t.Fatalf("seed %d: rate fingerprint differs at %d workers: %#x != %#x", seed, workers, fp, want)
 			}
-		}
-	}
-}
-
-// The sharding ablation switch must not change a single bit either: the
-// joint fill over the whole dirty range and the per-component fills are
-// the same arithmetic.
-func TestShardedVsUnshardedByteIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		tr := randomFabric(rand.New(rand.NewSource(seed + 40)))
-		run := func(sharded bool) uint64 {
-			s := loadFabric(tr, seed, false, func(s *Sim) {
-				if prev := s.SetShardedFill(sharded); !prev {
-					t.Fatal("sharded fill should default on")
-				}
-			})
-			s.RefillAll()
-			return s.RateFingerprint()
-		}
-		if fa, fb := run(true), run(false); fa != fb {
-			t.Fatalf("seed %d: sharded %#x != unsharded %#x", seed, fa, fb)
 		}
 	}
 }
@@ -144,11 +119,11 @@ func TestManyComponentParallelRefill(t *testing.T) {
 	}
 	var want uint64
 	for i, workers := range []int{1, 8} {
-		old := mat.SetParallelism(workers)
+		old := runtime.GOMAXPROCS(workers)
 		s := build()
 		comps, flows := s.RefillAll()
 		fp := s.RateFingerprint()
-		mat.SetParallelism(old)
+		runtime.GOMAXPROCS(old)
 		if err := s.VerifyError(); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -163,54 +138,23 @@ func TestManyComponentParallelRefill(t *testing.T) {
 	}
 }
 
-// The bottleneck-structure backend must agree with progressive-filling
-// max-min within floating-point tolerance on random fabrics, and a
-// simulation run entirely under it must satisfy the max-min invariants.
+// The bottleneck-structure fill must agree with progressive-filling
+// max-min within floating-point tolerance on random fabrics.
 func TestBottleneckBackendAgreesWithMaxMin(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := randomFabric(rand.New(rand.NewSource(seed + 80)))
-		s := loadFabric(tr, seed, false, nil)
+		s := loadFabric(tr, seed, false)
 		if rel := s.AllocatorAgreement(); rel > 1e-9 {
-			t.Fatalf("seed %d: backends disagree by %g relative", seed, rel)
-		}
-		// Re-run the same workload under the bottleneck backend.
-		b := New(tr)
-		if prev := b.SetAllocator(AllocBottleneck); prev != AllocMaxMin {
-			t.Fatalf("default allocator = %v", prev)
-		}
-		if got := b.SetAllocator(AllocDefault); got != AllocBottleneck {
-			t.Fatalf("AllocDefault query returned %v", got)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		srv := tr.Servers()
-		for k := 0; k < 30; k++ {
-			x := srv[rng.Intn(len(srv))]
-			y := srv[rng.Intn(len(srv))]
-			if x == y {
-				continue
-			}
-			xx, yy := x, y
-			b.Eng.Schedule(rng.Float64(), func() { b.StartFlow(xx, yy, 1e5+rng.Float64()*1e6, nil) })
-		}
-		b.Eng.RunUntil(2)
-		if b.ActiveFlows() > 0 {
-			if err := b.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d: bottleneck backend violates max-min invariants: %v", seed, err)
-			}
-		}
-		b.Eng.Run()
-		if b.ActiveFlows() != 0 {
-			t.Fatalf("seed %d: bottleneck backend stalled with %d flows", seed, b.ActiveFlows())
+			t.Fatalf("seed %d: fills disagree by %g relative", seed, rel)
 		}
 	}
 }
 
-// RefillAll under a max-min backend recomputes the standing allocation
-// bit for bit: the fingerprint must not move and unchanged flows must
+// RefillAll recomputes the standing allocation bit for bit: the fingerprint must not move and unchanged flows must
 // keep their completion timers (the event count stays put).
 func TestRefillAllIsANoOp(t *testing.T) {
 	tr := randomFabric(rand.New(rand.NewSource(3)))
-	s := loadFabric(tr, 3, true, nil)
+	s := loadFabric(tr, 3, true)
 	before := s.RateFingerprint()
 	for i := 0; i < 3; i++ {
 		if _, flows := s.RefillAll(); flows != s.ActiveFlows() {

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"netconstant/internal/des"
 	"netconstant/internal/mat"
@@ -57,8 +56,8 @@ type Sim struct {
 	active map[int64]*Flow
 	// linkFlows is indexed by LinkID (link IDs are dense, assigned in
 	// creation order); each entry lists the active flows crossing that
-	// link, removed by swap-with-last. Both allocators are visiting-order
-	// independent, so the unordered slice is safe.
+	// link, removed by swap-with-last. The fill and its reference fills are
+	// visiting-order independent, so the unordered slice is safe.
 	linkFlows [][]*Flow
 
 	// routes caches (src, dst) -> path + propagation latency. The
@@ -69,13 +68,6 @@ type Sim struct {
 	// flows and never mutated.
 	routes map[int64]routeEntry
 
-	// alloc selects the bandwidth-sharing backend; see AllocatorKind.
-	alloc AllocatorKind
-	// sharded selects component-restricted filling: each connected
-	// component of the dirty subgraph fills independently (possibly in
-	// parallel on the mat worker pool). Off, the whole dirty range fills
-	// jointly — the pre-sharding allocator, kept as an ablation baseline.
-	sharded bool
 	// verifyGlobal, when set, re-derives every active flow's rate with a
 	// fresh whole-network fill after each incremental recompute and
 	// records the first bitwise mismatch in verifyErr.
@@ -118,22 +110,8 @@ type routeEntry struct {
 	latency float64
 }
 
-// defaultGlobalFill makes New return simulators running the global
-// (pre-optimization) allocator; benchmarks flip it to time unmodified
-// higher layers end to end against both allocators.
-var defaultGlobalFill atomic.Bool
-
-// SetDefaultGlobalFill selects the allocator used by subsequently created
-// simulators and returns the previous setting. Intended for benchmarks
-// and ablation studies; the incremental allocator is the default.
-func SetDefaultGlobalFill(on bool) bool { return defaultGlobalFill.Swap(on) }
-
 // New creates a simulator for the given topology with its own event engine.
 func New(t *topo.Topology) *Sim {
-	alloc := AllocMaxMin
-	if defaultGlobalFill.Load() {
-		alloc = AllocGlobalMaxMin
-	}
 	return &Sim{
 		Topo:      t,
 		Eng:       des.NewEngine(),
@@ -142,22 +120,7 @@ func New(t *topo.Topology) *Sim {
 		linkStamp: make([]int64, t.NumLinks()),
 		linkSlot:  make([]int32, t.NumLinks()),
 		routes:    make(map[int64]routeEntry),
-		alloc:     alloc,
-		sharded:   true,
 	}
-}
-
-// SetGlobalFill selects this simulator's allocator (true = whole-network
-// refill on every event) and returns the previous setting. It is the
-// boolean legacy face of SetAllocator, which see for the full menu.
-func (s *Sim) SetGlobalFill(on bool) bool {
-	prev := s.alloc == AllocGlobalMaxMin
-	if on {
-		s.alloc = AllocGlobalMaxMin
-	} else {
-		s.alloc = AllocMaxMin
-	}
-	return prev
 }
 
 // Now returns the current simulated time.
@@ -263,17 +226,13 @@ func (s *Sim) complete(f *Flow) {
 // graph. Max-min allocations decompose independently per component, and
 // component-restricted filling performs the same floating-point
 // operations as a whole-network fill does on that component, so rates
-// stay byte-identical to the global recompute (asserted by the
+// stay byte-identical to a whole-network fill (asserted by the
 // differential tests via verifyGlobal).
 func (s *Sim) recompute(seeds []topo.LinkID) {
-	if s.alloc == AllocGlobalMaxMin {
-		s.recomputeGlobal()
-		return
-	}
 	s.collectDirty(seeds)
 	s.fillDirty()
 	s.commitDirty()
-	if s.verifyGlobal && s.verifyErr == nil && s.alloc == AllocMaxMin {
+	if s.verifyGlobal && s.verifyErr == nil {
 		s.verifyErr = s.verifyAgainstGlobal()
 	}
 }
@@ -331,10 +290,10 @@ const shardParMinFlows = 64
 // ranges of that state, so the per-component fills are independent and —
 // when there are enough components and flows to pay for dispatch — run
 // concurrently on the mat worker pool. Per-component filling performs
-// exactly the floating-point operations a joint fill performs on that
-// component (a joint fill's selections restricted to one component occur
-// in that component's local-min order and touch only its state), so the
-// result is byte-identical at any worker count, sharded or not.
+// exactly the floating-point operations a whole-network fill performs on
+// that component (its selections restricted to one component occur in
+// that component's local-min order and touch only its state), so the
+// result is byte-identical at any worker count.
 //
 //netlint:hotpath
 func (s *Sim) fillDirty() {
@@ -348,14 +307,6 @@ func (s *Sim) fillDirty() {
 	for _, f := range s.dirtyFlows {
 		f.unfixed = true
 	}
-	if !s.sharded {
-		// Ablation baseline: one joint fill over the whole dirty range,
-		// exactly the pre-sharding allocator. Every bottleneck round
-		// rescans all dirty links, so a refill with C components costs
-		// roughly C times the sharded scan volume.
-		s.fillSpan(compSpan{0, len(s.dirtyLinks), 0, len(s.dirtyFlows)})
-		return
-	}
 	if len(s.comps) >= 2 && len(s.dirtyFlows) >= shardParMinFlows && mat.Parallelism() > 1 {
 		//netlint:allow hotalloc one closure per sharded refill dispatch, amortized over all component fills it fans out
 		mat.ParallelShards(len(s.comps), func(c int) { s.fillSpan(s.comps[c]) })
@@ -366,26 +317,14 @@ func (s *Sim) fillDirty() {
 	}
 }
 
-// fillSpan fills one component span with the selected backend.
-//
-//netlint:hotpath
-func (s *Sim) fillSpan(sp compSpan) {
-	if s.alloc == AllocBottleneck {
-		s.fillSpanBottleneck(sp)
-		return
-	}
-	s.fillSpanMaxMin(sp)
-}
-
-// fillSpanMaxMin runs progressive filling restricted to one component
-// span, leaving each flow's share in f.newRate. Bottleneck ties are
+// fillSpan runs progressive filling restricted to one component span, leaving each flow's share in f.newRate. Bottleneck ties are
 // broken by the smallest link ID so the result is independent of
 // discovery order. Concurrent spans are safe: a component's flows, their
 // paths, and the span's fill slots are disjoint from every other span's
 // by construction.
 //
 //netlint:hotpath
-func (s *Sim) fillSpanMaxMin(sp compSpan) {
+func (s *Sim) fillSpan(sp compSpan) {
 	remaining := sp.flowHi - sp.flowLo
 	for remaining > 0 {
 		// Bottleneck: minimum fair share among the span's links that still
@@ -479,44 +418,6 @@ type flowsByID []*Flow
 func (v flowsByID) Len() int           { return len(v) }
 func (v flowsByID) Less(i, j int) bool { return v[i].ID < v[j].ID }
 func (v flowsByID) Swap(i, j int)      { v[i], v[j] = v[j], v[i] }
-
-// recomputeGlobal is the pre-optimization allocator: drain every active
-// flow, refill the whole network, reschedule every completion. Kept as
-// the ablation baseline; it uses the same smallest-link-ID tie-break as
-// the incremental path so the two are comparable bit for bit.
-func (s *Sim) recomputeGlobal() {
-	now := s.Now()
-	for _, f := range s.active {
-		f.remaining -= f.rate * (now - f.lastUpdate)
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-		f.lastUpdate = now
-	}
-	rates := s.referenceRates()
-	for _, f := range s.active {
-		f.rate = rates[f.ID]
-	}
-	// Reschedule completions under the new rates, in flow-ID order for
-	// deterministic engine sequence numbers.
-	ordered := make([]*Flow, 0, len(s.active))
-	for _, f := range s.active {
-		ordered = append(ordered, f)
-	}
-	sort.Sort(flowsByID(ordered))
-	for _, f := range ordered {
-		if f.completion != nil {
-			f.completion.Cancel()
-			f.completion = nil
-		}
-		if f.rate <= 0 {
-			continue
-		}
-		eta := f.remaining / f.rate
-		ff := f
-		f.completion = s.Eng.After(eta, func() { s.complete(ff) })
-	}
-}
 
 // referenceRates computes a whole-network progressive fill from scratch
 // and returns the resulting per-flow rates without touching simulator

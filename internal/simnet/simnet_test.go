@@ -341,44 +341,6 @@ func TestDifferentialIncrementalVsGlobal(t *testing.T) {
 	}
 }
 
-// The global ablation allocator must drive the simulation to the same
-// flow completion outcomes as the incremental one (times may differ only
-// in the last ulps from drain-accrual order, so compare counts and
-// near-equal clocks).
-func TestGlobalFillAblationAgrees(t *testing.T) {
-	tr := topo.NewTree(topo.TreeConfig{Racks: 3, ServersPerRack: 4, IntraRackBps: 1e6, InterRackBps: 2e6, HopLatency: 1e-4})
-	srv := tr.Servers()
-	run := func(global bool) (int, float64) {
-		s := New(tr)
-		s.SetGlobalFill(global)
-		rng := rand.New(rand.NewSource(9))
-		completed := 0
-		for k := 0; k < 30; k++ {
-			a := srv[rng.Intn(len(srv))]
-			b := srv[rng.Intn(len(srv))]
-			if a == b {
-				continue
-			}
-			at := rng.Float64()
-			bytes := 1e5 + rng.Float64()*1e6
-			aa, bb := a, b
-			s.Eng.Schedule(at, func() {
-				s.StartFlow(aa, bb, bytes, func(float64) { completed++ })
-			})
-		}
-		s.Eng.Run()
-		return completed, s.Now()
-	}
-	nInc, tInc := run(false)
-	nGlb, tGlb := run(true)
-	if nInc != nGlb {
-		t.Fatalf("completion counts differ: incremental %d, global %d", nInc, nGlb)
-	}
-	if math.Abs(tInc-tGlb) > 1e-9*math.Max(tInc, tGlb) {
-		t.Fatalf("final clocks diverged beyond ulp noise: incremental %v, global %v", tInc, tGlb)
-	}
-}
-
 // Property test over richer seeded workloads than the static-arrival one
 // above: flows arrive over time, with background churn, and after every
 // event the allocation must satisfy feasibility, positivity, and the
