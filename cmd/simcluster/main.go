@@ -4,11 +4,15 @@
 // traffic, a virtual cluster sampled from it, RPCA analysis of the
 // measured temporal performance matrix, and a strategy comparison on live
 // simulated collectives.
+//
+// Flags are checked before any work: an out-of-range size, count or
+// traffic parameter is a usage error (exit 2); a failed analysis exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"netconstant/internal/cli"
@@ -20,7 +24,17 @@ import (
 	"netconstant/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// maxMachines caps -racks × -servers at the largest fabric the simulator
+// is benchmarked at (BENCH_sim.json), so a mistyped size is refused
+// instead of building an unbounded tree.
+const maxMachines = 1 << 17
+
+// finitePositive reports whether a byte count can be simulated.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+func run() int {
 	racks := flag.Int("racks", 32, "number of racks")
 	perRack := flag.Int("servers", 32, "servers per rack")
 	vms := flag.Int("vms", 32, "virtual cluster size")
@@ -33,6 +47,30 @@ func main() {
 	steps := flag.Int("steps", 10, "time step (TP-matrix rows)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+
+	const cmd = "simcluster"
+	if *racks < 1 || *perRack < 1 || *racks > maxMachines / *perRack {
+		return cli.Usagef(cmd, "-racks and -servers must be ≥ 1 and give at most %d machines, got %d × %d", maxMachines, *racks, *perRack)
+	}
+	machines := *racks * *perRack
+	switch {
+	case *vms < 2 || *vms > machines:
+		return cli.Usagef(cmd, "-vms must be between 2 and the %d machines, got %d", machines, *vms)
+	case *steps < 1:
+		return cli.Usagef(cmd, "-steps must be ≥ 1, got %d", *steps)
+	case *runs < 1:
+		return cli.Usagef(cmd, "-runs must be ≥ 1, got %d", *runs)
+	case *bgLinks < 0:
+		return cli.Usagef(cmd, "-bg must be ≥ 0, got %d", *bgLinks)
+	case *hotRacks < 0 || *hotRacks > *racks:
+		return cli.Usagef(cmd, "-hot must be between 0 and the %d racks, got %d", *racks, *hotRacks)
+	case math.IsNaN(*bgLambda) || math.IsInf(*bgLambda, 1) || *bgLambda < 0:
+		return cli.Usagef(cmd, "-lambda must be a finite number of seconds ≥ 0, got %v", *bgLambda)
+	case !finitePositive(*bgBytes):
+		return cli.Usagef(cmd, "-bgmsg must be a positive finite byte count, got %v", *bgBytes)
+	case !finitePositive(*msg):
+		return cli.Usagef(cmd, "-msg must be a positive finite byte count, got %v", *msg)
+	}
 
 	sc := cloud.NewSimCluster(cloud.SimClusterConfig{
 		Tree: topo.TreeConfig{
@@ -52,15 +90,14 @@ func main() {
 	defer sc.StopBackground()
 
 	fmt.Printf("simulated data center: %d machines (%d racks x %d servers), %d-VM cluster, %d background sources (λ=%.1fs, %.0f MB)\n",
-		*racks**perRack, *racks, *perRack, *vms, *bgLinks, *bgLambda, *bgBytes/(1<<20))
+		machines, *racks, *perRack, *vms, *bgLinks, *bgLambda, *bgBytes/(1<<20))
 
 	rng := stats.NewRNG(*seed + 1)
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{TimeStep: *steps})
 	fmt.Printf("measuring %d all-link snapshots...\n", *steps)
 	tc := cloud.SnapshotTP(sc, *steps, 5)
 	if err := adv.AnalyzeCalibration(tc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(cli.ExitFailure)
+		return cli.Failf(cmd, "%v", err)
 	}
 	fmt.Printf("Norm(N_E) = %.4f -> optimizations are %s\n\n", adv.NormE(), adv.Effectiveness())
 
@@ -98,4 +135,5 @@ func main() {
 		}
 		fmt.Println()
 	}
+	return cli.ExitOK
 }

@@ -553,9 +553,14 @@ func CalibrateTPCtx(ctx context.Context, c Cluster, rng *rand.Rand, steps int, g
 	return tc, nil
 }
 
-// SnapshotTP samples `steps` instantaneous performance matrices separated
-// by `gap` seconds without charging measurement cost — used by trace
-// generation and experiments that need ideal snapshots.
+// SnapshotTP samples `steps` all-pair performance matrices separated by
+// `gap` seconds without charging measurement cost to TotalCost — used by
+// trace generation and experiments that need ideal snapshots. A row is
+// instantaneous only where PairPerf reads a model (VirtualCluster,
+// ReplayCluster). On a SimCluster every PairPerf is a real pingpong that
+// advances the simulated clock, so a row itself takes simulated time —
+// about 20 s for Fig 13's 32 VMs, against its 5 s gap — and is stamped
+// with the clock at its last pair.
 func SnapshotTP(c Cluster, steps int, gap float64) *TemporalCalibration {
 	n := c.Size()
 	tc := &TemporalCalibration{

@@ -1,7 +1,7 @@
 // Package des provides a minimal deterministic discrete-event simulation
-// engine: a virtual clock and a time-ordered event queue with cancellable
-// timers. It is shared by the flow-level network simulator (the ns-2
-// substitute) and the analytic α-β network executor.
+// engine: a virtual clock and a time-ordered event queue with cancellable,
+// reschedulable timers. It is shared by the flow-level network simulator
+// (the ns-2 substitute) and the analytic α-β network executor.
 //
 // Determinism: ties in event time are broken by scheduling order, so a
 // simulation driven by seeded randomness replays identically.
@@ -12,71 +12,42 @@ import (
 	"math"
 )
 
-// Timer is a handle to a scheduled event; Cancel prevents its callback
-// from firing.
+// Timer is a handle to an event. A timer is queued from the moment it is
+// scheduled until it fires or is cancelled; Reschedule queues it again.
 type Timer struct {
-	at        float64
-	seq       int64
-	fn        func()
-	cancelled bool
-	index     int // heap index; -1 once popped
-	eng       *Engine
+	at    float64
+	seq   int64
+	fn    func()
+	index int // heap index; -1 while not queued
+	eng   *Engine
 }
 
-// Cancel suppresses the timer's callback. Cancelling an already-fired or
-// already-cancelled timer is a no-op. A cancelled timer stays in the
-// engine's queue until it would fire or until the engine compacts the
-// queue, whichever comes first.
+// Cancel removes the timer from its engine's queue at once, so its
+// callback does not fire. Cancelling a timer that is not queued (already
+// fired, already cancelled, or cancelled from inside its own callback) is
+// a no-op.
+//
+//netlint:hotpath
 func (t *Timer) Cancel() {
-	if t.cancelled {
+	if t.eng == nil || t.index < 0 {
 		return
 	}
-	t.cancelled = true
-	if t.eng != nil && t.index >= 0 {
-		t.eng.nCancelled++
-		t.eng.maybeCompact()
-	}
+	heap.Remove(&t.eng.q, t.index)
 }
 
-// At returns the simulated time the timer is scheduled for.
+// At returns the simulated time the timer was last scheduled for.
 func (t *Timer) At() float64 { return t.at }
+
+// Queued reports whether the timer is waiting to fire.
+//
+//netlint:hotpath
+func (t *Timer) Queued() bool { return t.index >= 0 }
 
 // Engine is a discrete-event scheduler with a virtual clock.
 type Engine struct {
-	now        float64
-	seq        int64
-	q          timerHeap
-	nCancelled int // cancelled timers still sitting in q
-}
-
-// compactMinLen is the queue size below which compaction is not worth the
-// rebuild; lazy pop-time draining handles small queues fine.
-const compactMinLen = 64
-
-// maybeCompact rebuilds the heap without its cancelled entries once they
-// make up more than half of a non-trivial queue. Long background-traffic
-// runs cancel and reschedule completion timers on every rate change, so
-// without this the queue grows with the cancellation rate rather than
-// with the number of live flows.
-func (e *Engine) maybeCompact() {
-	if len(e.q) < compactMinLen || 2*e.nCancelled <= len(e.q) {
-		return
-	}
-	live := e.q[:0]
-	for _, t := range e.q {
-		if t.cancelled {
-			t.index = -1
-		} else {
-			t.index = len(live)
-			live = append(live, t)
-		}
-	}
-	for i := len(live); i < len(e.q); i++ {
-		e.q[i] = nil
-	}
-	e.q = live
-	heap.Init(&e.q) // Swap refreshes every surviving index
-	e.nCancelled = 0
+	now float64
+	seq int64
+	q   timerHeap
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -85,19 +56,19 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
+// NewTimer returns a timer that runs fn when it fires. The timer is not
+// queued until Reschedule is called on it, so a caller that fires the same
+// callback many times allocates the timer and its closure once.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	return &Timer{fn: fn, index: -1, eng: e}
+}
+
 // Schedule registers fn to run at simulated time `at` and returns a
 // cancellable handle. Scheduling in the past (at < Now) panics: it would
 // silently corrupt causality.
 func (e *Engine) Schedule(at float64, fn func()) *Timer {
-	if at < e.now {
-		panic("des: scheduling event in the past")
-	}
-	if math.IsNaN(at) {
-		panic("des: scheduling event at NaN")
-	}
-	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e}
-	e.seq++
-	heap.Push(&e.q, t)
+	t := e.NewTimer(fn)
+	e.Reschedule(t, at)
 	return t
 }
 
@@ -106,20 +77,43 @@ func (e *Engine) After(delay float64, fn func()) *Timer {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// Step fires the earliest pending event. It reports false when the queue
-// is empty (after draining any cancelled entries).
-func (e *Engine) Step() bool {
-	for e.q.Len() > 0 {
-		t := heap.Pop(&e.q).(*Timer)
-		if t.cancelled {
-			e.nCancelled--
-			continue
-		}
-		e.now = t.at
-		t.fn()
-		return true
+// Reschedule moves t to fire at simulated time `at`, queueing it again if
+// it already fired or was cancelled. It takes a fresh sequence number, so
+// the timer fires exactly where Cancel followed by Schedule(at, fn) would
+// have put a new one, without allocating. It panics on a past or NaN time,
+// as Schedule does, and on a timer made by another engine.
+//
+//netlint:hotpath
+func (e *Engine) Reschedule(t *Timer, at float64) {
+	if at < e.now {
+		panic("des: scheduling event in the past")
 	}
-	return false
+	if math.IsNaN(at) {
+		panic("des: scheduling event at NaN")
+	}
+	if t.eng != e {
+		panic("des: rescheduling another engine's timer")
+	}
+	t.at = at
+	t.seq = e.seq
+	e.seq++
+	if t.index >= 0 {
+		heap.Fix(&e.q, t.index)
+		return
+	}
+	heap.Push(&e.q, t)
+}
+
+// Step fires the earliest pending event. It reports false when the queue
+// is empty.
+func (e *Engine) Step() bool {
+	if len(e.q) == 0 {
+		return false
+	}
+	t := heap.Pop(&e.q).(*Timer)
+	e.now = t.at
+	t.fn()
+	return true
 }
 
 // Run fires events until the queue is empty.
@@ -131,11 +125,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with time <= deadline, then advances the clock to
 // exactly the deadline (later events stay queued).
 func (e *Engine) RunUntil(deadline float64) {
-	for {
-		t := e.peek()
-		if t == nil || t.at > deadline {
-			break
-		}
+	for len(e.q) > 0 && e.q[0].at <= deadline {
 		e.Step()
 	}
 	if deadline > e.now {
@@ -143,29 +133,8 @@ func (e *Engine) RunUntil(deadline float64) {
 	}
 }
 
-// Pending returns the number of live (non-cancelled) queued events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, t := range e.q {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *Engine) peek() *Timer {
-	for e.q.Len() > 0 {
-		t := e.q[0]
-		if t.cancelled {
-			heap.Pop(&e.q)
-			e.nCancelled--
-			continue
-		}
-		return t
-	}
-	return nil
-}
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.q) }
 
 // timerHeap orders by (time, sequence) for deterministic tie-breaking.
 type timerHeap []*Timer

@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,17 +184,19 @@ func TestPropertyEventOrdering(t *testing.T) {
 }
 
 // Churning Schedule/Cancel must not grow the queue with the number of
-// cancellations: compaction keeps the heap proportional to the live
-// timer count. This is the pattern the flow simulator produces — every
-// rate change cancels and reschedules completion timers.
+// cancellations: Cancel removes the timer at once, so the queue holds
+// exactly the live timers after every operation. This is the pattern the
+// flow simulator produces — every rate change moves a completion timer.
 func TestCancelChurnBoundsHeap(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(7))
 	var live []*Timer
 	const rounds = 20000
-	maxLen := 0
 	for i := 0; i < rounds; i++ {
 		live = append(live, e.After(1+rng.Float64()*100, func() {}))
+		if got := e.Pending(); got != len(live) {
+			t.Fatalf("round %d: Pending %d after Schedule, %d live", i, got, len(live))
+		}
 		// Cancel-and-replace an existing timer most of the time, keeping
 		// roughly a constant live population under heavy churn.
 		for len(live) > 50 {
@@ -201,63 +204,255 @@ func TestCancelChurnBoundsHeap(t *testing.T) {
 			live[j].Cancel()
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
+			if got := e.Pending(); got != len(live) {
+				t.Fatalf("round %d: Pending %d after Cancel, %d live", i, got, len(live))
+			}
 		}
-		if len(e.q) > maxLen {
-			maxLen = len(e.q)
-		}
-		if e.nCancelled > len(e.q) {
-			t.Fatalf("round %d: cancelled counter %d exceeds queue %d", i, e.nCancelled, len(e.q))
-		}
-	}
-	// 50 live timers; the >50% cancelled trigger with the compactMinLen
-	// floor bounds the queue at max(2*live, compactMinLen)+1 between
-	// compactions.
-	bound := 2*(len(live)+1) + compactMinLen
-	if maxLen > bound {
-		t.Fatalf("heap grew to %d (live %d, bound %d): compaction not keeping up", maxLen, len(live), bound)
-	}
-	if maxLen >= rounds/2 {
-		t.Fatalf("heap length %d scales with churn count %d", maxLen, rounds)
-	}
-	if got := e.Pending(); got != len(e.q)-e.nCancelled {
-		t.Fatalf("Pending %d disagrees with len(q)-nCancelled %d", got, len(e.q)-e.nCancelled)
 	}
 	// The engine must still fire exactly the surviving timers, in order.
 	n := 0
 	for e.Step() {
 		n++
+		if got := e.Pending(); got != len(live)-n {
+			t.Fatalf("Pending %d after %d steps, want %d", got, n, len(live)-n)
+		}
 	}
 	if n != len(live) {
 		t.Fatalf("fired %d events, want %d live", n, len(live))
 	}
-	if e.nCancelled != 0 || len(e.q) != 0 {
-		t.Fatalf("drained engine left q=%d cancelled=%d", len(e.q), e.nCancelled)
+}
+
+// Cancel is a no-op on a timer that is not queued — after it fired,
+// after an earlier Cancel, and from inside its own callback — and a
+// cancelled timer never fires. Rescheduling a fired or cancelled timer
+// queues it again, and it then fires exactly once.
+func TestCancelAfterFireKeepsCounterSane(t *testing.T) {
+	e := NewEngine()
+	fires := map[string]int{}
+	count := func(name string) func() { return func() { fires[name]++ } }
+
+	fired := e.After(1, count("fired"))
+	e.Run()
+	fired.Cancel() // after fire
+	fired.Cancel() // double cancel
+	if fires["fired"] != 1 || e.Pending() != 0 || fired.Queued() {
+		t.Fatalf("after fire + cancels: fires %d, pending %d, queued %v", fires["fired"], e.Pending(), fired.Queued())
+	}
+
+	cancelled := e.After(1, count("cancelled"))
+	e.After(2, count("other"))
+	cancelled.Cancel()
+	cancelled.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("pending %d after double cancel, want 1", e.Pending())
+	}
+
+	var self *Timer
+	self = e.After(3, func() {
+		fires["self"]++
+		self.Cancel() // from its own callback: already dequeued
+	})
+	e.Run()
+	if fires["cancelled"] != 0 || fires["other"] != 1 || fires["self"] != 1 || e.Pending() != 0 {
+		t.Fatalf("fires %v, pending %d", fires, e.Pending())
+	}
+
+	// Fired and cancelled timers come back through Reschedule, once each.
+	e.Reschedule(fired, e.Now()+1)
+	e.Reschedule(cancelled, e.Now()+1)
+	e.Reschedule(self, e.Now()+2)
+	if e.Pending() != 3 {
+		t.Fatalf("pending %d after rescheduling three idle timers", e.Pending())
+	}
+	e.Run()
+	if fires["fired"] != 2 || fires["cancelled"] != 1 || fires["self"] != 2 {
+		t.Fatalf("after reschedule: fires %v", fires)
+	}
+	if e.Step() || e.Pending() != 0 {
+		t.Fatal("rescheduled timers fired more than once")
 	}
 }
 
-// Cancelling a timer that already fired (or was already discarded by a
-// pop) must not corrupt the cancelled-entry counter.
-func TestCancelAfterFireKeepsCounterSane(t *testing.T) {
+// A timer may reschedule itself from its own callback — the flow
+// simulator's timers do, when a flow starts draining — and then fires
+// again at the new time.
+func TestRescheduleFromOwnCallback(t *testing.T) {
 	e := NewEngine()
-	var fired *Timer
-	fired = e.After(1, func() {})
+	var at []float64
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		at = append(at, e.Now())
+		if len(at) < 3 {
+			e.Reschedule(tm, e.Now()+1)
+		}
+	})
+	if tm.Queued() || e.Pending() != 0 {
+		t.Fatal("NewTimer queued its timer")
+	}
+	e.Reschedule(tm, 1)
 	e.Run()
-	fired.Cancel() // after fire: index is -1, must not count
-	fired.Cancel() // double cancel: no-op
-	if e.nCancelled != 0 {
-		t.Fatalf("nCancelled = %d after cancelling fired timer, want 0", e.nCancelled)
+	if !slices.Equal(at, []float64{1, 2, 3}) || tm.Queued() {
+		t.Fatalf("self-rescheduling timer fired at %v (queued %v), want [1 2 3]", at, tm.Queued())
 	}
-	// A cancelled-then-popped timer decrements the counter exactly once.
-	tm := e.After(1, func() {})
-	tm.Cancel()
-	tm.Cancel()
-	if e.nCancelled != 1 {
-		t.Fatalf("nCancelled = %d after double cancel, want 1", e.nCancelled)
+}
+
+// Reschedule validates its time exactly as Schedule does and refuses a
+// timer owned by another engine.
+func TestReschedulePanics(t *testing.T) {
+	e := NewEngine()
+	tm := e.Schedule(5, func() {})
+	e.RunUntil(3)
+	for name, f := range map[string]func(){
+		"past":         func() { e.Reschedule(tm, 2) },
+		"NaN":          func() { e.Reschedule(tm, math.NaN()) },
+		"other engine": func() { NewEngine().Reschedule(tm, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
 	}
-	if e.Step() {
-		t.Fatal("cancelled timer fired")
+	if !tm.Queued() || tm.At() != 5 || e.Pending() != 1 {
+		t.Fatalf("a refused Reschedule moved the timer: queued %v, at %v, pending %d", tm.Queued(), tm.At(), e.Pending())
 	}
-	if e.nCancelled != 0 {
-		t.Fatalf("nCancelled = %d after drain, want 0", e.nCancelled)
+}
+
+// refEntry is one live event of the reference model.
+type refEntry struct {
+	at  float64
+	seq int64
+	id  int
+}
+
+// refQueue is the specification the heap is checked against: an
+// unordered list of live entries, popped by a linear scan for the
+// smallest (at, seq).
+type refQueue struct {
+	seq     int64
+	entries []refEntry
+}
+
+func (r *refQueue) find(id int) int {
+	for i, en := range r.entries {
+		if en.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refQueue) cancel(id int) {
+	if i := r.find(id); i >= 0 {
+		r.entries = append(r.entries[:i], r.entries[i+1:]...)
+	}
+}
+
+func (r *refQueue) schedule(id int, at float64) {
+	r.cancel(id)
+	r.entries = append(r.entries, refEntry{at: at, seq: r.seq, id: id})
+	r.seq++
+}
+
+func (r *refQueue) pop() (refEntry, bool) {
+	if len(r.entries) == 0 {
+		return refEntry{}, false
+	}
+	best := 0
+	for i, en := range r.entries {
+		b := r.entries[best]
+		if en.at < b.at || (en.at == b.at && en.seq < b.seq) {
+			best = i
+		}
+	}
+	en := r.entries[best]
+	r.entries = append(r.entries[:best], r.entries[best+1:]...)
+	return en, true
+}
+
+// Differential test: random Schedule/Cancel/Reschedule/Step sequences
+// against the reference model. The fired-id sequence and Pending must
+// match the model after every operation, and a twin engine that replaces
+// every Reschedule with Cancel + Schedule must fire the same ids at the
+// same times.
+func TestRescheduleMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, twin := NewEngine(), NewEngine()
+		var ref refQueue
+		var got, gotTwin, want []int
+		const ids = 12
+		timers := make([]*Timer, ids)
+		twinTimers := make([]*Timer, ids)
+		for id := range timers {
+			timers[id] = e.NewTimer(func() { got = append(got, id) })
+		}
+		twinFire := func(id int) func() { return func() { gotTwin = append(gotTwin, id) } }
+		for op := 0; op < 400; op++ {
+			id := rng.Intn(ids)
+			// Few distinct times, so (time, seq) ties are common.
+			at := e.Now() + float64(rng.Intn(4))
+			switch k := rng.Intn(10); {
+			case k < 4:
+				e.Reschedule(timers[id], at)
+				if twinTimers[id] != nil {
+					twinTimers[id].Cancel()
+				}
+				twinTimers[id] = twin.Schedule(at, twinFire(id))
+				ref.schedule(id, at)
+			case k < 6:
+				timers[id].Cancel()
+				if twinTimers[id] != nil {
+					twinTimers[id].Cancel()
+				}
+				ref.cancel(id)
+			default:
+				stepped := e.Step()
+				twin.Step()
+				en, ok := ref.pop()
+				if stepped != ok {
+					t.Fatalf("seed %d op %d: Step %v, model has event %v", seed, op, stepped, ok)
+				}
+				if ok {
+					want = append(want, en.id)
+					if e.Now() != en.at {
+						t.Fatalf("seed %d op %d: clock %v, model fired at %v", seed, op, e.Now(), en.at)
+					}
+				}
+			}
+			if e.Pending() != len(ref.entries) || twin.Pending() != len(ref.entries) {
+				t.Fatalf("seed %d op %d: Pending %d (twin %d), model %d", seed, op, e.Pending(), twin.Pending(), len(ref.entries))
+			}
+			if !slices.Equal(got, want) || !slices.Equal(gotTwin, want) {
+				t.Fatalf("seed %d op %d: fired %v (twin %v), model %v", seed, op, got, gotTwin, want)
+			}
+			if e.Now() != twin.Now() {
+				t.Fatalf("seed %d op %d: clock %v, twin %v", seed, op, e.Now(), twin.Now())
+			}
+		}
+	}
+}
+
+// Moving a queued timer is allocation-free: the flow simulator does it
+// on every rate change.
+func TestRescheduleQueuedAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	var timers []*Timer
+	for i := 0; i < 64; i++ {
+		timers = append(timers, e.Schedule(float64(i), func() {}))
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		e.Reschedule(timers[k%len(timers)], float64(k%97))
+	})
+	if allocs != 0 {
+		t.Fatalf("Reschedule of a queued timer: %v allocs, want 0", allocs)
+	}
+	if e.Pending() != len(timers) {
+		t.Fatalf("Pending %d, want %d", e.Pending(), len(timers))
 	}
 }

@@ -9,10 +9,11 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"netconstant/internal/des"
 	"netconstant/internal/mat"
@@ -30,10 +31,15 @@ type Flow struct {
 	remaining  float64
 	rate       float64 // bytes/s currently allocated
 	lastUpdate float64
-	completion *des.Timer
-	done       func(at float64)
-	finished   bool
-	start      float64
+	// timer is the flow's one event for its whole life (a zero-byte
+	// flow has none): it first fires when the path latency has elapsed,
+	// which starts the drain, and commitDirty then moves it to each new
+	// completion instant.
+	timer    *des.Timer
+	draining bool // the drain has started; the next firing completes the flow
+	done     func(at float64)
+	finished bool
+	start    float64
 
 	// Scratch used by the incremental allocator within one recompute.
 	newRate float64
@@ -80,6 +86,7 @@ type Sim struct {
 	// fill slices and is always written before it is read.
 	dirtyFlows []*Flow
 	dirtyLinks []topo.LinkID
+	changed    []*Flow    // dirty flows commitDirty reschedules
 	comps      []compSpan // connected components of the dirty subgraph
 	allSeeds   []topo.LinkID
 	epoch      int64
@@ -161,14 +168,23 @@ func (s *Sim) StartFlow(src, dst int, bytes float64, done func(at float64)) *Flo
 		start: s.Now(),
 	}
 	s.nextID++
-	latency := re.latency
 	if bytes == 0 {
-		s.Eng.After(latency, func() { s.finish(f) })
+		s.Eng.After(re.latency, func() { s.finish(f) })
 		return f
 	}
 	f.remaining = bytes
-	s.Eng.After(latency, func() { s.activate(f) })
+	f.timer = s.Eng.After(re.latency, func() { s.fire(f) })
 	return f
+}
+
+// fire runs when a flow's timer fires: the first time the flow starts
+// draining, the second time its last byte has arrived.
+func (s *Sim) fire(f *Flow) {
+	if f.draining {
+		s.complete(f)
+	} else {
+		s.activate(f)
+	}
 }
 
 // ensureLink grows the per-link arrays to cover l; links are normally all
@@ -182,6 +198,7 @@ func (s *Sim) ensureLink(l topo.LinkID) {
 }
 
 func (s *Sim) activate(f *Flow) {
+	f.draining = true
 	f.lastUpdate = s.Now()
 	s.active[f.ID] = f
 	for _, l := range f.path {
@@ -213,7 +230,6 @@ func (s *Sim) complete(f *Flow) {
 	}
 	f.rate = 0
 	f.remaining = 0
-	f.completion = nil
 	s.finish(f)
 	s.recompute(f.path)
 }
@@ -379,45 +395,43 @@ func (s *Sim) fillSpan(sp compSpan) {
 	}
 }
 
-// commitDirty applies the freshly computed shares: flows whose rate
-// actually changed are drained at their old rate up to now and their
-// completion timer is rescheduled; flows whose share is unchanged keep
-// their timer (it still fires at the exact completion instant because the
-// rate has been constant since it was scheduled). Rescheduling happens in
-// ascending flow-ID order so engine sequence numbers — the DES tie-break
-// — are assigned deterministically.
+// commitDirty applies the freshly computed shares. Only flows whose rate
+// changed, or whose timer is not queued (the flow just started draining,
+// or its share was zero), need work: they are drained at their old rate
+// up to now and their timer moves to the new completion instant. Flows
+// whose share is unchanged keep their timer (it still fires at the exact
+// completion instant because the rate has been constant since it was
+// set). Timers move in ascending flow-ID order so engine sequence
+// numbers — the DES tie-break — are assigned deterministically.
+//
+//netlint:hotpath
 func (s *Sim) commitDirty() {
-	sort.Sort(flowsByID(s.dirtyFlows))
-	now := s.Now()
+	s.changed = s.changed[:0]
 	for _, f := range s.dirtyFlows {
 		//netlint:allow floatsafe skip-if-unchanged wants bit-identity: a rate recomputed to the same bits must not reschedule the completion timer
-		if f.newRate == f.rate && f.completion != nil {
-			continue
+		if f.newRate != f.rate || !f.timer.Queued() {
+			s.changed = append(s.changed, f)
 		}
+	}
+	slices.SortFunc(s.changed, byID)
+	now := s.Now()
+	for _, f := range s.changed {
 		f.remaining -= f.rate * (now - f.lastUpdate)
 		if f.remaining < 0 {
 			f.remaining = 0
 		}
 		f.lastUpdate = now
 		f.rate = f.newRate
-		if f.completion != nil {
-			f.completion.Cancel()
-			f.completion = nil
-		}
 		if f.rate <= 0 {
+			f.timer.Cancel()
 			continue
 		}
-		eta := f.remaining / f.rate
-		ff := f
-		f.completion = s.Eng.After(eta, func() { s.complete(ff) })
+		s.Eng.Reschedule(f.timer, now+f.remaining/f.rate)
 	}
 }
 
-type flowsByID []*Flow
-
-func (v flowsByID) Len() int           { return len(v) }
-func (v flowsByID) Less(i, j int) bool { return v[i].ID < v[j].ID }
-func (v flowsByID) Swap(i, j int)      { v[i], v[j] = v[j], v[i] }
+// byID orders flows by ID.
+func byID(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) }
 
 // referenceRates computes a whole-network progressive fill from scratch
 // and returns the resulting per-flow rates without touching simulator
@@ -550,20 +564,19 @@ func (b *Background) Stop() { b.stopped = true }
 // value λ") and then sends msgBytes. The source runs until stopped.
 func (s *Sim) AddBackground(rng *rand.Rand, src, dst int, msgBytes, lambda float64) *Background {
 	b := &Background{}
-	var loop func()
-	loop = func() {
-		if b.stopped {
-			return
+	// One timer and one message-done callback serve every message.
+	var wait *des.Timer
+	next := func(float64) {
+		if !b.stopped {
+			s.Eng.Reschedule(wait, s.Now()+stats.Exponential(rng, lambda))
 		}
-		wait := stats.Exponential(rng, lambda)
-		s.Eng.After(wait, func() {
-			if b.stopped {
-				return
-			}
-			s.StartFlow(src, dst, msgBytes, func(float64) { loop() })
-		})
 	}
-	loop()
+	wait = s.Eng.NewTimer(func() {
+		if !b.stopped {
+			s.StartFlow(src, dst, msgBytes, next)
+		}
+	})
+	next(0)
 	return b
 }
 
@@ -589,7 +602,7 @@ func (s *Sim) CheckInvariants() error {
 	for _, f := range s.active {
 		flows = append(flows, f)
 	}
-	sort.Sort(flowsByID(flows))
+	slices.SortFunc(flows, byID)
 	used := make(map[topo.LinkID]float64)
 	maxRate := make(map[topo.LinkID]float64)
 	for _, f := range flows {
@@ -607,7 +620,7 @@ func (s *Sim) CheckInvariants() error {
 	for id := range used {
 		links = append(links, id)
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+	slices.Sort(links)
 	for _, id := range links {
 		u := used[id]
 		capac := s.Topo.Link(id).Capacity

@@ -67,6 +67,32 @@ func TestFairSharingTwoFlowsSameLink(t *testing.T) {
 	}
 }
 
+// Flows whose timers move to the same instant in one commit fire in flow-ID
+// order, whatever order the dirty-set walk found them in. Here the early
+// finisher's swap-remove leaves the link's flow list as [3, 1, 2], and
+// flows 1–3 are then rescheduled to one identical completion time.
+func TestSimultaneousCompletionsFireInIDOrder(t *testing.T) {
+	s, srv := twoRackSim()
+	var order []int64
+	var flows []*Flow
+	for _, bytes := range []float64{10, 100, 100, 100} {
+		flows = append(flows, s.StartFlow(srv[0], srv[1], bytes, nil))
+	}
+	for _, f := range flows {
+		f.done = func(float64) { order = append(order, f.ID) }
+	}
+	s.Eng.Run()
+	want := []int64{flows[0].ID, flows[1].ID, flows[2].ID, flows[3].ID}
+	if len(order) != len(want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completions %v, want ascending flow IDs %v", order, want)
+		}
+	}
+}
+
 func TestFairSharingDisjointPaths(t *testing.T) {
 	// Flows on disjoint paths do not interfere.
 	s, srv := twoRackSim()
