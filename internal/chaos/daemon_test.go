@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -45,16 +46,39 @@ func realDaemon(t *testing.T) string {
 func TestDaemonOracleHolds(t *testing.T) {
 	opts := Options{Daemon: realDaemon(t)}
 	// Two seeds land the SIGKILL at different trace offsets (KillPoint
-	// derives from the seed when the plan carries no kill op).
-	for _, p := range []Plan{
-		{Seed: 3},
-		{Seed: 8, Ops: []Op{{Kind: OpKill, N: 5}}},
-	} {
+	// derives from the seed when the plan carries no kill op): after t0's
+	// and after t1's calibrate, as TestDaemonKillAfterCalibrate pins.
+	for _, p := range daemonGatePlans {
 		if fails := oracleDaemon(p, opts); len(fails) > 0 {
 			t.Errorf("daemon oracle failures for seed %d:", p.Seed)
 			for _, f := range fails {
 				t.Errorf("  %s", f)
 			}
+		}
+	}
+}
+
+// daemonGatePlans are the crash runs TestDaemonOracleHolds makes.
+var daemonGatePlans = []Plan{
+	{Seed: 3},
+	{Seed: 8, Ops: []Op{{Kind: OpKill, N: 5}}},
+}
+
+// TestDaemonKillAfterCalibrate: each gate plan SIGKILLs the daemon right
+// after the advise that follows a tenant's calibrate, so the restarted
+// daemon replays a calibrate record and then recalibrates live on the
+// spike, which keeps calIndex continuity across a crash under test.
+func TestDaemonKillAfterCalibrate(t *testing.T) {
+	for _, p := range daemonGatePlans {
+		trace := daemonTrace(p)
+		k := daemonKillPoint(p, trace)
+		if k < 2 || k > len(trace) {
+			t.Fatalf("seed %d: kill point %d outside the %d-request trace", p.Seed, k, len(trace))
+		}
+		mut, adv := trace[k-2], trace[k-1]
+		if !strings.HasSuffix(mut.path, "/calibrate") || !strings.HasSuffix(adv.path, "/advise") {
+			t.Errorf("seed %d: SIGKILL after %s %s then %s %s, want a calibrate then its advise",
+				p.Seed, mut.method, mut.path, adv.method, adv.path)
 		}
 	}
 }

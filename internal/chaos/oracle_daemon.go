@@ -4,11 +4,11 @@ package chaos
 // end to end, against the real binary (Options.Daemon; skipped without
 // one):
 //
-//   - a daemon SIGKILLed after a seeded number of acknowledged requests,
-//     restarted on the same journal directory, and fed the rest of the
-//     trace must answer status and advise probes byte-identically to an
-//     uninterrupted twin — the journal is the state, the process is
-//     disposable;
+//   - a daemon SIGKILLed after a seeded number of acknowledged
+//     mutations and their advises, restarted on the same journal
+//     directory, and fed the rest of the trace must answer status and
+//     advise probes byte-identically to an uninterrupted twin — the
+//     journal is the state, the process is disposable;
 //   - a damaged tenant journal must quarantine that tenant alone: the
 //     tenant answers with the typed "quarantined" refusal, /healthz
 //     names exactly it, and every neighbor's probes stay byte-identical;
@@ -40,27 +40,46 @@ type daemonReq struct {
 
 // daemonTrace is the seeded workload: three tenants created, calibrated
 // and advanced, one quiet observation, one spike that triggers a
-// recalibration through the daemon's memoized path.
+// recalibration through the daemon's memoized path. Every mutation is
+// followed by the probe's advise request: a daemon that served an advise
+// answer memoized before a later mutation would carry it to the final
+// probe, where the restarted daemon's freshly planned answer differs.
 func daemonTrace(p Plan) []daemonReq {
 	tenants := daemonTenants()
 	var tr []daemonReq
+	mutate := func(method, id, path, body string) {
+		tr = append(tr,
+			daemonReq{method, "/v1/tenants/" + id + path, body},
+			daemonReq{"POST", "/v1/tenants/" + id + "/advise", probeAdvise})
+	}
 	for i, id := range tenants {
 		cfg := fmt.Sprintf(`{"vms":6,"seed":%d,"steps":3,"racks":4,"servers_per_rack":4,"gap":5,"threshold":0.5}`,
 			p.Seed+int64(i))
-		tr = append(tr, daemonReq{"PUT", "/v1/tenants/" + id, cfg})
+		mutate("PUT", id, "", cfg)
 	}
 	for _, id := range tenants {
-		tr = append(tr, daemonReq{"POST", "/v1/tenants/" + id + "/calibrate", ""})
+		mutate("POST", id, "/calibrate", "")
 	}
 	for _, id := range tenants {
-		tr = append(tr, daemonReq{"POST", "/v1/tenants/" + id + "/advance", `{"dt":30}`})
+		mutate("POST", id, "/advance", `{"dt":30}`)
 	}
-	return append(tr,
-		daemonReq{"POST", "/v1/tenants/" + tenants[1] + "/observe", `{"expected":1,"actual":1.05}`},
-		daemonReq{"POST", "/v1/tenants/" + tenants[0] + "/observe", `{"expected":1,"actual":9}`},
-		daemonReq{"POST", "/v1/tenants/" + tenants[2] + "/advance", `{"dt":15}`},
-	)
+	mutate("POST", tenants[1], "/observe", `{"expected":1,"actual":1.05}`)
+	mutate("POST", tenants[0], "/observe", `{"expected":1,"actual":9}`)
+	mutate("POST", tenants[2], "/advance", `{"dt":15}`)
+	return tr
 }
+
+// daemonKillPoint is how many trace requests the crash run acks before
+// its SIGKILL. It counts mutations, each with the advise that follows
+// it, so the interleaved advises do not move the kill: a kill op of 4 or
+// 5 dies right after t0's or t1's calibrate, and the restarted daemon
+// replays calibrate records before it recalibrates live.
+func daemonKillPoint(p Plan, trace []daemonReq) int {
+	return 2 * p.KillPoint(len(trace)/2-1)
+}
+
+// probeAdvise is the RPCA advise request the trace and the probes send.
+const probeAdvise = `{"strategy":"rpca","root":0,"msg_bytes":1048576}`
 
 func daemonTenants() []string { return []string{"t0", "t1", "t2"} }
 
@@ -170,7 +189,7 @@ func (d *daemonProc) probe(tenants []string) (map[string]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("probe status %s: %v", id, err)
 		}
-		st2, advise, err := d.do(daemonReq{"POST", "/v1/tenants/" + id + "/advise", `{"strategy":"rpca","root":0,"msg_bytes":1048576}`})
+		st2, advise, err := d.do(daemonReq{"POST", "/v1/tenants/" + id + "/advise", probeAdvise})
 		if err != nil {
 			return nil, fmt.Errorf("probe advise %s: %v", id, err)
 		}
@@ -217,7 +236,7 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 
 		// Crash run: ack the first kill requests, SIGKILL, restart on the
 		// same journals, replay the rest.
-		kill := p.KillPoint(len(trace) - 1)
+		kill := daemonKillPoint(p, trace)
 		dir, err := os.MkdirTemp("", "chaos-daemon-")
 		if err != nil {
 			fails = append(fails, failf(oracle, "mkdtemp: %v", err))

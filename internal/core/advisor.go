@@ -68,7 +68,6 @@ type Advisor struct {
 	cluster cloud.Cluster
 	cfg     AdvisorConfig
 	rng     *rand.Rand
-	solver  *rpca.Solver // arena + SVT warm state reused across analyses
 
 	constant  *netmodel.PerfMatrix // P_D assembled from the two constant rows
 	heuristic *netmodel.PerfMatrix // the Heuristics strategy's estimate
@@ -98,7 +97,7 @@ type Advisor struct {
 // guidance.
 func NewAdvisor(c cloud.Cluster, rng *rand.Rand, cfg AdvisorConfig) *Advisor {
 	cfg.applyDefaults()
-	return &Advisor{cluster: c, cfg: cfg, rng: rng, solver: rpca.NewSolver()}
+	return &Advisor{cluster: c, cfg: cfg, rng: rng}
 }
 
 // Calibrate measures the TP-matrix and runs the RPCA analysis (Algorithm 1
@@ -148,26 +147,29 @@ func (a *Advisor) analyze(ctx context.Context, tc *cloud.TemporalCalibration) er
 	rpcaOpts.Ctx = ctx
 	ialmOpts := a.cfg.IALM
 	ialmOpts.Ctx = ctx
+	// The solver arena lives for this one analysis: both solves share it,
+	// and an advisor between calibrations holds no scratch memory.
+	solver := rpca.NewSolver()
 	var latD, bwD *Decomposition
 	var err error
 	if tc.Mask != nil {
 		// Partially observed calibration: the masked IALM solver
 		// reconstructs the constant component through the gaps instead of
 		// treating zero-filled holes as genuine (extreme) observations.
-		latD, err = DecomposeTPMaskedWith(a.solver, tc.Latency, tc.Mask, ialmOpts, a.cfg.Extract)
+		latD, err = DecomposeTPMaskedWith(solver, tc.Latency, tc.Mask, ialmOpts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
-		bwD, err = DecomposeTPMaskedWith(a.solver, tc.Bandwidth, tc.Mask, ialmOpts, a.cfg.Extract)
+		bwD, err = DecomposeTPMaskedWith(solver, tc.Bandwidth, tc.Mask, ialmOpts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
 	} else {
-		latD, err = DecomposeTPWith(a.solver, tc.Latency, rpcaOpts, a.cfg.Extract)
+		latD, err = DecomposeTPWith(solver, tc.Latency, rpcaOpts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
-		bwD, err = DecomposeTPWith(a.solver, tc.Bandwidth, rpcaOpts, a.cfg.Extract)
+		bwD, err = DecomposeTPWith(solver, tc.Bandwidth, rpcaOpts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}

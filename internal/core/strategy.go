@@ -157,10 +157,12 @@ func DecomposeTP(tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractM
 }
 
 // DecomposeTPWith is DecomposeTP running on a caller-held solver, so
-// repeated analyses of same-shaped TP-matrices (the advisor re-analyzes
-// after every calibration and the Fig 5 sweep decomposes dozens of
-// prefixes) reuse the iteration arena and warm-started SVT workspace
-// instead of reallocating them.
+// back-to-back decompositions of same-shaped TP-matrices (an advisor
+// analysis solves latency then bandwidth, and the Fig 5 sweep decomposes
+// dozens of prefixes) reuse the iteration arena and warm-started SVT
+// workspace instead of reallocating them. The arena lives only as long as
+// the caller holds the solver: the advisor builds one per analysis, so an
+// idle advisor keeps none.
 func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
 	a := tp.Matrix()
 	if opts.Lambda == 0 && a.Rows() > 0 {

@@ -3,14 +3,21 @@ package rpca
 // Solver is the arena-backed engine behind Decompose, DecomposeIALM and
 // DecomposeMasked. It owns every per-iteration buffer plus a warm-started
 // truncated-SVT workspace, so solving a sequence of same-shaped temporal
-// performance matrices — the advisor re-analyzes after every calibration —
-// performs zero heap allocations in steady-state iterations: each step is
-// a handful of fused elementwise kernels and one (usually truncated) SVT
-// into preallocated storage.
+// performance matrices — the latency and bandwidth solves of one advisor
+// analysis, or the Fig 5 sweep's prefixes — performs zero heap
+// allocations in steady-state iterations: each step is a handful of fused
+// elementwise kernels and one (usually truncated) SVT into preallocated
+// storage.
+//
+// The arena is scratch memory, not state: a batch solve resets the SVT
+// warm state at bind and zeroes its iterates, so a fresh Solver returns
+// the same bits as a reused one. The advisor therefore builds one per
+// analysis and drops it afterwards; an idle tenant holds no arena, where
+// four calibrated 64-VM daemon tenants keeping theirs would hold 18.6 MB.
 //
 // A Solver is not safe for concurrent use. The package-level functions
 // construct a throwaway Solver per call and remain the convenient entry
-// points; hot paths hold one Solver and reuse it.
+// points; a loop of solves holds one Solver and reuses it.
 
 import (
 	"errors"
@@ -98,6 +105,7 @@ type apgIter struct {
 // SVT on the low-rank block, soft threshold on the sparse block, iterate
 // rotation and continuation decay. It returns the unnormalized iterate
 // change and the post-SVT rank. Allocation-free after arena binding.
+//
 //netlint:hotpath
 func (it *apgIter) step() (num float64, rank int) {
 	s := it.s
@@ -203,6 +211,7 @@ type ialmIter struct {
 // threshold E-step (mask-confined when masked), residual, multiplier
 // update and penalty growth. Returns the residual Frobenius norm and the
 // post-SVT rank. Allocation-free after arena binding.
+//
 //netlint:hotpath
 func (it *ialmIter) step() (resid float64, rank int) {
 	s := it.s

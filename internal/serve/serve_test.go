@@ -62,25 +62,37 @@ func mustStatus(t *testing.T, wantCode int, gotCode int, body string) {
 	}
 }
 
+// probeAdvise is the advise request every restart probe sends.
+const probeAdvise = `{"strategy":"rpca","root":0,"msg_bytes":1048576}`
+
 // runTrace drives a representative multi-tenant request trace and
 // returns each tenant's post-trace probe responses (status + advise),
-// the byte-level state the restart oracle compares.
+// the byte-level state the restart oracle compares. Every mutation is
+// followed by the probe's advise request, so a memoized answer that
+// outlived the mutation would reach the final probe and differ from the
+// restarted server's freshly planned one.
 func runTrace(t *testing.T, base string, tenants []string) map[string]string {
 	t.Helper()
+	mutate := func(id, path, body string, want int) string {
+		t.Helper()
+		code, resp := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+path, body)
+		mustStatus(t, want, code, resp)
+		code, advise := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/advise", probeAdvise)
+		mustStatus(t, http.StatusOK, code, advise)
+		return resp
+	}
 	for i, id := range tenants {
 		code, body := doReq(t, http.MethodPut, base+"/v1/tenants/"+id, testTenantBody(int64(100+i)))
 		mustStatus(t, http.StatusCreated, code, body)
+		code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/advise", probeAdvise)
+		mustStatus(t, http.StatusOK, code, body)
 	}
 	for _, id := range tenants {
-		code, body := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/calibrate", "")
-		mustStatus(t, http.StatusOK, code, body)
-		code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/advance", `{"dt":30}`)
-		mustStatus(t, http.StatusOK, code, body)
+		mutate(id, "/calibrate", "", http.StatusOK)
+		mutate(id, "/advance", `{"dt":30}`, http.StatusOK)
 		// A quiet observation, then a spike that forces maintenance.
-		code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/observe", `{"expected":1,"actual":1.1}`)
-		mustStatus(t, http.StatusOK, code, body)
-		code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/observe", `{"expected":1,"actual":9}`)
-		mustStatus(t, http.StatusOK, code, body)
+		mutate(id, "/observe", `{"expected":1,"actual":1.1}`, http.StatusOK)
+		body := mutate(id, "/observe", `{"expected":1,"actual":9}`, http.StatusOK)
 		var ob ObserveResponse
 		if err := json.Unmarshal([]byte(body), &ob); err != nil || !ob.Triggered {
 			t.Fatalf("spike observe should trigger maintenance: %s (err %v)", body, err)
@@ -88,13 +100,9 @@ func runTrace(t *testing.T, base string, tenants []string) map[string]string {
 	}
 	// One tenant opens a streaming session and resolves.
 	id := tenants[0]
-	code, body := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/stream/begin", "")
-	mustStatus(t, http.StatusOK, code, body)
-	code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/stream/pair",
-		`{"src":0,"dst":1,"lat":[0.001,0.0011,0.0012],"bw":[1e8,1.1e8,0.9e8]}`)
-	mustStatus(t, http.StatusOK, code, body)
-	code, body = doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/resolve", "")
-	mustStatus(t, http.StatusOK, code, body)
+	mutate(id, "/stream/begin", "", http.StatusOK)
+	mutate(id, "/stream/pair", `{"src":0,"dst":1,"lat":[0.001,0.0011,0.0012],"bw":[1e8,1.1e8,0.9e8]}`, http.StatusOK)
+	mutate(id, "/resolve", "", http.StatusOK)
 	return probeAll(t, base, tenants)
 }
 
@@ -105,8 +113,7 @@ func probeAll(t *testing.T, base string, tenants []string) map[string]string {
 	for _, id := range tenants {
 		code, status := doReq(t, http.MethodGet, base+"/v1/tenants/"+id, "")
 		mustStatus(t, http.StatusOK, code, status)
-		code, advise := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/advise",
-			`{"strategy":"rpca","root":0,"msg_bytes":1048576}`)
+		code, advise := doReq(t, http.MethodPost, base+"/v1/tenants/"+id+"/advise", probeAdvise)
 		mustStatus(t, http.StatusOK, code, advise)
 		out[id] = status + advise
 	}

@@ -298,11 +298,14 @@ func decodeBody(r *http.Request, v any) error {
 // mutate submits a journaled mutation to the tenant's shard: apply,
 // then journal, then ack. An apply error that may have left partial
 // state rebuilds the tenant from its journal before the error returns,
-// so no half-applied mutation survives into later requests.
-func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, uint64, error) {
+// so no half-applied mutation survives into later requests. The
+// returned status is read in the same shard task, right after the
+// journal append, so it reports the state this mutation produced even
+// when other requests mutate the tenant concurrently.
+func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, StatusResponse, error) {
 	sh := s.shardFor(id)
 	var res opResult
-	var seq uint64
+	var status StatusResponse
 	err := sh.submit(ctx, func(ctx context.Context) error {
 		t, err := sh.tenantFor(id)
 		if err != nil {
@@ -323,10 +326,10 @@ func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, uint64,
 		}
 		sh.mutations.Add(1)
 		sh.updateTail()
-		res, seq = r, t.store.Seq()
+		res, status = r, t.status()
 		return nil
 	})
-	return res, seq, err
+	return res, status, err
 }
 
 // inspect submits a read-only task to the tenant's shard (reads are
@@ -441,15 +444,8 @@ func (s *Server) opHandler(parse func(r *http.Request) (op, error)) http.Handler
 			return
 		}
 		defer done()
-		if _, _, err := s.mutate(ctx, id, o); err != nil {
-			writeError(w, err)
-			return
-		}
-		var status StatusResponse
-		if err := s.inspect(ctx, id, func(t *tenant) error {
-			status = t.status()
-			return nil
-		}); err != nil {
+		_, status, err := s.mutate(ctx, id, o)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
@@ -473,12 +469,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	res, seq, err := s.mutate(ctx, id, op{Kind: opObserve, Expected: req.Expected, Actual: req.Actual})
+	res, status, err := s.mutate(ctx, id, op{Kind: opObserve, Expected: req.Expected, Actual: req.Actual})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ObserveResponse{Tenant: id, Triggered: res.Triggered, Seq: seq})
+	writeJSON(w, http.StatusOK, ObserveResponse{Tenant: id, Triggered: res.Triggered, Seq: status.Seq})
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -497,16 +493,25 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	var resp AdviseResponse
+	sh := s.shardFor(id)
+	var body []byte
 	if err := s.inspect(ctx, id, func(t *tenant) error {
-		var err error
-		resp, err = t.advise(req)
-		return err
+		b, hit, err := t.adviseBody(req)
+		if err != nil {
+			return err
+		}
+		if hit {
+			sh.adviceHits.Add(1)
+		} else {
+			sh.adviceMisses.Add(1)
+		}
+		body = b
+		return nil
 	}); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -519,12 +524,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, sh := range s.shards {
 		resp.Shards = append(resp.Shards, ShardHealth{
-			Queue:       len(sh.ch),
-			Served:      sh.served.Load(),
-			Shed:        sh.shed.Load(),
-			Mutations:   sh.mutations.Load(),
-			Tenants:     sh.tenantN.Load(),
-			JournalTail: sh.tail.Load(),
+			Queue:        len(sh.ch),
+			Served:       sh.served.Load(),
+			Shed:         sh.shed.Load(),
+			Mutations:    sh.mutations.Load(),
+			Tenants:      sh.tenantN.Load(),
+			JournalTail:  sh.tail.Load(),
+			AdviceHits:   sh.adviceHits.Load(),
+			AdviceMisses: sh.adviceMisses.Load(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

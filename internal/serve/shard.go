@@ -48,6 +48,9 @@ type shard struct {
 	tenantN   atomic.Int64
 	tail      atomic.Int64 // journal records past the last snapshot, summed over tenants
 
+	adviceHits   atomic.Int64 // advise answers served from a tenant's memo
+	adviceMisses atomic.Int64 // advise answers planned afresh
+
 	sealErr error // first snapshot-seal failure during drain, read after wg.Wait
 }
 

@@ -72,6 +72,27 @@ type tenant struct {
 	// sibling tenant with the same config, which is what makes the
 	// shared memo effective across tenants.
 	calIndex int
+
+	// advice memoizes encoded 200 advise bodies between mutations (see
+	// adviseBody); adviceBytes is their summed length. Only the shard
+	// goroutine touches either, and applyOp drops both.
+	advice      map[adviceKey][]byte
+	adviceBytes int
+}
+
+// adviceMemoBytes bounds the summed length of one tenant's cached advise
+// bodies; each entry's key and slice header add ~50 B on top. A 64-VM
+// body is ~400 B, so a tenant's 64 roots × 4 strategies × a few message
+// sizes fit with room to spare; a workload that outgrows the bound
+// drops the memo and refills it.
+const adviceMemoBytes = 1 << 20
+
+// adviceKey is everything an advise answer depends on besides tenant
+// state: the parsed strategy, the root, and the message size's bits.
+type adviceKey struct {
+	strategy core.Strategy
+	root     int
+	msgBits  uint64
 }
 
 // newTenant builds the seeded in-memory state for a validated config.
@@ -160,6 +181,10 @@ func (t *tenant) runCalibration(ctx context.Context) (mutated bool, err error) {
 // rebuilds the tenant from its journal in that case, since a cancelled
 // solver can leave the advisor half-updated.
 func (t *tenant) applyOp(ctx context.Context, o op) (res opResult, mutated bool, err error) {
+	// Every mutation, failed ones included, may move the advisor state an
+	// advise answer derives from. Dropping the map rather than clearing it
+	// lets an idle tenant's old table be collected.
+	t.advice, t.adviceBytes = nil, 0
 	switch o.Kind {
 	case opCalibrate:
 		mutated, err = t.runCalibration(ctx)
@@ -273,22 +298,62 @@ func (t *tenant) status() StatusResponse {
 	}
 }
 
+// adviseBody returns the encoded advise body for req — exactly the bytes
+// writeJSON writes for a 200 — planning it at most once per mutation:
+// every answer is a pure function of the tenant's state and the key, and
+// applyOp empties the memo. hit reports whether the memo answered. Only
+// 200 answers are stored, so a malformed request never hits and always
+// gets its typed 400. Handlers read the returned slice after the shard
+// task ends, so nothing may append to or write into a cached body.
+func (t *tenant) adviseBody(req AdviseRequest) (body []byte, hit bool, err error) {
+	requested, err := parseStrategy(req.Strategy)
+	if err != nil {
+		return nil, false, err
+	}
+	key := adviceKey{strategy: requested, root: req.Root, msgBits: math.Float64bits(req.MsgBytes)}
+	if body, ok := t.advice[key]; ok {
+		return body, true, nil
+	}
+	resp, err := t.advise(requested, req.Root, req.MsgBytes)
+	if err != nil {
+		return nil, false, err
+	}
+	if body, err = encodeJSON(resp); err != nil {
+		return nil, false, err
+	}
+	t.remember(key, body)
+	return body, false, nil
+}
+
+// remember stores body under key within adviceMemoBytes: an insert that
+// would overflow the bound clears the memo first, and a body larger than
+// the bound is not stored at all.
+func (t *tenant) remember(key adviceKey, body []byte) {
+	if len(body) > adviceMemoBytes {
+		return
+	}
+	if t.adviceBytes+len(body) > adviceMemoBytes {
+		t.advice, t.adviceBytes = nil, 0
+	}
+	if t.advice == nil {
+		t.advice = map[adviceKey][]byte{}
+	}
+	t.advice[key] = body
+	t.adviceBytes += len(body)
+}
+
 // advise plans a tree under the requested strategy and wraps it in the
 // degraded-mode envelope. Degradation is an answer, not an error: when
 // calibration health demotes the strategy down the
 // RPCA→Heuristics→Baseline ladder (or no calibration exists yet), the
 // response says so and carries the tree the surviving strategy builds.
-func (t *tenant) advise(req AdviseRequest) (AdviseResponse, error) {
-	requested, err := parseStrategy(req.Strategy)
-	if err != nil {
-		return AdviseResponse{}, err
-	}
+func (t *tenant) advise(requested core.Strategy, root int, msgBytes float64) (AdviseResponse, error) {
 	n := t.cfg.VMs
-	if req.Root < 0 || req.Root >= n {
-		return AdviseResponse{}, errf("root %d outside %d-VM cluster", req.Root, n)
+	if root < 0 || root >= n {
+		return AdviseResponse{}, errf("root %d outside %d-VM cluster", root, n)
 	}
-	if req.MsgBytes <= 0 || math.IsNaN(req.MsgBytes) {
-		return AdviseResponse{}, errf("msg_bytes must be a positive number, got %v", req.MsgBytes)
+	if msgBytes <= 0 || math.IsNaN(msgBytes) {
+		return AdviseResponse{}, errf("msg_bytes must be a positive number, got %v", msgBytes)
 	}
 	effective := requested
 	if t.adv.LastCalibration() == nil {
@@ -297,8 +362,8 @@ func (t *tenant) advise(req AdviseRequest) (AdviseResponse, error) {
 	} else {
 		effective = t.adv.EffectiveStrategy(requested)
 	}
-	tree := t.adv.PlanTree(requested, req.Root, req.MsgBytes, nil, nil)
-	exp := t.adv.ExpectedTime(tree, mpi.Broadcast, req.MsgBytes)
+	tree := t.adv.PlanTree(requested, root, msgBytes, nil, nil)
+	exp := t.adv.ExpectedTime(tree, mpi.Broadcast, msgBytes)
 	if math.IsNaN(exp) {
 		exp = 0 // no calibration yet — JSON has no NaN, and 0 is unambiguous with Degraded set
 	}
@@ -310,7 +375,7 @@ func (t *tenant) advise(req AdviseRequest) (AdviseResponse, error) {
 		Confidence:    t.adv.Confidence().String(),
 		Effectiveness: t.adv.Effectiveness().String(),
 		NormE:         t.adv.NormE(),
-		Root:          req.Root,
+		Root:          root,
 		Parent:        tree.Parent,
 		Depth:         tree.Depth(),
 		ExpectedSec:   exp,

@@ -33,6 +33,7 @@ var (
 	errExists      = errors.New("serve: tenant already exists")
 	errBadRequest  = errors.New("serve: bad request")
 	errQuarantined = errors.New("serve: tenant quarantined — journal damaged")
+	errEncoding    = errors.New("serve: response encoding failed")
 )
 
 // TenantConfig declares a tenant's virtual cluster and advisor. The
@@ -165,14 +166,18 @@ type StatusResponse struct {
 
 // ShardHealth is one shard's progress counters: queue depth and journal
 // tail growth are the "progress, not liveness" signals a supervisor
-// watches.
+// watches. AdviceHits and AdviceMisses split the shard's 200 advise
+// answers by whether the tenant's advice memo held the body or it was
+// planned afresh.
 type ShardHealth struct {
-	Queue       int   `json:"queue"`
-	Served      int64 `json:"served"`
-	Shed        int64 `json:"shed"`
-	Mutations   int64 `json:"mutations"`
-	Tenants     int64 `json:"tenants"`
-	JournalTail int64 `json:"journal_tail"` // records journaled past the last sealed snapshot, summed over the shard's tenants
+	Queue        int   `json:"queue"`
+	Served       int64 `json:"served"`
+	Shed         int64 `json:"shed"`
+	Mutations    int64 `json:"mutations"`
+	Tenants      int64 `json:"tenants"`
+	JournalTail  int64 `json:"journal_tail"` // records journaled past the last sealed snapshot, summed over the shard's tenants
+	AdviceHits   int64 `json:"advice_hits"`
+	AdviceMisses int64 `json:"advice_misses"`
 }
 
 // HealthResponse is the /healthz body.
@@ -234,24 +239,43 @@ func wireStrategy(s core.Strategy) string {
 	return "unknown"
 }
 
-// writeJSON writes v with a trailing newline. Marshal of the fixed-field
-// response structs cannot fail; a failure here is a programming error
-// surfaced as a 500.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON returns the response body writeJSON writes for v: its JSON
+// encoding with a trailing newline. Marshal fails only on a NaN or ±Inf
+// float field, which surfaces as errEncoding.
+func encodeJSON(v any) ([]byte, error) {
 	buf, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, `{"code":"internal","error":"response encoding failed"}`, http.StatusInternalServerError)
+		return nil, errEncoding
+	}
+	return append(buf, '\n'), nil
+}
+
+// writeJSON writes v with a trailing newline; an unencodable v becomes
+// the encoding-failure 500.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
+	writeBody(w, status, body)
+}
+
+// writeBody writes an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // writeError maps an error to its HTTP status and wire code. The order
 // matters only for wrapped chains; each request error matches exactly
 // one sentinel.
 func writeError(w http.ResponseWriter, err error) {
+	if errors.Is(err, errEncoding) {
+		http.Error(w, `{"code":"internal","error":"response encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
 	status, code := http.StatusInternalServerError, "internal"
 	switch {
 	case errors.Is(err, ErrOverloaded):
