@@ -9,10 +9,10 @@ import (
 // the expfleet supervisor retries a child that exits 1 and quarantines
 // a 2, so an exit code is an API, not a convenience. Three rules:
 //
-//   - library code (internal/*, the netconstant facade) never calls
-//     os.Exit or log.Fatal*: a library that exits takes the decision —
-//     retry, quarantine, drain — away from the command that owns it.
-//     Libraries return errors.
+//   - library code (internal/*) never calls os.Exit or log.Fatal*: a
+//     library that exits takes the decision — retry, quarantine,
+//     drain — away from the command that owns it. Libraries return
+//     errors.
 //
 //   - a command (cmd/*) may exit only through the vocabulary: every
 //     os.Exit argument must be one of internal/cli's Exit* constants or
@@ -36,10 +36,10 @@ var Exitcode = &Analyzer{
 func runExitcode(pass *Pass) error {
 	path := pass.Pkg.Path()
 	isCmd := pathHasSegments(path, "cmd")
-	// Same scope as layering: internal/*, cmd/*, and the facade. The
-	// examples/ demo binaries are documentation, where log.Fatal on a
-	// setup error is the idiom readers expect.
-	if !isCmd && !pathHasSegments(path, "internal") && path != "netconstant" {
+	// Same scope as layering: internal/* and cmd/*. The examples/ demo
+	// binaries are documentation, where log.Fatal on a setup error is the
+	// idiom readers expect.
+	if !isCmd && !pathHasSegments(path, "internal") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -241,7 +241,7 @@ func (c *hotallocChecker) checkCallee(call *ast.CallExpr) {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg() == c.pass.Pkg {
 		return
 	}
-	if !pathHasSegments(obj.Pkg().Path(), "internal") && obj.Pkg().Path() != "netconstant" {
+	if !pathHasSegments(obj.Pkg().Path(), "internal") {
 		return // stdlib and other non-module callees: outside the property
 	}
 	if sig := objSignature(obj); sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {

@@ -19,9 +19,9 @@ import (
 // and say so in review.
 //
 // A package that is in scope (its normalized path starts with internal/
-// or cmd/, or it is the facade package netconstant) but missing from the
-// table is itself a finding: new packages must take a position in the
-// DAG when they are born, not after the edges have calcified.
+// or cmd/) but missing from the table is itself a finding: new packages
+// must take a position in the DAG when they are born, not after the
+// edges have calcified.
 var Layering = &Analyzer{
 	Name: "layering",
 	Doc:  "module-internal imports must match the declared package DAG; violations name the forbidden edge",
@@ -93,12 +93,6 @@ var layeringAllowed = map[string][]string{
 		"internal/mpi", "internal/stats", "internal/topo",
 	},
 
-	// The public facade re-exports the §IV–V pipeline.
-	"netconstant": {
-		"internal/cloud", "internal/core", "internal/faults", "internal/mat",
-		"internal/mpi", "internal/netmodel", "internal/rpca",
-	},
-
 	// cmd/* — each command's declared entry points.
 	"cmd/chaossoak":    {"internal/chaos", "internal/checkpoint", "internal/cli"},
 	"cmd/expdriver":    {"internal/cancel", "internal/checkpoint", "internal/cli", "internal/cloud", "internal/exp"},
@@ -106,22 +100,15 @@ var layeringAllowed = map[string][]string{
 	"cmd/netconstant":  {"internal/cli", "internal/cloud", "internal/core", "internal/faults", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
 	"cmd/netconstantd": {"internal/cli", "internal/serve"},
 	"cmd/netlint":      {"internal/analysis", "internal/cli"},
-	"cmd/servebench":   {"internal/cli", "internal/serve", "internal/stats"},
-	"cmd/simbench":     {"internal/cli", "internal/cloud", "internal/topo"},
-	"cmd/simcluster":   {"internal/cli", "internal/cloud", "internal/core", "internal/mapping", "internal/mpi", "internal/netcoord", "internal/stats", "internal/topo"},
-	"cmd/streambench":  {"internal/cli", "internal/mat", "internal/rpca"},
 }
 
 // layerNormalize reduces an import path to its table key: the suffix
 // starting at the first "internal" or "cmd" path segment ("netconstant/
 // internal/mat" and a fixture's "layering/internal/mat" both become
-// "internal/mat"), or "netconstant" for the facade. Paths with neither
-// shape — the standard library, examples/ demo binaries — normalize to
-// "" and are out of scope.
+// "internal/mat"). Paths with neither segment — the standard library,
+// examples/ demo binaries, the root's benchmark-only package — normalize
+// to "" and are out of scope.
 func layerNormalize(path string) string {
-	if path == "netconstant" {
-		return path
-	}
 	parts := strings.Split(path, "/")
 	for i, p := range parts {
 		if p == "internal" || p == "cmd" {

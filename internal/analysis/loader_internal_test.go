@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"errors"
+	"sort"
 	"testing"
 )
 
@@ -65,5 +66,35 @@ func TestTopoSortSelfImportIgnored(t *testing.T) {
 	}
 	if len(out) != 1 || out[0].ImportPath != "m/self" {
 		t.Fatalf("out = %v", out)
+	}
+}
+
+// Every row of the layering table, and every import a row allows, must
+// name a package of this module. The analyzer consults only the rows of
+// packages it visits, so a row left behind by a deleted package would
+// never fail the lint and the table would drift from the module.
+func TestLayeringTableNamesLivePackages(t *testing.T) {
+	metas, err := (&Loader{}).goList(nil, []string{"netconstant/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]bool{}
+	for _, m := range metas {
+		live[layerNormalize(m.ImportPath)] = true
+	}
+	keys := make([]string, 0, len(layeringAllowed))
+	for k := range layeringAllowed {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !live[k] {
+			t.Errorf("layering row %q names no package in the module", k)
+		}
+		for _, imp := range layeringAllowed[k] {
+			if !live[imp] {
+				t.Errorf("layering row %q allows %q, which names no package in the module", k, imp)
+			}
+		}
 	}
 }

@@ -32,6 +32,7 @@ type streamState struct {
 var ErrNotStreaming = errors.New("core: no streaming session — call BeginStreaming after a calibration")
 
 // BeginStreaming opens a streaming session from the last full calibration.
+//
 //netlint:allow cancelflow BeginStreaming is the documented no-cancellation compat shim over BeginStreamingCtx
 func (a *Advisor) BeginStreaming() error { return a.BeginStreamingCtx(context.Background()) }
 

@@ -44,8 +44,8 @@ type ExtClosPoint struct {
 
 // extClosScales picks the swept fabric sizes: modest in quick mode so CI
 // and tests stay fast, beyond the paper's 1024 machines in full mode.
-// The 32k/131k points live in cmd/simbench, not here — a figure sweep
-// re-runs per point and would pay the large-fabric build repeatedly.
+// There are no 32k/131k points: a figure sweep re-runs per point and
+// would pay the large-fabric build repeatedly.
 func extClosScales(cfg Config) []int {
 	if cfg.Runs >= 100 {
 		return []int{1024, 4096, 16384}

@@ -6,9 +6,8 @@ package exp
 // cluster (per-pair time series sampled from instantaneous snapshots),
 // lets sustained divergence trigger the regime detector's partial
 // re-solve, and pins the warm streaming state to a cold batch IALM solve
-// before and after. Purely deterministic — latency/throughput of the
-// streaming path itself is cmd/streambench's job; this table is about
-// accuracy.
+// before and after. Purely deterministic — this table is about
+// accuracy, not the streaming path's latency or throughput.
 
 import (
 	"fmt"

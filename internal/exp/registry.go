@@ -9,9 +9,9 @@ type Figure struct {
 	Run  func(cfg Config) ([]*Table, error)
 }
 
-// Figures returns the full experiment registry in presentation order. The
-// drivers (cmd/expdriver, cmd/simbench) iterate this list rather than
-// hard-coding their own.
+// Figures returns the full experiment registry in presentation order.
+// cmd/expdriver and the campaign-plan validator in internal/plan iterate
+// this list rather than hard-coding their own.
 func Figures() []Figure {
 	return []Figure{
 		{"fig4", "calibration overhead vs #instances", func(cfg Config) ([]*Table, error) {

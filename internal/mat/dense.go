@@ -130,6 +130,7 @@ func (m *Dense) Col(j int) []float64 {
 }
 
 // Data returns the backing row-major slice (not a copy).
+//
 //netlint:hotpath
 func (m *Dense) Data() []float64 { return m.data }
 

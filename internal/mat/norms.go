@@ -3,6 +3,7 @@ package mat
 import "math"
 
 // NormFrobenius returns the Frobenius norm sqrt(Σ aij²).
+//
 //netlint:hotpath
 func (m *Dense) NormFrobenius() float64 {
 	var s float64

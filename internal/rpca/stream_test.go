@@ -38,37 +38,64 @@ func streamTrace(seed int64, r, c, rank int, spikeFrac float64) (*mat.Dense, [][
 // after seeding, appending the rest of a 196-pair trace column-by-column
 // and resolving, the streaming state must agree with a cold batch IALM on
 // the identical matrix within 1e-10 relative error — with rows ≥ 16 so the
-// warm truncated SVT route actually serves the resolves.
+// warm truncated SVT route actually serves the resolves. The gate case is
+// CI's stream-oracle-gate: warm resolves every 16 columns, and the oracle
+// runs after every 16th appended column as well as at the end.
 func TestStreamingAgreesWithBatch(t *testing.T) {
-	seedM, rest := streamTrace(7, 24, 196, 3, 0.05)
-	s, err := NewStreamingSolver(24, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		seed       int64
+		opts       StreamOptions
+		checkEvery int // also Verify after every n-th appended column; 0 = only at the end
+		wantChecks int
+	}{
+		{"seed7", 7, StreamOptions{}, 0, 1},
+		{"gate", 1, StreamOptions{ResolveEvery: 16}, 16, 7},
 	}
-	if err := s.Seed(seedM); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range rest {
-		if err := s.AppendColumn(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ag, err := s.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ag.RelFroD > 1e-10 || ag.RelFroE > 1e-10 {
-		t.Fatalf("streaming vs batch disagreement: D %.3e, E %.3e (want <= 1e-10)", ag.RelFroD, ag.RelFroE)
-	}
-	if ag.ConstantRel > 1e-10 {
-		t.Fatalf("constant-row disagreement %.3e (want <= 1e-10)", ag.ConstantRel)
-	}
-	st := s.Stats()
-	if st.TruncSVDs == 0 {
-		t.Fatal("warm truncated SVT route never engaged — streaming ran cold")
-	}
-	if st.Columns != 196 {
-		t.Fatalf("columns = %d, want 196", st.Columns)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seedM, rest := streamTrace(tc.seed, 24, 196, 3, 0.05)
+			s, err := NewStreamingSolver(24, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Seed(seedM); err != nil {
+				t.Fatal(err)
+			}
+			checks := 0
+			check := func() {
+				t.Helper()
+				ag, err := s.Verify()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checks++
+				// Negated so that a NaN agreement fails the bound.
+				if !(ag.RelFroD <= 1e-10) || !(ag.RelFroE <= 1e-10) || !(ag.ConstantRel <= 1e-10) {
+					t.Fatalf("check %d at %d columns: streaming vs batch disagreement D %.3e, E %.3e, constant row %.3e (want <= 1e-10)",
+						checks, s.Stats().Columns, ag.RelFroD, ag.RelFroE, ag.ConstantRel)
+				}
+			}
+			for i, col := range rest {
+				if err := s.AppendColumn(col); err != nil {
+					t.Fatal(err)
+				}
+				if n := i + 1; tc.checkEvery > 0 && n%tc.checkEvery == 0 && n != len(rest) {
+					check()
+				}
+			}
+			check()
+			if checks != tc.wantChecks {
+				t.Fatalf("ran %d oracle checks, want %d", checks, tc.wantChecks)
+			}
+			st := s.Stats()
+			if st.TruncSVDs == 0 {
+				t.Fatal("warm truncated SVT route never engaged — streaming ran cold")
+			}
+			if st.Columns != 196 {
+				t.Fatalf("columns = %d, want 196", st.Columns)
+			}
+		})
 	}
 }
 

@@ -237,17 +237,24 @@ func TestServerQuarantineIsolation(t *testing.T) {
 
 // TestServerSheddingAndDeadline: a wedged shard sheds excess load with
 // the typed 429 and returns typed deadline errors to bounded requests,
-// instead of queueing unboundedly.
+// instead of queueing unboundedly. A burst of 96 advise requests at a
+// shard wedged behind a queue of 8 is deterministic: exactly 8 queue and
+// are served once the shard is released, and the other 88 are refused at
+// admission. No request may fail any other way.
 func TestServerSheddingAndDeadline(t *testing.T) {
+	const depth, burst = 8, 96
 	ctx, done := context.WithCancel(context.Background())
 	defer done()
 	dir := t.TempDir()
-	s, hs := newTestServer(t, ctx, dir, Config{Shards: 1, QueueDepth: 1})
+	s, hs := newTestServer(t, ctx, dir, Config{Shards: 1, QueueDepth: depth})
 	defer s.Close()
 	defer hs.Close()
 
 	code, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/alpha", testTenantBody(7))
 	mustStatus(t, http.StatusCreated, code, body)
+	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/alpha/calibrate", "")
+	mustStatus(t, http.StatusOK, code, body)
+	before := shardHealth(t, hs.URL)
 
 	// Wedge the only shard. The release defer is registered after the
 	// Close defers, so it runs first and a test failure can never leave
@@ -262,34 +269,78 @@ func TestServerSheddingAndDeadline(t *testing.T) {
 		return nil
 	})
 	<-blocked
-	// Fill the queue (depth 1).
-	go s.shards[0].submit(context.Background(), func(context.Context) error { return nil })
-	waitFor(t, func() bool { return len(s.shards[0].ch) == 1 })
 
-	// Next request is shed with the typed 429.
-	code, body = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
-	mustStatus(t, http.StatusTooManyRequests, code, body)
-	var eb errorBody
-	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "overloaded" {
-		t.Fatalf("shed response not typed: %s", body)
+	type outcome struct {
+		code       int
+		retryAfter string
+		body       string
+		err        error
 	}
-	releaseOnce()
-
-	// After release the shard drains and serves again.
+	outcomes := make([]outcome, burst)
+	var wg sync.WaitGroup
+	for i := range outcomes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := &outcomes[i]
+			resp, err := http.Post(hs.URL+"/v1/tenants/alpha/advise", "application/json", strings.NewReader(probeAdvise))
+			if err != nil {
+				o.err = err
+				return
+			}
+			defer resp.Body.Close()
+			buf, err := io.ReadAll(resp.Body)
+			o.code, o.retryAfter, o.body, o.err = resp.StatusCode, resp.Header.Get("Retry-After"), string(buf), err
+		}()
+	}
+	// Every request is admitted or refused before any is served: the
+	// queue holds exactly depth of them and the shed count covers the rest.
 	waitFor(t, func() bool {
-		code, _ := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/alpha", "")
-		return code == http.StatusOK
+		h := shardHealth(t, hs.URL)
+		return h.Queue == depth && h.Shed-before.Shed == burst-depth
 	})
-	// The shed counter moved and is visible in /healthz.
-	code, body = doReq(t, http.MethodGet, hs.URL+"/healthz", "")
+	releaseOnce()
+	wg.Wait()
+
+	served, shed := 0, 0
+	for i, o := range outcomes {
+		switch {
+		case o.err != nil:
+			t.Errorf("request %d: transport error %v", i, o.err)
+		case o.code == http.StatusOK:
+			served++
+		case o.code == http.StatusTooManyRequests:
+			shed++
+			var eb errorBody
+			if err := json.Unmarshal([]byte(o.body), &eb); err != nil || eb.Code != "overloaded" {
+				t.Errorf("request %d: shed response not typed: %s", i, o.body)
+			}
+			if o.retryAfter == "" {
+				t.Errorf("request %d: shed response has no Retry-After", i)
+			}
+		default:
+			t.Errorf("request %d: status %d, want 200 or 429; body: %s", i, o.code, o.body)
+		}
+	}
+	if served != depth || shed != burst-depth {
+		t.Fatalf("burst of %d: served %d, shed %d; want %d and %d", burst, served, shed, depth, burst-depth)
+	}
+	// The shed counter is visible in /healthz.
+	if h := shardHealth(t, hs.URL); h.Shed-before.Shed != burst-depth {
+		t.Fatalf("healthz shed count grew by %d, want %d", h.Shed-before.Shed, burst-depth)
+	}
+}
+
+// shardHealth returns /healthz's view of the first shard.
+func shardHealth(t *testing.T, base string) ShardHealth {
+	t.Helper()
+	code, body := doReq(t, http.MethodGet, base+"/healthz", "")
 	mustStatus(t, http.StatusOK, code, body)
 	var h HealthResponse
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Shards[0].Shed == 0 {
-		t.Fatalf("healthz shed counter did not move: %s", body)
-	}
+	return h.Shards[0]
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -164,7 +164,7 @@ func NewClosE(cfg ClosConfig) (*Topology, error) {
 }
 
 // ClosShape picks a reasonable 2-stage leaf–spine shape for the requested
-// machine count — the sizing cmd/simbench and the ext-clos figure share.
+// machine count; the ext-clos figure and the Clos refill test share it.
 // Leaf width grows with scale (8, 32, then 64 servers per leaf) and the
 // spine tier is sized at one spine per 16 leaves, clamped to [2, 32], with
 // the default 4:1 oversubscription. The returned configuration builds

@@ -98,6 +98,7 @@ func (t *Topology) AddLinkE(a, b int, capacity, latency float64) (LinkID, error)
 }
 
 // NumNodes returns the node count.
+//
 //netlint:hotpath
 func (t *Topology) NumNodes() int { return len(t.nodes) }
 
@@ -108,6 +109,7 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 func (t *Topology) Node(id int) Node { return t.nodes[id] }
 
 // Link returns link metadata.
+//
 //netlint:hotpath
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 
@@ -120,6 +122,7 @@ func (t *Topology) Servers() []int { return t.servers }
 
 // Incident returns the links incident to node id in creation order. The
 // slice is the topology's own adjacency list; callers must not modify it.
+//
 //netlint:hotpath
 func (t *Topology) Incident(id int) []IncidentLink { return t.adj[id] }
 
