@@ -258,17 +258,6 @@ func BenchmarkCalibrate64(b *testing.B) {
 
 // --- Extended-module benchmarks ------------------------------------------
 
-func BenchmarkIALMDecompose64(b *testing.B) {
-	rng := stats.NewRNG(4)
-	a := mat.RandomNormal(rng, 10, 64*64, 50e6, 5e6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rpca.DecomposeIALM(a, rpca.IALMOptions{Lambda: 0.316}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRingAllgather64(b *testing.B) {
 	pm := netmodel.NewPerfMatrix(64)
 	for i := 0; i < 64; i++ {

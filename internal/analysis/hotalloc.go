@@ -41,7 +41,7 @@ import (
 // package is opaque at review time, so it must itself be annotated:
 // hotalloc exports a HotpathFact for every annotated function, and a
 // cross-package call whose callee lacks the fact is a finding. That is
-// how (*apgIter).step may call mat.MomentumInto (annotated, proven
+// how (*ialmIter).step may call mat.LinComb3Into (annotated, proven
 // clean) while a call to some future mat helper that allocates would be
 // rejected until the helper is annotated — and thereby checked — too.
 // Non-module callees (the standard library) and interface-method calls

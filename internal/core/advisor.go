@@ -26,11 +26,6 @@ type AdvisorConfig struct {
 	Gap float64
 	// Calibration configures the measurement procedure.
 	Calibration cloud.CalibrationConfig
-	// RPCAOpts configures the solver (zero value = literature defaults).
-	RPCAOpts rpca.Options
-	// IALM configures the masked solver used when a calibration reports
-	// missing cells (zero value = literature defaults).
-	IALM rpca.IALMOptions
 	// Extract selects the constant-row extraction method.
 	Extract rpca.ExtractMethod
 	// Heuristic selects the direct-use estimator for the Heuristics
@@ -140,36 +135,31 @@ func (a *Advisor) AnalyzeCalibrationCtx(ctx context.Context, tc *cloud.TemporalC
 }
 
 func (a *Advisor) analyze(ctx context.Context, tc *cloud.TemporalCalibration) error {
-	// Thread the context into per-call copies of the solver options; the
-	// configured options stay context-free so an Advisor can be reused
-	// across requests with different lifetimes.
-	rpcaOpts := a.cfg.RPCAOpts
-	rpcaOpts.Ctx = ctx
-	ialmOpts := a.cfg.IALM
-	ialmOpts.Ctx = ctx
-	// The solver arena lives for this one analysis: both solves share it,
-	// and an advisor between calibrations holds no scratch memory.
+	// The solver options carry only this call's context, and the solver
+	// arena lives for this one analysis: both solves share it, and an
+	// advisor between calibrations holds no scratch memory.
+	opts := rpca.Options{Ctx: ctx}
 	solver := rpca.NewSolver()
 	var latD, bwD *Decomposition
 	var err error
 	if tc.Mask != nil {
-		// Partially observed calibration: the masked IALM solver
-		// reconstructs the constant component through the gaps instead of
-		// treating zero-filled holes as genuine (extreme) observations.
-		latD, err = DecomposeTPMaskedWith(solver, tc.Latency, tc.Mask, ialmOpts, a.cfg.Extract)
+		// Partially observed calibration: the masked solver reconstructs
+		// the constant component through the gaps instead of treating
+		// zero-filled holes as genuine (extreme) observations.
+		latD, err = DecomposeTPMaskedWith(solver, tc.Latency, tc.Mask, opts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
-		bwD, err = DecomposeTPMaskedWith(solver, tc.Bandwidth, tc.Mask, ialmOpts, a.cfg.Extract)
+		bwD, err = DecomposeTPMaskedWith(solver, tc.Bandwidth, tc.Mask, opts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
 	} else {
-		latD, err = DecomposeTPWith(solver, tc.Latency, rpcaOpts, a.cfg.Extract)
+		latD, err = DecomposeTPWith(solver, tc.Latency, opts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}
-		bwD, err = DecomposeTPWith(solver, tc.Bandwidth, rpcaOpts, a.cfg.Extract)
+		bwD, err = DecomposeTPWith(solver, tc.Bandwidth, opts, a.cfg.Extract)
 		if err != nil {
 			return err
 		}

@@ -306,6 +306,28 @@ func TestAdvisorSeedRobustness(t *testing.T) {
 	}
 }
 
+// TestAdvisorAnalysesConverge: at the benchmark's tenant shapes (32 and
+// 64 VMs on a 16×16 tree, 10 calibration steps 5 s apart) every analysis
+// reaches the solver tolerance, so Health().Converged means what it says.
+func TestAdvisorAnalysesConverge(t *testing.T) {
+	for _, vms := range []int{32, 64} {
+		for seed := int64(1); seed <= 16; seed++ {
+			p := cloud.NewProvider(cloud.ProviderConfig{Tree: topo.TreeConfig{Racks: 16, ServersPerRack: 16}, Seed: seed})
+			vc, err := p.Provision(vms, seed+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adv := NewAdvisor(vc, stats.NewRNG(seed+2), AdvisorConfig{TimeStep: 10, Gap: 5})
+			if err := adv.Calibrate(); err != nil {
+				t.Fatalf("%d VMs, seed %d: %v", vms, seed, err)
+			}
+			if !adv.Health().Converged {
+				t.Errorf("%d VMs, seed %d: analysis stopped at the iteration cap", vms, seed)
+			}
+		}
+	}
+}
+
 // TestAdvisorRecalibratorHook: an installed recalibrator owns every
 // Observe-triggered full calibration (the daemon's memo/journal path),
 // and clearing it restores the direct CalibrateCtx route.

@@ -59,10 +59,10 @@ type CalibrationHealth struct {
 	// RetryExhaustion is the fraction of cells whose whole retry budget
 	// failed, leaving the cell missing.
 	RetryExhaustion float64
-	// Converged reports whether the RPCA solvers hit their tolerance
-	// before the iteration cap. Informational only: APG in particular
-	// often exhausts its cap at tol 1e-7 while producing an accurate
-	// decomposition, so convergence does not gate the confidence grade.
+	// Converged reports whether both RPCA solves of the analysis (latency
+	// and bandwidth) reached the solver's residual tolerance before its
+	// iteration cap. It stays out of the confidence grade, which grades
+	// measurement health only (DESIGN.md §5).
 	Converged bool
 	// Confidence is the grade derived from the fields above.
 	Confidence Confidence

@@ -51,14 +51,10 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if rows == 0 {
 		return errors.New("core: BeginStreaming with an empty calibration")
 	}
-	ialm := a.cfg.IALM
-	if ialm.Lambda == 0 {
-		// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for
-		// the fat TP-matrix, not the generic 1/√max-dim default.
-		ialm.Lambda = 1 / math.Sqrt(float64(rows))
-	}
-	ialm.Ctx = ctx
-	opts := rpca.StreamOptions{Extract: a.cfg.Extract, IALM: ialm, Ctx: ctx}
+	// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for the
+	// fat TP-matrix, not the generic 1/√max-dim default.
+	solve := rpca.Options{Lambda: 1 / math.Sqrt(float64(rows)), Ctx: ctx}
+	opts := rpca.StreamOptions{Extract: a.cfg.Extract, Solve: solve, Ctx: ctx}
 	lat, err := rpca.NewStreamingSolver(rows, opts)
 	if err != nil {
 		return err

@@ -39,6 +39,12 @@ var ErrManifestMismatch = errors.New("exp: checkpoint manifest does not match th
 // manifest pins every Config field that shapes sweep contents. Workers
 // is deliberately absent: resuming with a different worker count must
 // (and does) produce byte-identical tables.
+//
+// Version pins what no Config field records: the code that computed the
+// journaled points and rendered the journaled tables. It is bumped
+// whenever a change moves results, so a resume never splices tables from
+// an older build into a newer run. Version 2: every RPCA solve runs IALM
+// (Version 1 journals hold APG results).
 type manifest struct {
 	Version           int
 	Seed              int64
@@ -58,7 +64,7 @@ type manifest struct {
 
 func manifestOf(cfg Config) manifest {
 	return manifest{
-		Version:           1,
+		Version:           2,
 		Seed:              cfg.Seed,
 		VMs:               cfg.VMs,
 		SmallVMs:          cfg.SmallVMs,

@@ -2,14 +2,17 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"netconstant/internal/cancel"
+	"netconstant/internal/checkpoint"
 )
 
 // TestSweepResumeByteIdentical is the PR's resume acceptance test at the
@@ -118,6 +121,26 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 		t.Fatalf("worker-count change refused: %v", err)
 	}
 	ck2.Close()
+}
+
+// TestCheckpointOldVersionRefused: a journal written under an older
+// manifest version holds results of older code, so resuming it with the
+// same configuration must be refused too.
+func TestCheckpointOldVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Quick()
+	old := manifestOf(cfg)
+	old.Version = 1
+	payload, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.SaveSnapshot(filepath.Join(dir, ManifestName), payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCheckpoint(dir, cfg); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("err = %v, want ErrManifestMismatch", err)
+	}
 }
 
 // TestCheckpointSeedInvalidatesPoints: journaled slots only replay when

@@ -67,18 +67,6 @@ func TestExtCoordinatesShape(t *testing.T) {
 	}
 }
 
-func TestExtSolverAgreement(t *testing.T) {
-	cfg := quick()
-	cfg.VMs = 8
-	tb, err := ExtSolverAgreement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 || len(tb.Notes) != 1 {
-		t.Errorf("table shape: %d rows %d notes", len(tb.Rows), len(tb.Notes))
-	}
-}
-
 func TestExtWorkflowShape(t *testing.T) {
 	cfg := quick()
 	res, err := ExtWorkflow(cfg)

@@ -10,7 +10,6 @@ import (
 	"netconstant/internal/mpi"
 	"netconstant/internal/netcoord"
 	"netconstant/internal/netmodel"
-	"netconstant/internal/rpca"
 	"netconstant/internal/stats"
 	"netconstant/internal/workflow"
 )
@@ -233,35 +232,6 @@ func sortedCopy(xs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// ExtSolverAgreement cross-checks the two RPCA solvers on a real
-// calibration, reporting agreement and iteration counts — evidence the
-// decomposition is algorithm-independent.
-func ExtSolverAgreement(cfg Config) (*Table, error) {
-	e, err := newEnv(cfg, cfg.VMs, 2300)
-	if err != nil {
-		return nil, err
-	}
-	tc := e.advisor.LastCalibration()
-	a := tc.Bandwidth.Matrix()
-	lambda := 0.316
-	apg, err := rpca.Decompose(a, rpca.Options{Lambda: lambda})
-	if err != nil {
-		return nil, err
-	}
-	ialm, err := rpca.DecomposeIALM(a, rpca.IALMOptions{Lambda: lambda})
-	if err != nil {
-		return nil, err
-	}
-	rowA := rpca.ConstantRow(apg.D, rpca.ExtractMedian)
-	rowI := rpca.ConstantRow(ialm.D, rpca.ExtractMedian)
-	tb := NewTable("Ext: APG vs IALM solver agreement on a real calibration", "metric", "APG", "IALM")
-	tb.AddRow("iterations", fmt.Sprint(apg.Iterations), fmt.Sprint(ialm.Iterations))
-	tb.AddRow("converged", fmt.Sprint(apg.Converged), fmt.Sprint(ialm.Converged))
-	tb.AddRow("rank(D)", fmt.Sprint(apg.RankD), fmt.Sprint(ialm.RankD))
-	tb.AddNote("constant rows differ by %.4f (relative L1)", rpca.RelDiff(rowA, rowI))
-	return tb, nil
 }
 
 // ExtWorkflowResult compares workflow scheduling strategies.

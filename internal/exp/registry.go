@@ -140,13 +140,6 @@ func Figures() []Figure {
 			}
 			return []*Table{t}, nil
 		}},
-		{"ext-solvers", "APG vs IALM agreement", func(cfg Config) ([]*Table, error) {
-			t, err := ExtSolverAgreement(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return []*Table{t}, nil
-		}},
 		{"ext-workflow", "scientific workflow scheduling (paper future work)", func(cfg Config) ([]*Table, error) {
 			r, err := ExtWorkflow(cfg)
 			if err != nil {

@@ -12,7 +12,7 @@ package mat
 // wrapper built only when the kernel actually dispatches to the pool.
 //
 // Unless noted otherwise, out must not alias an input; the elementwise
-// kernels (LinComb*, SoftThresholdInto, MomentumInto) allow out to alias
+// kernels (LinComb3Into, SoftThresholdInto) allow out to alias
 // any input because element i reads only index i.
 
 import "math"
@@ -212,33 +212,6 @@ func MulTVecInto(out []float64, m *Dense, x []float64) {
 // kernels (a couple of flops per element).
 const elemGrain = 1 << 15
 
-func linComb2Range(out, a, b []float64, sa, sb float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = sa*a[i] + sb*b[i]
-	}
-}
-
-type linComb2Task struct {
-	out, a, b []float64
-	sa, sb    float64
-}
-
-func (t *linComb2Task) Run(lo, hi int) { linComb2Range(t.out, t.a, t.b, t.sa, t.sb, lo, hi) }
-
-// LinComb2Into computes out = sa·a + sb·b elementwise. out may alias a
-// and/or b.
-//
-//netlint:hotpath
-func LinComb2Into(out *Dense, sa float64, a *Dense, sb float64, b *Dense) {
-	a.sameDims(b)
-	a.sameDims(out)
-	if parGate(len(out.data)) {
-		parallelFor(len(out.data), elemGrain, &linComb2Task{out: out.data, a: a.data, b: b.data, sa: sa, sb: sb})
-		return
-	}
-	linComb2Range(out.data, a.data, b.data, sa, sb, 0, len(out.data))
-}
-
 func linComb3Range(out, a, b, c []float64, sa, sb, sc float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out[i] = sa*a[i] + sb*b[i] + sc*c[i]
@@ -268,36 +241,6 @@ func LinComb3Into(out *Dense, sa float64, a *Dense, sb float64, b *Dense, sc flo
 		return
 	}
 	linComb3Range(out.data, a.data, b.data, c.data, sa, sb, sc, 0, len(out.data))
-}
-
-func momentumRange(out, cur, prev []float64, beta float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c := cur[i]
-		out[i] = c + beta*(c-prev[i])
-	}
-}
-
-type momentumTask struct {
-	out, cur, prev []float64
-	beta           float64
-}
-
-func (t *momentumTask) Run(lo, hi int) { momentumRange(t.out, t.cur, t.prev, t.beta, lo, hi) }
-
-// MomentumInto computes the Nesterov extrapolation
-// out = cur + beta·(cur − prev) elementwise; out may alias cur or prev.
-// With beta == 0 it reduces to an exact copy of cur.
-//
-//netlint:hotpath
-func MomentumInto(out, cur, prev *Dense, beta float64) {
-	cur.sameDims(prev)
-	cur.sameDims(out)
-	if parGate(len(out.data)) {
-		parallelFor(len(out.data), elemGrain,
-			&momentumTask{out: out.data, cur: cur.data, prev: prev.data, beta: beta})
-		return
-	}
-	momentumRange(out.data, cur.data, prev.data, beta, 0, len(out.data))
 }
 
 func softRange(out, src []float64, tau float64, lo, hi int) {

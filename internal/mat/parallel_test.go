@@ -64,9 +64,9 @@ func TestParallelKernelsByteIdentical(t *testing.T) {
 		}
 
 		type result struct {
-			mul, gram, atb, lc2, lc3, mom, soft *Dense
-			mv, mtv                             []float64
-			svd                                 *SVDResult
+			mul, gram, atb, lc3, soft *Dense
+			mv, mtv                   []float64
+			svd                       *SVDResult
 		}
 		compute := func() result {
 			var res result
@@ -74,12 +74,8 @@ func TestParallelKernelsByteIdentical(t *testing.T) {
 			res.gram = a.Gram()
 			res.atb = NewDense(c, 9)
 			mulATBInto(res.atb, a, k2) // aᵀ·k2
-			res.lc2 = NewDense(r, c)
-			LinComb2Into(res.lc2, 1.5, a, -0.25, b)
 			res.lc3 = NewDense(r, c)
-			LinComb3Into(res.lc3, 1, a, -1, b, 0.5, res.lc2)
-			res.mom = NewDense(r, c)
-			MomentumInto(res.mom, a, b, 0.375)
+			LinComb3Into(res.lc3, 1.5, a, -0.25, b, 0.5, a)
 			res.soft = a.SoftThreshold(0.4)
 			res.mv = a.MulVec(x)
 			res.mtv = a.MulTVec(y)
@@ -100,11 +96,8 @@ func TestParallelKernelsByteIdentical(t *testing.T) {
 		if !bitsEqual(seq.atb, par.atb) {
 			t.Errorf("%dx%d: mulATBInto differs between 1 and 8 workers", r, c)
 		}
-		if !bitsEqual(seq.lc2, par.lc2) || !bitsEqual(seq.lc3, par.lc3) {
-			t.Errorf("%dx%d: LinComb differs between 1 and 8 workers", r, c)
-		}
-		if !bitsEqual(seq.mom, par.mom) {
-			t.Errorf("%dx%d: MomentumInto differs between 1 and 8 workers", r, c)
+		if !bitsEqual(seq.lc3, par.lc3) {
+			t.Errorf("%dx%d: LinComb3Into differs between 1 and 8 workers", r, c)
 		}
 		if !bitsEqual(seq.soft, par.soft) {
 			t.Errorf("%dx%d: SoftThreshold differs between 1 and 8 workers", r, c)

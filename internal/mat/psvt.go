@@ -19,7 +19,7 @@ package mat
 //     survives the threshold the subspace may be too small, so the block
 //     is grown and, past half the small dimension, the call falls back
 //     to route 2. This is the standard partial-SVD acceleration for
-//     APG/IALM RPCA.
+//     SVT-based RPCA solvers.
 //
 // The workspace is not safe for concurrent use.
 

@@ -41,8 +41,7 @@ func TestSolversReturnTypedCancel(t *testing.T) {
 		run  func() (*Result, error)
 	}{
 		{"Decompose", func() (*Result, error) { return s.Decompose(a, Options{Ctx: ctx}) }},
-		{"DecomposeIALM", func() (*Result, error) { return s.DecomposeIALM(a, IALMOptions{Ctx: ctx}) }},
-		{"DecomposeMasked", func() (*Result, error) { return s.DecomposeMasked(a, mask, IALMOptions{Ctx: ctx}) }},
+		{"DecomposeMasked", func() (*Result, error) { return s.DecomposeMasked(a, mask, Options{Ctx: ctx}) }},
 		{"package Decompose", func() (*Result, error) { return Decompose(a, Options{Ctx: ctx}) }},
 	}
 	for _, tc := range cases {

@@ -9,7 +9,7 @@ import (
 
 // The paper constrains the temporal constant matrix N_D to rank one with
 // all rows identical (§III): every row is the same estimated pair-wise
-// performance vector P_D. APG RPCA returns a general low-rank D, so a final
+// performance vector P_D. RPCA returns a general low-rank D, so a final
 // projection onto the "all rows equal" set is needed. This file provides
 // the extraction strategies ablated in DESIGN.md.
 

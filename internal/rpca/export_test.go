@@ -1,0 +1,5 @@
+package rpca
+
+// DecomposeAPG exposes the test-only APG oracle to the external rpca_test
+// package.
+var DecomposeAPG = decomposeAPG

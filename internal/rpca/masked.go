@@ -59,10 +59,10 @@ func checkFinite(a *mat.Dense) error {
 // and corrupts the constant component, whereas the mask lets the low-rank
 // structure interpolate the gap.
 //
-// A nil mask (or an all-ones mask) reduces to DecomposeIALM.
+// A nil mask (or an all-ones mask) reduces to Decompose.
 //
 // Each call builds a throwaway Solver; hot paths should hold a Solver and
 // call its DecomposeMasked to reuse the arena and SVT warm state.
-func DecomposeMasked(a, mask *mat.Dense, opts IALMOptions) (*Result, error) {
+func DecomposeMasked(a, mask *mat.Dense, opts Options) (*Result, error) {
 	return NewSolver().DecomposeMasked(a, mask, opts)
 }

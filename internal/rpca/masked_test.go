@@ -39,12 +39,9 @@ func TestDecomposeRejectsNonFinite(t *testing.T) {
 		if _, err := Decompose(a, Options{}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: Decompose err = %v, want ErrNonFinite", name, err)
 		}
-		if _, err := DecomposeIALM(a, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: DecomposeIALM err = %v, want ErrNonFinite", name, err)
-		}
 		mask := mat.NewDense(3, 4)
 		mask.Apply(func(int, int, float64) float64 { return 1 })
-		if _, err := DecomposeMasked(a, mask, IALMOptions{}); !errors.Is(err, ErrNonFinite) {
+		if _, err := DecomposeMasked(a, mask, Options{}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: DecomposeMasked err = %v, want ErrNonFinite", name, err)
 		}
 		var nfe *NonFiniteError
@@ -80,7 +77,7 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 		return v
 	})
 
-	res, err := DecomposeMasked(holed, mask, IALMOptions{})
+	res, err := DecomposeMasked(holed, mask, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 
 	// The unmasked solver on the zero-filled matrix must be clearly worse:
 	// every hole is an extreme negative outlier it has to absorb.
-	plain, err := DecomposeIALM(holed, IALMOptions{})
+	plain, err := Decompose(holed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,34 +103,34 @@ func TestDecomposeMaskedRecoversThroughGaps(t *testing.T) {
 
 func TestDecomposeMaskedEdgeCases(t *testing.T) {
 	a, _ := rank1Spiky(4, 9, 3, 0)
-	// Nil mask delegates to IALM.
-	r1, err := DecomposeMasked(a, nil, IALMOptions{})
+	// Nil mask delegates to Decompose.
+	r1, err := DecomposeMasked(a, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DecomposeIALM(a, IALMOptions{})
+	r2, err := Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r1.D.ApproxEqual(r2.D, 1e-9) {
-		t.Error("nil mask should match DecomposeIALM")
+		t.Error("nil mask should match Decompose")
 	}
 	// All-ones mask also delegates.
 	ones := mat.NewDense(4, 9)
 	ones.Apply(func(int, int, float64) float64 { return 1 })
-	r3, err := DecomposeMasked(a, ones, IALMOptions{})
+	r3, err := DecomposeMasked(a, ones, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r3.D.ApproxEqual(r2.D, 1e-9) {
-		t.Error("full mask should match DecomposeIALM")
+		t.Error("full mask should match Decompose")
 	}
 	// Empty mask errors.
-	if _, err := DecomposeMasked(a, mat.NewDense(4, 9), IALMOptions{}); !errors.Is(err, ErrEmptyMask) {
+	if _, err := DecomposeMasked(a, mat.NewDense(4, 9), Options{}); !errors.Is(err, ErrEmptyMask) {
 		t.Errorf("empty mask err = %v", err)
 	}
 	// Dimension mismatch errors.
-	if _, err := DecomposeMasked(a, mat.NewDense(3, 9), IALMOptions{}); err == nil {
+	if _, err := DecomposeMasked(a, mat.NewDense(3, 9), Options{}); err == nil {
 		t.Error("mask dim mismatch should error")
 	}
 }

@@ -142,6 +142,59 @@ func TestDecomposeCustomLambda(t *testing.T) {
 	}
 }
 
+func TestIALMExactRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	a, dTrue, eTrue := synth(rng, 40, 40, 2, 0.05, 10)
+	res, err := Decompose(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Error("IALM did not converge")
+	}
+	relD := res.D.Sub(dTrue).NormFrobenius() / dTrue.NormFrobenius()
+	relE := res.E.Sub(eTrue).NormFrobenius() / math.Max(1, eTrue.NormFrobenius())
+	if relD > 0.02 {
+		t.Errorf("IALM low-rank recovery error %.4f", relD)
+	}
+	if relE > 0.1 {
+		t.Errorf("IALM sparse recovery error %.4f", relE)
+	}
+}
+
+func TestIALMSumInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	a, _, _ := synth(rng, 15, 20, 2, 0.1, 5)
+	res, err := Decompose(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := res.D.Add(res.E).Sub(a).NormFrobenius() / a.NormFrobenius()
+	if rel > 1e-5 {
+		t.Errorf("A = D + E violated: %v", rel)
+	}
+}
+
+func TestIALMEdgeCases(t *testing.T) {
+	if _, err := Decompose(mat.NewDense(0, 3), Options{}); err == nil {
+		t.Error("empty should error")
+	}
+	res, err := Decompose(mat.NewDense(4, 4), Options{})
+	if err != nil || !res.Converged {
+		t.Error("zero matrix should converge trivially")
+	}
+	// MaxIter respected.
+	rng := rand.New(rand.NewSource(25))
+	a, _, _ := synth(rng, 10, 10, 2, 0.1, 5)
+	lim, err := Decompose(a, Options{MaxIter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lim.Iterations != 2 || lim.Converged {
+		t.Errorf("MaxIter handling: %d converged=%v", lim.Iterations, lim.Converged)
+	}
+}
+
 func TestConstantRowMethodsAgreeOnCleanInput(t *testing.T) {
 	p := []float64{1, 2, 3, 4}
 	d := ConstantMatrix(p, 6)

@@ -32,9 +32,9 @@ func syntheticTP(rng *rand.Rand, r, c, rank int, spikeFrac float64) *mat.Dense {
 }
 
 // TestSolverMatchesPackageFunctions pins the arena solver to the
-// package-level entry points (which are themselves arena-backed now, so
-// this is a reuse-vs-fresh consistency check: a recycled Solver must give
-// the same answers as a throwaway one).
+// package-level entry point (itself arena-backed, so this is a
+// reuse-vs-fresh consistency check: a recycled Solver must give the same
+// answers as a throwaway one).
 func TestSolverMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver()
@@ -56,19 +56,6 @@ func TestSolverMatchesPackageFunctions(t *testing.T) {
 		if d := mat.NormFroDiff(fresh.D, reused.D); d != 0 {
 			t.Fatalf("trial %d: reused solver D deviates by %g", trial, d)
 		}
-
-		freshI, err := DecomposeIALM(a, IALMOptions{MaxIter: 120})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reusedI, err := s.DecomposeIALM(a, IALMOptions{MaxIter: 120})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if freshI.Iterations != reusedI.Iterations ||
-			mat.NormFroDiff(freshI.D, reusedI.D) != 0 {
-			t.Fatalf("trial %d: reused IALM deviates from fresh", trial)
-		}
 	}
 }
 
@@ -79,12 +66,12 @@ func TestSolverResultsDetached(t *testing.T) {
 	s := NewSolver()
 	a1 := syntheticTP(rng, 16, 128, 2, 0.05)
 	a2 := syntheticTP(rng, 16, 128, 2, 0.05)
-	r1, err := s.DecomposeIALM(a1, IALMOptions{MaxIter: 80})
+	r1, err := s.Decompose(a1, Options{MaxIter: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1 := r1.D.Clone()
-	if _, err := s.DecomposeIALM(a2, IALMOptions{MaxIter: 80}); err != nil {
+	if _, err := s.Decompose(a2, Options{MaxIter: 80}); err != nil {
 		t.Fatal(err)
 	}
 	if mat.NormFroDiff(r1.D, d1) != 0 {
@@ -92,42 +79,21 @@ func TestSolverResultsDetached(t *testing.T) {
 	}
 }
 
-// TestAPGStepAllocationFree is the headline regression for the arena
-// rewrite: once the solver is bound and past the cold SVT, each APG
-// iteration must perform zero heap allocations (sequential path;
-// GOMAXPROCS is pinned to 1 because pool dispatch allocates task chunks).
-func TestAPGStepAllocationFree(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rng := rand.New(rand.NewSource(7))
-	a := syntheticTP(rng, 48, 512, 3, 0.05)
-
-	s := NewSolver()
-	if _, err := s.Decompose(a, Options{MaxIter: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-enter the iteration state by hand and warm it up.
-	it := apgIter{s: s, a: a, lambda: 1 / math.Sqrt(512), mu: 0.5 * a.NormSpectral(),
-		muBar: 1e-9, eta: 0.9, t: 1, tPrev: 1}
-	for k := 0; k < 10; k++ {
-		it.step()
-	}
-	if allocs := testing.AllocsPerRun(20, func() { it.step() }); allocs != 0 {
-		t.Fatalf("APG step allocates %.1f objects/iteration, want 0", allocs)
-	}
-}
-
-// TestIALMStepAllocationFree: same guarantee for the IALM iteration,
-// masked variant included.
+// TestIALMStepAllocationFree is the headline regression for the arena
+// solver: once it is bound and past the cold SVT, each IALM iteration,
+// masked variant included, must perform zero heap allocations (sequential
+// path; GOMAXPROCS is pinned to 1 because pool dispatch allocates task
+// chunks).
 func TestIALMStepAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(8))
 	a := syntheticTP(rng, 48, 512, 3, 0.05)
 
 	s := NewSolver()
-	if _, err := s.DecomposeIALM(a, IALMOptions{MaxIter: 4}); err != nil {
+	if _, err := s.Decompose(a, Options{MaxIter: 4}); err != nil {
 		t.Fatal(err)
 	}
-	it := ialmIter{s: s, a: a, lambda: 1 / math.Sqrt(512), mu: 0.1, muBar: 1e6, rho: 1.05}
+	it := ialmIter{s: s, a: a, lambda: 1 / math.Sqrt(512), mu: 0.1, muBar: 1e6}
 	for k := 0; k < 10; k++ {
 		it.step()
 	}
@@ -143,11 +109,10 @@ func TestIALMStepAllocationFree(t *testing.T) {
 			md[i] = 1
 		}
 	}
-	if _, err := s.DecomposeMasked(a, mask, IALMOptions{MaxIter: 4}); err != nil {
+	if _, err := s.DecomposeMasked(a, mask, Options{MaxIter: 4}); err != nil {
 		t.Fatal(err)
 	}
-	itm := ialmIter{s: s, a: s.fill, lambda: 1 / math.Sqrt(512), mu: 0.1, muBar: 1e6,
-		rho: 1.05, masked: true}
+	itm := ialmIter{s: s, a: s.fill, lambda: 1 / math.Sqrt(512), mu: 0.1, muBar: 1e6, masked: true}
 	for k := 0; k < 10; k++ {
 		itm.step()
 	}
@@ -168,7 +133,7 @@ func TestSolverMaskedMatchesPackage(t *testing.T) {
 			md[i] = 1
 		}
 	}
-	fresh, err := DecomposeMasked(a, mask, IALMOptions{MaxIter: 150})
+	fresh, err := DecomposeMasked(a, mask, Options{MaxIter: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +142,7 @@ func TestSolverMaskedMatchesPackage(t *testing.T) {
 	if _, err := s.Decompose(syntheticTP(rng, 20, 160, 4, 0.1), Options{MaxIter: 30}); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := s.DecomposeMasked(a, mask, IALMOptions{MaxIter: 150})
+	reused, err := s.DecomposeMasked(a, mask, Options{MaxIter: 150})
 	if err != nil {
 		t.Fatal(err)
 	}

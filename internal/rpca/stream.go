@@ -40,17 +40,17 @@ import (
 )
 
 // StreamOptions configures a StreamingSolver. The zero value selects the
-// batch IALM defaults, median extraction, and subspace tracking on every
+// batch solver defaults, median extraction, and subspace tracking on every
 // appended column.
 type StreamOptions struct {
 	// Extract selects how per-column constant estimates are obtained; the
 	// zero value is ExtractMedian, matching the batch pipeline default.
 	Extract ExtractMethod
-	// IALM configures the authoritative resolves (and the differential
+	// Solve configures the authoritative resolves (and the differential
 	// oracle, which always runs the identical schedule cold). Its Ctx, if
 	// set, cancels inside resolve iterations; the streaming update loop
 	// itself is cancelled via StreamOptions.Ctx below.
-	IALM IALMOptions
+	Solve Options
 	// TrackEvery runs one warm truncated SVT over the accumulated matrix
 	// every n appended columns to refresh the tracked subspace. 0 selects
 	// 1 (every column); negative disables tracking between resolves.
@@ -332,7 +332,7 @@ func (s *StreamingSolver) Resolve() (*Result, error) {
 		return nil, errors.New("rpca: streaming resolve with no columns")
 	}
 	a := s.matrixView()
-	res, err := s.solver.DecomposeIALM(a, s.opts.IALM)
+	res, err := s.solver.Decompose(a, s.opts.Solve)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +359,7 @@ func (s *StreamingSolver) Verify() (StreamAgreement, error) {
 			return ag, err
 		}
 	}
-	batch, err := NewSolver().DecomposeIALM(s.matrixView(), s.opts.IALM)
+	batch, err := NewSolver().Decompose(s.matrixView(), s.opts.Solve)
 	if err != nil {
 		return ag, err
 	}

@@ -120,7 +120,7 @@ func TestStreamingByteIdenticalWhenTruncatedDisabled(t *testing.T) {
 	if _, err := s.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := NewSolver().DecomposeIALM(s.Matrix(), IALMOptions{})
+	batch, err := NewSolver().Decompose(s.Matrix(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestStreamingFastTierTracksConstant(t *testing.T) {
 	}
 	// No resolve since seeding: columns past the seed width carry
 	// fast-tier estimates. Batch-decompose the full matrix as the oracle.
-	batch, err := NewSolver().DecomposeIALM(s.Matrix(), IALMOptions{})
+	batch, err := NewSolver().Decompose(s.Matrix(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
