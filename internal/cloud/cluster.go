@@ -61,7 +61,10 @@ func newVirtualCluster(p *Provider, hosts []int, seed int64) *VirtualCluster {
 }
 
 // rebuildGroundTruth derives the constant per-pair α-β parameters from the
-// current placement and virtualization factors.
+// current placement and virtualization factors. One routing search per
+// source host yields the path bottleneck of its whole row; pairs are
+// still visited row-major, because rackPairFactor draws lazily from the
+// provider rng.
 func (vc *VirtualCluster) rebuildGroundTruth() {
 	n := len(vc.Hosts)
 	if vc.pairBW == nil {
@@ -69,11 +72,15 @@ func (vc *VirtualCluster) rebuildGroundTruth() {
 		vc.pairLat = mat.NewDense(n, n)
 	}
 	for i := 0; i < n; i++ {
+		bott, err := vc.provider.Topo.BottlenecksFrom(vc.Hosts[i], vc.Hosts)
+		if err != nil {
+			panic(err) // the provider's tree gives every host pair one route
+		}
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			vc.pairBW.Set(i, j, vc.groundTruthBW(i, j))
+			vc.pairBW.Set(i, j, vc.groundTruthBW(i, j, bott[j]))
 			vc.pairLat.Set(i, j, vc.groundTruthLat(i, j))
 		}
 	}
@@ -89,10 +96,11 @@ func (vc *VirtualCluster) pairRand(i, j, salt int) float64 {
 	return float64(h%1_000_000) / 1_000_000
 }
 
-func (vc *VirtualCluster) groundTruthBW(i, j int) float64 {
+// groundTruthBW is pair (i, j)'s constant bandwidth; base is the
+// bottleneck capacity of the route between their hosts.
+func (vc *VirtualCluster) groundTruthBW(i, j int, base float64) float64 {
 	p := vc.provider
 	hi, hj := vc.Hosts[i], vc.Hosts[j]
-	base := p.Topo.BottleneckCapacity(p.Topo.Route(hi, hj))
 	if hi == hj {
 		base = 4 * p.cfg.Tree.IntraRackBps // loop through the hypervisor switch
 		if base == 0 {

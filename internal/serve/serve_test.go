@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"netconstant/internal/checkpoint"
 )
 
 // testConfig keeps tenants small so a full calibrate runs in
@@ -462,4 +464,53 @@ func TestServerTenantValidation(t *testing.T) {
 	mustStatus(t, http.StatusConflict, code, body)
 	code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/ok/resolve", "")
 	mustStatus(t, http.StatusConflict, code, body) // not streaming
+	// Shapes just over the caps, and a racks×servers_per_rack product
+	// that wraps to a small positive number, refuse before any tree or
+	// pair matrix is built.
+	for _, cfg := range []string{
+		`{"vms":257,"racks":17,"servers_per_rack":16}`,
+		`{"vms":6,"steps":31,"racks":4,"servers_per_rack":4}`,
+		`{"vms":6,"racks":131073,"servers_per_rack":1}`,
+		`{"vms":6,"racks":4294967297,"servers_per_rack":4294967297}`,
+	} {
+		code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/big", cfg)
+		mustStatus(t, http.StatusBadRequest, code, body)
+		var eb errorBody
+		if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "bad-request" {
+			t.Fatalf("%s: refusal not typed: %s", cfg, body)
+		}
+	}
+}
+
+// TestServerOverCapJournalQuarantines: a create record over the shape
+// caps, found in the journal at startup, fails the same validation on
+// replay, so that tenant is quarantined (typed 410) and the rest load.
+func TestServerOverCapJournalQuarantines(t *testing.T) {
+	ctx, done := context.WithCancel(context.Background())
+	defer done()
+	dir := t.TempDir()
+	store, err := checkpoint.OpenStore(filepath.Join(dir, "big.nclog"), filepath.Join(dir, "big.ncsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(op{Kind: opCreate, Cfg: &TenantConfig{VMs: 6, Steps: 31, Racks: 4, ServersPerRack: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, ctx, dir, Config{})
+	defer s.Close()
+	defer hs.Close()
+	if q := s.Quarantined(); len(q) != 1 || q[0] != "big" {
+		t.Fatalf("quarantined %v, want [big]", q)
+	}
+	code, body := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/big", "")
+	mustStatus(t, http.StatusGone, code, body)
+	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", testTenantBody(1))
+	mustStatus(t, http.StatusCreated, code, body)
 }

@@ -69,18 +69,32 @@ func (c *TenantConfig) applyDefaults() {
 	}
 }
 
+// Caps on a tenant's shape. A tenant builds a racks×servers_per_rack
+// tree and vms² pair matrices inside its shard, so a create beyond them
+// is refused with the typed 400 rather than allowed to allocate without
+// bound. The same check runs when a journaled create is replayed.
+const (
+	maxTenantVMs      = 256     // cmd/netconstant's cap; the paper's largest cluster is 196 VMs
+	maxTenantSteps    = 30      // Fig 5's largest time step
+	maxTenantMachines = 131_072 // the largest fabric the repo simulates (topo.ClosShape)
+)
+
 func (c TenantConfig) validate() error {
-	if c.VMs < 2 {
-		return errf("vms must be ≥ 2, got %d", c.VMs)
+	if c.VMs < 2 || c.VMs > maxTenantVMs {
+		return errf("vms must be between 2 and %d, got %d", maxTenantVMs, c.VMs)
 	}
 	if c.Racks < 1 || c.ServersPerRack < 1 {
 		return errf("racks and servers_per_rack must be ≥ 1, got %d×%d", c.Racks, c.ServersPerRack)
 	}
+	// Divide rather than multiply: the product of two large ints wraps.
+	if c.Racks > maxTenantMachines/c.ServersPerRack {
+		return errf("racks × servers_per_rack must be ≤ %d, got %d×%d", maxTenantMachines, c.Racks, c.ServersPerRack)
+	}
 	if c.VMs > c.Racks*c.ServersPerRack {
 		return errf("vms %d exceed datacenter capacity %d", c.VMs, c.Racks*c.ServersPerRack)
 	}
-	if c.Steps < 1 {
-		return errf("steps must be ≥ 1, got %d", c.Steps)
+	if c.Steps < 1 || c.Steps > maxTenantSteps {
+		return errf("steps must be between 1 and %d, got %d", maxTenantSteps, c.Steps)
 	}
 	if c.Gap < 0 || c.Threshold < 0 {
 		return errf("gap and threshold must be ≥ 0")

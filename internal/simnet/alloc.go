@@ -13,9 +13,10 @@ import (
 )
 
 // SetVerifyGlobal arms (or disarms) the differential oracle: after every
-// incremental max-min recompute, every active flow's rate is re-derived
-// with a fresh whole-network fill and the first bitwise mismatch is
-// recorded (see VerifyError). Quadratic — tests only.
+// allocation update, an incremental fill or a quiet-departure restore,
+// every active flow's rate is re-derived with a fresh whole-network fill
+// and the first bitwise mismatch is recorded (see VerifyError).
+// Quadratic — tests only.
 func (s *Sim) SetVerifyGlobal(on bool) bool {
 	prev := s.verifyGlobal
 	s.verifyGlobal = on

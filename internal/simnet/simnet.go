@@ -36,14 +36,18 @@ type Flow struct {
 	// which starts the drain, and commitDirty then moves it to each new
 	// completion instant.
 	timer    *des.Timer
-	draining bool // the drain has started; the next firing completes the flow
 	done     func(at float64)
-	finished bool
 	start    float64
+	draining bool // the drain has started; the next firing completes the flow
+	finished bool
+	unfixed  bool // fill scratch, packed with the flags: not yet frozen at its share
+
+	// settled is the simulator's recompute count right after this flow's
+	// arrival; complete compares it to tell a quiet departure.
+	settled int64
 
 	// Scratch used by the incremental allocator within one recompute.
 	newRate float64
-	unfixed bool
 	visited int64 // collectDirty epoch stamp
 }
 
@@ -83,17 +87,29 @@ type Sim struct {
 	// Reusable scratch for the incremental allocator. Marks are epoch
 	// stamps (linkStamp per link, Flow.visited per flow) so no per-event
 	// clearing is needed; linkSlot maps a dirty link to its index in the
-	// fill slices and is always written before it is read.
+	// fill slices, or to -1 for a link its one flow folded into capRate,
+	// and is always written before it is read.
 	dirtyFlows []*Flow
-	dirtyLinks []topo.LinkID
-	changed    []*Flow    // dirty flows commitDirty reschedules
-	comps      []compSpan // connected components of the dirty subgraph
+	// capRate and capLink run parallel to dirtyFlows and fold each flow's
+	// single-flow links into one bottleneck candidate: the smallest
+	// (capacity, link ID) among them, or (+Inf, -1) when every link on its
+	// path is shared.
+	capRate    []float64
+	capLink    []topo.LinkID
+	dirtyLinks []topo.LinkID // dirty links shared by at least two flows
+	changed    []*Flow       // flows the commit reschedules
+	comps      []compSpan    // connected components of the dirty subgraph
 	allSeeds   []topo.LinkID
 	epoch      int64
 	linkStamp  []int64   // per-link collectDirty epoch
 	linkSlot   []int32   // dirty link -> index into fill slices
 	fillCap    []float64 // residual capacity per dirty link
 	fillUnfix  []int32   // unfixed-flow count per dirty link
+
+	// recomputes counts allocation updates, fills and restores alike;
+	// undo holds the rates the latest one overwrote, in flow-ID order.
+	recomputes int64
+	undo       []rateUndo
 
 	// ECMP routing scratch (see ecmp.go) and cached-pair statistics.
 	ecmpDist   []int32
@@ -110,6 +126,12 @@ type Sim struct {
 type compSpan struct {
 	linkLo, linkHi int
 	flowLo, flowHi int
+}
+
+// rateUndo is one rate a commit overwrote.
+type rateUndo struct {
+	f    *Flow
+	rate float64
 }
 
 type routeEntry struct {
@@ -206,6 +228,7 @@ func (s *Sim) activate(f *Flow) {
 		s.linkFlows[l] = append(s.linkFlows[l], f)
 	}
 	s.recompute(f.path)
+	f.settled = s.recomputes
 }
 
 func (s *Sim) finish(f *Flow) {
@@ -215,7 +238,12 @@ func (s *Sim) finish(f *Flow) {
 	}
 }
 
+// complete retires a drained flow. A max-min allocation is a function of
+// the active flow set alone, so when no recompute has run since f's own
+// arrival (a quiet departure) the rates without f are exactly the ones
+// f's arrival overwrote, and restore puts them back without a fill.
 func (s *Sim) complete(f *Flow) {
+	quiet := f.settled == s.recomputes
 	delete(s.active, f.ID)
 	for _, l := range f.path {
 		flows := s.linkFlows[l]
@@ -231,15 +259,20 @@ func (s *Sim) complete(f *Flow) {
 	f.rate = 0
 	f.remaining = 0
 	s.finish(f)
-	s.recompute(f.path)
+	if quiet {
+		s.restore(f)
+	} else {
+		s.recompute(f.path)
+	}
 }
 
 // recompute restores the max-min fair allocation after a flow arrived or
-// departed on the given path. The incremental allocator confines the
-// progressive filling to the dirty subgraph — the links of the changed
-// path plus every flow sharing them, expanded transitively — which is the
-// changed flow's whole connected component in the flow↔link sharing
-// graph. Max-min allocations decompose independently per component, and
+// departed on the given path; a quiet departure skips it (see complete).
+// The incremental allocator confines the progressive filling to the
+// dirty subgraph — the links of the changed path plus every flow sharing
+// them, expanded transitively — which is the changed flow's whole
+// connected component in the flow↔link sharing graph. Max-min
+// allocations decompose independently per component, and
 // component-restricted filling performs the same floating-point
 // operations as a whole-network fill does on that component, so rates
 // stay byte-identical to a whole-network fill (asserted by the
@@ -248,6 +281,35 @@ func (s *Sim) recompute(seeds []topo.LinkID) {
 	s.collectDirty(seeds)
 	s.fillDirty()
 	s.commitDirty()
+	s.settle()
+}
+
+// restore undoes the arrival of gone, whose quiet departure leaves the
+// active flow set exactly as it was before that arrival. The flows the
+// arrival rescheduled get their old rates back through the same
+// flow-ID-ordered commit a fill would make. They are exactly the flows a
+// fill would change: a flow changes when its rate moves or its timer is
+// idle, and between two recomputes an active flow's timer is idle only
+// at rate 0.
+//
+//netlint:hotpath
+func (s *Sim) restore(gone *Flow) {
+	s.changed = s.changed[:0]
+	for _, u := range s.undo {
+		if u.f != gone {
+			u.f.newRate = u.rate
+			s.changed = append(s.changed, u.f)
+		}
+	}
+	s.commitChanged()
+	s.settle()
+}
+
+// settle closes an allocation update: it advances the recompute count
+// that quiet departures are judged by and runs the differential oracle
+// when it is armed.
+func (s *Sim) settle() {
+	s.recomputes++
 	if s.verifyGlobal && s.verifyErr == nil {
 		s.verifyErr = s.verifyAgainstGlobal()
 	}
@@ -258,34 +320,29 @@ func (s *Sim) recompute(seeds []topo.LinkID) {
 // links, recording each component's index span in s.comps. Expanding one
 // seed to exhaustion before starting the next keeps every component
 // contiguous; a seed already absorbed by an earlier component is skipped
-// by its epoch stamp. The common case — a background flow arriving on an
-// otherwise quiet leaf path — visits O(path length) state.
+// because its flows are marked visited. The common case — a background
+// flow arriving on an otherwise quiet leaf path — visits O(path length)
+// state.
 func (s *Sim) collectDirty(seeds []topo.LinkID) {
 	s.dirtyFlows = s.dirtyFlows[:0]
+	s.capRate = s.capRate[:0]
+	s.capLink = s.capLink[:0]
 	s.dirtyLinks = s.dirtyLinks[:0]
 	s.comps = s.comps[:0]
 	s.epoch++
 	ep := s.epoch
 	for _, seed := range seeds {
 		s.ensureLink(seed)
-		if s.linkStamp[seed] == ep || len(s.linkFlows[seed]) == 0 {
+		flows := s.linkFlows[seed]
+		if len(flows) == 0 || flows[0].visited == ep {
 			continue
 		}
 		sp := compSpan{linkLo: len(s.dirtyLinks), flowLo: len(s.dirtyFlows)}
-		s.linkStamp[seed] = ep
-		s.dirtyLinks = append(s.dirtyLinks, seed)
+		s.visit(flows[0], ep)
 		for i := sp.linkLo; i < len(s.dirtyLinks); i++ {
 			for _, f := range s.linkFlows[s.dirtyLinks[i]] {
-				if f.visited == ep {
-					continue
-				}
-				f.visited = ep
-				s.dirtyFlows = append(s.dirtyFlows, f)
-				for _, l := range f.path {
-					if s.linkStamp[l] != ep {
-						s.linkStamp[l] = ep
-						s.dirtyLinks = append(s.dirtyLinks, l)
-					}
+				if f.visited != ep {
+					s.visit(f, ep)
 				}
 			}
 		}
@@ -293,6 +350,40 @@ func (s *Sim) collectDirty(seeds []topo.LinkID) {
 		sp.flowHi = len(s.dirtyFlows)
 		s.comps = append(s.comps, sp)
 	}
+}
+
+// visit adds f to the dirty set and prepares its fill state. A link only
+// f crosses has fair share cap/1 == cap until f is fixed, so it never
+// joins s.dirtyLinks: it folds into f's capRate/capLink candidate and its
+// slot reads -1. A shared link joins s.dirtyLinks the first time it is
+// seen, which queues it for expansion.
+func (s *Sim) visit(f *Flow, ep int64) {
+	f.visited = ep
+	f.unfixed = true
+	capRate, capLink := math.Inf(1), topo.LinkID(-1)
+	for _, l := range f.path {
+		switch {
+		case len(s.linkFlows[l]) == 1:
+			s.linkSlot[l] = -1
+			if c := s.Topo.Link(l).Capacity; precedes(c, l, capRate, capLink) {
+				capRate, capLink = c, l
+			}
+		case s.linkStamp[l] != ep:
+			s.linkStamp[l] = ep
+			s.dirtyLinks = append(s.dirtyLinks, l)
+		}
+	}
+	s.dirtyFlows = append(s.dirtyFlows, f)
+	s.capRate = append(s.capRate, capRate)
+	s.capLink = append(s.capLink, capLink)
+}
+
+// precedes orders bottleneck candidates: the smaller fair share first,
+// ties to the smaller link ID, so the choice is independent of discovery
+// order. Every fill compares its candidates through it.
+func precedes(share float64, l topo.LinkID, minShare float64, minLink topo.LinkID) bool {
+	//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break: equal shares are bit-identical quotients, and the fill's bits depend on which of two tied candidates goes first
+	return share < minShare || (share == minShare && l < minLink)
 }
 
 // shardParMinFlows gates parallel dispatch of component fills: below this
@@ -320,9 +411,6 @@ func (s *Sim) fillDirty() {
 		s.fillCap = append(s.fillCap, s.Topo.Link(l).Capacity)
 		s.fillUnfix = append(s.fillUnfix, int32(len(s.linkFlows[l])))
 	}
-	for _, f := range s.dirtyFlows {
-		f.unfixed = true
-	}
 	if len(s.comps) >= 2 && len(s.dirtyFlows) >= shardParMinFlows && mat.Parallelism() > 1 {
 		//netlint:allow hotalloc one closure per sharded refill dispatch, amortized over all component fills it fans out
 		mat.ParallelShards(len(s.comps), func(c int) { s.fillSpan(s.comps[c]) })
@@ -333,19 +421,28 @@ func (s *Sim) fillDirty() {
 	}
 }
 
-// fillSpan runs progressive filling restricted to one component span, leaving each flow's share in f.newRate. Bottleneck ties are
-// broken by the smallest link ID so the result is independent of
-// discovery order. Concurrent spans are safe: a component's flows, their
-// paths, and the span's fill slots are disjoint from every other span's
-// by construction.
+// fillSpan runs progressive filling restricted to one component span,
+// leaving each flow's share in f.newRate. Each round's bottleneck is the
+// smallest (share, link ID) among the span's shared links that still carry
+// unfixed flows and the unfixed flows' folded single-flow links: the same
+// minimum a scan of every dirty link finds, because a single-flow link's
+// share is exactly its capacity until its flow is fixed. Folded candidates
+// never change and only leave, so once the smallest is fixed it is a floor
+// under the rest, and the flows are rescanned only in a round whose shared
+// minimum does not precede that floor. Concurrent spans are safe: a
+// component's flows, their paths, and the span's fill slots are disjoint
+// from every other span's by construction.
 //
 //netlint:hotpath
 func (s *Sim) fillSpan(sp compSpan) {
-	remaining := sp.flowHi - sp.flowLo
+	flows := s.dirtyFlows[sp.flowLo:sp.flowHi]
+	capRate := s.capRate[sp.flowLo:sp.flowHi]
+	capLink := s.capLink[sp.flowLo:sp.flowHi]
+	remaining := len(flows)
+	capped := -1 // index of the unfixed flow with the smallest folded candidate, unless stale
+	stale := true
+	floorRate, floorLink := math.Inf(-1), topo.LinkID(-1)
 	for remaining > 0 {
-		// Bottleneck: minimum fair share among the span's links that still
-		// carry unfixed flows; ties go to the smallest link ID.
-		best := -1
 		bestLink := topo.LinkID(-1)
 		minShare := math.Inf(1)
 		for k := sp.linkLo; k < sp.linkHi; k++ {
@@ -353,45 +450,70 @@ func (s *Sim) fillSpan(sp compSpan) {
 				continue
 			}
 			l := s.dirtyLinks[k]
-			share := s.fillCap[k] / float64(s.fillUnfix[k])
-			//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break; shares of equal links are bit-identical quotients and capacities are validated finite at AddLink
-			if share < minShare || (share == minShare && l < bestLink) {
-				minShare = share
-				best = k
-				bestLink = l
+			if share := s.fillCap[k] / float64(s.fillUnfix[k]); precedes(share, l, minShare, bestLink) {
+				minShare, bestLink = share, l
 			}
 		}
-		if best < 0 {
-			// No capacitated links left (cannot happen: every flow crosses
-			// at least one link), but guard against an infinite loop.
-			for i := sp.flowLo; i < sp.flowHi; i++ {
-				if f := s.dirtyFlows[i]; f.unfixed {
+		if stale && !precedes(minShare, bestLink, floorRate, floorLink) {
+			capped, stale = -1, false
+			for i, f := range flows {
+				if f.unfixed && (capped < 0 || precedes(capRate[i], capLink[i], capRate[capped], capLink[capped])) {
+					capped = i
+				}
+			}
+		}
+		switch {
+		case !stale && capped >= 0 && precedes(capRate[capped], capLink[capped], minShare, bestLink):
+			// The bottleneck is a link only flows[capped] crosses.
+			s.fix(flows[capped], capRate[capped])
+			remaining--
+			floorRate, floorLink, stale = capRate[capped], capLink[capped], true
+		case bestLink >= 0:
+			// Every flow on a dirty link is in the dirty set by
+			// construction, and each link's residual decreases by the same
+			// minShare per crossing flow, so visiting order cannot change a
+			// single bit.
+			for _, f := range s.linkFlows[bestLink] {
+				if f.unfixed {
+					s.fix(f, minShare)
+					remaining--
+				}
+			}
+			if !stale && capped >= 0 && !flows[capped].unfixed {
+				floorRate, floorLink, stale = capRate[capped], capLink[capped], true
+			}
+		default:
+			// No finite share left (cannot happen: every flow crosses at
+			// least one link), but guard against an infinite loop.
+			for _, f := range flows {
+				if f.unfixed {
 					f.newRate = math.Inf(1)
 					f.unfixed = false
 				}
 			}
-			break
+			remaining = 0
 		}
-		// Fix every unfixed flow on the bottleneck at minShare. Every flow
-		// on a dirty link is in the dirty set by construction, and each
-		// link's residual decreases by the same minShare per crossing
-		// flow, so visiting order cannot change a single bit.
-		for _, f := range s.linkFlows[bestLink] {
-			if !f.unfixed {
-				continue
-			}
-			f.newRate = minShare
-			f.unfixed = false
-			remaining--
-			for _, l := range f.path {
-				k := s.linkSlot[l]
-				s.fillCap[k] -= minShare
-				if s.fillCap[k] < 0 {
-					s.fillCap[k] = 0
-				}
-				s.fillUnfix[k]--
-			}
+	}
+}
+
+// fix freezes f at rate and takes that rate off the residual of every
+// shared link on its path; its folded single-flow links are never read
+// again.
+//
+//netlint:hotpath
+func (s *Sim) fix(f *Flow, rate float64) {
+	f.newRate = rate
+	f.unfixed = false
+	for _, l := range f.path {
+		k := s.linkSlot[l]
+		if k < 0 {
+			continue
 		}
+		s.fillCap[k] -= rate
+		if s.fillCap[k] < 0 {
+			s.fillCap[k] = 0
+		}
+		s.fillUnfix[k]--
 	}
 }
 
@@ -414,8 +536,18 @@ func (s *Sim) commitDirty() {
 		}
 	}
 	slices.SortFunc(s.changed, byID)
+	s.commitChanged()
+}
+
+// commitChanged moves every flow in s.changed, in order, to its newRate
+// and reschedules its timer, keeping each overwritten rate in s.undo.
+//
+//netlint:hotpath
+func (s *Sim) commitChanged() {
+	s.undo = s.undo[:0]
 	now := s.Now()
 	for _, f := range s.changed {
+		s.undo = append(s.undo, rateUndo{f, f.rate})
 		f.remaining -= f.rate * (now - f.lastUpdate)
 		if f.remaining < 0 {
 			f.remaining = 0

@@ -318,6 +318,9 @@ func TestDifferentialIncrementalVsGlobal(t *testing.T) {
 		topo.NewTree(topo.TreeConfig{Racks: 3, ServersPerRack: 4, IntraRackBps: 1e6, InterRackBps: 2e6, HopLatency: 1e-4}),
 		topo.NewTree(topo.TreeConfig{Racks: 4, ServersPerRack: 8, IntraRackBps: 1e8, InterRackBps: 4e8, HopLatency: 5e-5}),
 		topo.NewFatTree(topo.FatTreeConfig{K: 4, LinkBps: 1e8, HopLatency: 1e-4}),
+		// Fig 13's link rates: uplinks twice the server links, so a shared
+		// uplink ties a folded server link whenever two flows cross it.
+		topo.NewTree(topo.TreeConfig{Racks: 8, ServersPerRack: 8, IntraRackBps: 1e9 / 8, InterRackBps: 2e9 / 8, HopLatency: 5e-5}),
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		for ti, tr := range topos {
@@ -401,6 +404,106 @@ func TestPropertyMaxMinInvariantsChurn(t *testing.T) {
 			if steps > 200000 {
 				t.Fatal("simulation did not drain")
 			}
+		}
+	}
+}
+
+// A departure restores the rates its arrival replaced only when it is
+// quiet. Here g arrives between f's arrival and f's departure, so the
+// rates f's arrival replaced are stale and f's departure must refill:
+// g then runs alone at the full 100 B/s. Afterwards h arrives beside k
+// and leaves before anything else happens, so its departure restores k's
+// rate without a fill; a second h, with a RefillAll in between, is
+// refilled again. The reference fill checks every step.
+func TestQuietDepartureRestoresOnlyWhenQuiet(t *testing.T) {
+	s, srv := twoRackSim()
+	s.SetVerifyGlobal(true)
+	var tf, tg float64
+	f := s.StartFlow(srv[0], srv[1], 100, func(at float64) { tf = at })
+	var g *Flow
+	s.Eng.Schedule(0.5, func() { g = s.StartFlow(srv[0], srv[1], 100, func(at float64) { tg = at }) })
+	s.Eng.RunUntil(1)
+	epoch := s.epoch
+	s.RunUntilDone(f)
+	if s.epoch == epoch {
+		t.Fatal("f's departure after g's arrival restored stale rates instead of refilling")
+	}
+	if g.rate != 100 {
+		t.Fatalf("g's rate after f left is %v, want 100", g.rate)
+	}
+	s.RunUntilDone(g)
+	// f drains 50 B alone from 0.02, then 50 B at 50 B/s from 0.52; g's
+	// last 50 B run alone at 100 B/s.
+	if math.Abs(tf-1.52) > 1e-9 || math.Abs(tg-2.02) > 1e-9 {
+		t.Fatalf("f done at %v, g at %v; want 1.52 and 2.02", tf, tg)
+	}
+
+	k := s.StartFlow(srv[0], srv[1], 1000, nil)
+	s.Eng.RunUntil(s.Now() + 0.1)
+	alone := k.rate
+	h := s.StartFlow(srv[0], srv[1], 10, nil)
+	s.Eng.RunUntil(s.Now() + 0.05)
+	if h.rate != 50 || k.rate != 50 {
+		t.Fatalf("shared rates %v and %v, want 50 each", h.rate, k.rate)
+	}
+	epoch = s.epoch
+	s.RunUntilDone(h)
+	if s.epoch != epoch {
+		t.Fatal("h's quiet departure ran a fill instead of restoring")
+	}
+	if k.rate != alone {
+		t.Fatalf("k's restored rate %v, want its pre-arrival %v", k.rate, alone)
+	}
+	// A whole-network refill is an allocation update too: after it, the
+	// next departure refills even though no flow came or went.
+	h = s.StartFlow(srv[0], srv[1], 10, nil)
+	s.Eng.RunUntil(s.Now() + 0.05)
+	s.RefillAll()
+	epoch = s.epoch
+	s.RunUntilDone(h)
+	if s.epoch == epoch || k.rate != alone {
+		t.Fatalf("departure after RefillAll: refilled %v, k's rate %v (want a refill and %v)", s.epoch != epoch, k.rate, alone)
+	}
+	s.RunUntilDone(k)
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A folded single-flow link and a shared link tie at one share, and the
+// smaller link ID must win as it does in the reference fill. f crosses
+// its own link (capacity 1/3) and a link of capacity 1 shared with g and
+// h, whose share is 1/3 as well. Fixing f first leaves g and h
+// (1-1/3)/2, one ulp above 1/3; fixing the shared link first gives all
+// three 1/3. Both link orders are checked.
+func TestFoldedLinkTieGoesToSmallerLinkID(t *testing.T) {
+	for _, foldedFirst := range []bool{true, false} {
+		g := topo.New()
+		x := g.AddNode(topo.Server, 0)
+		a := g.AddNode(topo.Server, 0)
+		b := g.AddNode(topo.Server, 0)
+		if foldedFirst {
+			g.AddLink(x, a, 1.0/3, 0)
+			g.AddLink(a, b, 1, 0)
+		} else {
+			g.AddLink(a, b, 1, 0)
+			g.AddLink(x, a, 1.0/3, 0)
+		}
+		s := New(g)
+		s.SetVerifyGlobal(true)
+		fl := []*Flow{s.StartFlow(x, b, 1e9, nil), s.StartFlow(a, b, 1e9, nil), s.StartFlow(a, b, 1e9, nil)}
+		s.Eng.RunUntil(1)
+		if err := s.VerifyError(); err != nil {
+			t.Fatalf("folded first %v: %v", foldedFirst, err)
+		}
+		third := 1.0 / 3
+		want := third
+		if foldedFirst {
+			want = (1 - third) / 2
+		}
+		if fl[0].rate != third || fl[1].rate != want || fl[2].rate != want {
+			t.Fatalf("folded first %v: rates %v %v %v, want %v %v %v",
+				foldedFirst, fl[0].rate, fl[1].rate, fl[2].rate, third, want, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 )
 
 // NodeKind distinguishes servers from switches.
@@ -149,57 +150,124 @@ func (t *Topology) RouteE(a, b int) ([]LinkID, error) {
 	if a == b {
 		return nil, nil
 	}
-	if a < 0 || a >= len(t.nodes) || b < 0 || b >= len(t.nodes) {
+	if !t.hasNode(a) || !t.hasNode(b) {
 		return nil, fmt.Errorf("%w: route endpoints (%d,%d), %d nodes", ErrNodeRange, a, b, len(t.nodes))
 	}
-	// BFS with shortest-path counting (saturated at 2): nodes leave the
-	// queue in nondecreasing distance, so by the time cur is dequeued all
-	// its shortest-path predecessors have added their counts, and once
-	// dist[cur] reaches dist[b] the count at b is final.
-	prev := make([]IncidentLink, len(t.nodes))
-	dist := make([]int32, len(t.nodes))
-	npaths := make([]uint8, len(t.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[a] = 0
-	npaths[a] = 1
-	queue := []int{a}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		if dist[b] >= 0 && dist[cur] >= dist[b] {
-			break
-		}
-		for _, e := range t.adj[cur] {
-			switch {
-			case dist[e.Peer] < 0:
-				dist[e.Peer] = dist[cur] + 1
-				npaths[e.Peer] = npaths[cur]
-				prev[e.Peer] = IncidentLink{Link: e.Link, Peer: cur}
-				queue = append(queue, e.Peer)
-			case dist[e.Peer] == dist[cur]+1:
-				// Another shortest-path predecessor of e.Peer.
-				if npaths[e.Peer] += npaths[cur]; npaths[e.Peer] > 2 {
-					npaths[e.Peer] = 2
-				}
-			}
-		}
-	}
-	if dist[b] < 0 {
-		return nil, fmt.Errorf("%w: from %d to %d", ErrNoPath, a, b)
-	}
-	if npaths[b] > 1 {
-		return nil, fmt.Errorf("%w: from %d to %d (%d hops)", ErrMultiPath, a, b, dist[b])
+	sp := t.shortestPaths(a, b)
+	if err := sp.unique(a, b); err != nil {
+		return nil, err
 	}
 	var rev []LinkID
-	for cur := b; cur != a; cur = prev[cur].Peer {
-		rev = append(rev, prev[cur].Link)
+	for cur := b; cur != a; cur = sp.prev[cur].Peer {
+		rev = append(rev, sp.prev[cur].Link)
 	}
 	// Reverse into forward order.
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
+}
+
+// BottlenecksFrom returns, for each destination in dsts, the minimum link
+// capacity on the path Route(a, dst) takes, or +Inf for dst == a. One
+// breadth-first search from a serves every destination: each node's
+// bottleneck is read off its predecessor in the search tree, which is the
+// hop Route's path arrives by. Errors wrap ErrNodeRange, ErrNoPath or
+// ErrMultiPath for the first destination Route would refuse.
+func (t *Topology) BottlenecksFrom(a int, dsts []int) ([]float64, error) {
+	if !t.hasNode(a) {
+		return nil, fmt.Errorf("%w: route source %d, %d nodes", ErrNodeRange, a, len(t.nodes))
+	}
+	sp := t.shortestPaths(a, -1)
+	for _, b := range dsts {
+		if !t.hasNode(b) {
+			return nil, fmt.Errorf("%w: route endpoints (%d,%d), %d nodes", ErrNodeRange, a, b, len(t.nodes))
+		}
+		if b == a {
+			continue
+		}
+		if err := sp.unique(a, b); err != nil {
+			return nil, err
+		}
+	}
+	// The queue holds every reached node after its predecessor.
+	bott := make([]float64, len(t.nodes))
+	bott[a] = math.Inf(1)
+	for _, v := range sp.queue[1:] {
+		e := sp.prev[v]
+		bott[v] = min(bott[e.Peer], t.links[e.Link].Capacity)
+	}
+	out := make([]float64, len(dsts))
+	for k, b := range dsts {
+		out[k] = bott[b]
+	}
+	return out, nil
+}
+
+// hasNode reports whether v is a node ID of t.
+func (t *Topology) hasNode(v int) bool { return v >= 0 && v < len(t.nodes) }
+
+// shortestPathTree is one breadth-first search: per node its hop
+// distance (-1 if unreached), its shortest-path count saturated at 2, and
+// the link and neighbor it was first reached by, plus the nodes in the
+// order they were reached.
+type shortestPathTree struct {
+	prev   []IncidentLink
+	dist   []int32
+	npaths []uint8
+	queue  []int
+}
+
+// shortestPaths runs a breadth-first search from a with shortest-path
+// counting: nodes leave the queue in nondecreasing distance, so by the
+// time cur is dequeued all its shortest-path predecessors have added
+// their counts. With stop >= 0 the search ends once dist[cur] reaches
+// dist[stop], where the count at stop is final; with stop < 0 it reaches
+// every node.
+func (t *Topology) shortestPaths(a, stop int) shortestPathTree {
+	sp := shortestPathTree{
+		prev:   make([]IncidentLink, len(t.nodes)),
+		dist:   make([]int32, len(t.nodes)),
+		npaths: make([]uint8, len(t.nodes)),
+		queue:  []int{a},
+	}
+	for i := range sp.dist {
+		sp.dist[i] = -1
+	}
+	sp.dist[a] = 0
+	sp.npaths[a] = 1
+	for head := 0; head < len(sp.queue); head++ {
+		cur := sp.queue[head]
+		if stop >= 0 && sp.dist[stop] >= 0 && sp.dist[cur] >= sp.dist[stop] {
+			break
+		}
+		for _, e := range t.adj[cur] {
+			switch {
+			case sp.dist[e.Peer] < 0:
+				sp.dist[e.Peer] = sp.dist[cur] + 1
+				sp.npaths[e.Peer] = sp.npaths[cur]
+				sp.prev[e.Peer] = IncidentLink{Link: e.Link, Peer: cur}
+				sp.queue = append(sp.queue, e.Peer)
+			case sp.dist[e.Peer] == sp.dist[cur]+1:
+				// Another shortest-path predecessor of e.Peer.
+				if sp.npaths[e.Peer] += sp.npaths[cur]; sp.npaths[e.Peer] > 2 {
+					sp.npaths[e.Peer] = 2
+				}
+			}
+		}
+	}
+	return sp
+}
+
+// unique reports why Route(a, b) is undefined on this tree from a, or nil.
+func (sp *shortestPathTree) unique(a, b int) error {
+	if sp.dist[b] < 0 {
+		return fmt.Errorf("%w: from %d to %d", ErrNoPath, a, b)
+	}
+	if sp.npaths[b] > 1 {
+		return fmt.Errorf("%w: from %d to %d (%d hops)", ErrMultiPath, a, b, sp.dist[b])
+	}
+	return nil
 }
 
 // PathLatency sums the per-hop latency of a path.
@@ -210,20 +278,6 @@ func (t *Topology) PathLatency(path []LinkID) float64 {
 	}
 	return s
 }
-
-// BottleneckCapacity returns the minimum capacity along a path, or +Inf
-// for the empty path.
-func (t *Topology) BottleneckCapacity(path []LinkID) float64 {
-	cap := infinity
-	for _, id := range path {
-		if c := t.links[id].Capacity; c < cap {
-			cap = c
-		}
-	}
-	return cap
-}
-
-const infinity = 1e308
 
 // SameRack reports whether two server nodes live in the same rack.
 func (t *Topology) SameRack(a, b int) bool {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,12 +99,57 @@ func TestTreeRouting(t *testing.T) {
 	if got := tr.PathLatency(p2); got != 0.04 {
 		t.Errorf("path latency %v", got)
 	}
-	// Bottleneck: server links are 100.
-	if got := tr.BottleneckCapacity(p2); got != 100 {
-		t.Errorf("bottleneck %v", got)
+	// Bottleneck: server links are 100, and the empty path to self has
+	// none.
+	bott, err := tr.BottlenecksFrom(srv[0], []int{srv[2], srv[0]})
+	if err != nil || bott[0] != 100 {
+		t.Errorf("bottleneck %v, err %v", bott, err)
 	}
-	if tr.BottleneckCapacity(nil) < 1e300 {
-		t.Error("empty path bottleneck should be huge")
+	if !math.IsInf(bott[1], 1) {
+		t.Errorf("empty path bottleneck %v, want +Inf", bott[1])
+	}
+}
+
+// BottlenecksFrom answers every destination from one search, exactly as
+// the minimum capacity along Route would, and refuses the pairs Route
+// refuses with the same typed errors.
+func TestBottlenecksFromMatchesRoute(t *testing.T) {
+	tr := NewTree(TreeConfig{Racks: 3, ServersPerRack: 3, IntraRackBps: 100, InterRackBps: 250})
+	srv := tr.Servers()
+	for _, a := range srv {
+		got, err := tr.BottlenecksFrom(a, srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, b := range srv {
+			want := math.Inf(1)
+			for _, id := range tr.Route(a, b) {
+				want = min(want, tr.Link(id).Capacity)
+			}
+			if got[k] != want {
+				t.Errorf("bottleneck %d->%d = %v, want %v", a, b, got[k], want)
+			}
+		}
+	}
+	ft := NewFatTree(FatTreeConfig{K: 4})
+	fsrv := ft.Servers()
+	if _, err := ft.BottlenecksFrom(fsrv[0], []int{fsrv[1], fsrv[15]}); !errors.Is(err, ErrMultiPath) {
+		t.Errorf("cross-pod bottleneck err = %v, want ErrMultiPath", err)
+	}
+	if got, err := ft.BottlenecksFrom(fsrv[0], []int{fsrv[1]}); err != nil || len(got) != 1 {
+		t.Errorf("same-edge bottleneck %v, err %v", got, err)
+	}
+	g := New()
+	a := g.AddNode(Server, 0)
+	b := g.AddNode(Server, 1)
+	if _, err := g.BottlenecksFrom(a, []int{b}); !errors.Is(err, ErrNoPath) {
+		t.Errorf("disconnected err = %v, want ErrNoPath", err)
+	}
+	if _, err := g.BottlenecksFrom(a, []int{42}); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("destination range err = %v, want ErrNodeRange", err)
+	}
+	if _, err := g.BottlenecksFrom(-1, nil); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("source range err = %v, want ErrNodeRange", err)
 	}
 }
 
