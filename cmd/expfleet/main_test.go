@@ -170,6 +170,9 @@ func TestFleetEndToEnd(t *testing.T) {
 
 // TestFleetContinueOnFailure: a deliberately failing task yields exit 1
 // and a partial report that still carries the healthy task's results.
+// The doomed task runs fig8's two sweep points on one worker, so each
+// attempt journals one point before -failafter 1 exits (see
+// TestCampaignContinueOnFailure in internal/plan).
 func TestFleetContinueOnFailure(t *testing.T) {
 	driver := realDriver(t)
 	dir := filepath.Join(t.TempDir(), "camp")
@@ -178,7 +181,7 @@ func TestFleetContinueOnFailure(t *testing.T) {
 		"seed": 3,
 		"tasks": [
 			{"name": "good", "figures": ["fig7"]},
-			{"name": "doomed", "figures": ["fig8"], "extra": ["-failafter", "1"]}
+			{"name": "doomed", "figures": ["fig8"], "workers": 1, "extra": ["-failafter", "1"]}
 		],
 		"retry": {"max_attempts": 2, "base_delay_sec": 0.01, "max_delay_sec": 0.02},
 		"poll_interval_sec": 0.05

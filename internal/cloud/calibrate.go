@@ -342,6 +342,21 @@ func Calibrate(c Cluster, rng *rand.Rand, cfg CalibrationConfig) *Calibration {
 // interrupted measurement campaign would leave the cluster older but
 // yield no trace.
 func CalibrateCtx(ctx context.Context, c Cluster, rng *rand.Rand, cfg CalibrationConfig) (*Calibration, error) {
+	return calibrate(ctx, c, rng, cfg, pairedSchedule(c, cfg))
+}
+
+// pairedSchedule returns the paired schedule of c's VMs, or nil when cfg
+// measures pairs sequentially.
+func pairedSchedule(c Cluster, cfg CalibrationConfig) [][][2]int {
+	if cfg.Sequential {
+		return nil
+	}
+	return PairSchedule(c.Size())
+}
+
+// calibrate is CalibrateCtx with the paired schedule built by the
+// caller, so a temporal calibration builds it once for all its passes.
+func calibrate(ctx context.Context, c Cluster, rng *rand.Rand, cfg CalibrationConfig, schedule [][][2]int) (*Calibration, error) {
 	cfg.applyDefaults()
 	n := c.Size()
 	perf := netmodel.NewPerfMatrix(n)
@@ -404,7 +419,6 @@ func CalibrateCtx(ctx context.Context, c Cluster, rng *rand.Rand, cfg Calibratio
 			}
 		}
 	} else {
-		schedule := PairSchedule(n)
 		for _, round := range schedule {
 			if err := cancel.Check(ctx, "cloud.Calibrate", cal.Rounds, len(schedule)); err != nil {
 				return nil, err
@@ -518,11 +532,12 @@ func CalibrateTPCtx(ctx context.Context, c Cluster, rng *rand.Rand, steps int, g
 	if cfg.Resilient {
 		tc.Mask = mat.NewDense(steps, n*n)
 	}
+	schedule := pairedSchedule(c, cfg)
 	for s := 0; s < steps; s++ {
 		if err := cancel.Check(ctx, "cloud.CalibrateTP", s, steps); err != nil {
 			return nil, err
 		}
-		cal, err := CalibrateCtx(ctx, c, rng, cfg)
+		cal, err := calibrate(ctx, c, rng, cfg, schedule)
 		if err != nil {
 			return nil, err
 		}

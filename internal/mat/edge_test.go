@@ -47,7 +47,7 @@ func TestSVD1x1(t *testing.T) {
 			t.Errorf("value %g: reconstructed %g", v, rec.At(0, 0))
 		}
 		d, rank := m.SVT(1.0)
-		want := softScalar(v, 1.0)
+		want := Shrink(v, 1.0)
 		if math.Abs(d.At(0, 0)-want) > 1e-15 {
 			t.Errorf("value %g: SVT gave %g, want %g (rank %d)", v, d.At(0, 0), want, rank)
 		}

@@ -11,9 +11,8 @@ package mat
 // sequential fast path, which must not heap-allocate) and a small task
 // wrapper built only when the kernel actually dispatches to the pool.
 //
-// Unless noted otherwise, out must not alias an input; the elementwise
-// kernels (LinComb3Into, SoftThresholdInto) allow out to alias
-// any input because element i reads only index i.
+// Unless noted otherwise, out must not alias an input; LinComb3Into
+// allows out to alias any input because element i reads only index i.
 
 import "math"
 
@@ -66,19 +65,11 @@ func mulATBRange(out, a, b *Dense, lo, hi int) {
 		for j := range orow {
 			orow[j] = 0
 		}
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*ac+lo : i*ac+hi]
-		brow := b.data[i*bc : (i+1)*bc]
-		for l, v := range arow {
-			if v == 0 {
-				continue
-			}
-			orow := out.data[(lo+l)*bc : (lo+l+1)*bc]
-			for j, bij := range brow {
-				orow[j] += v * bij
-			}
+		var rows axpyRows
+		for i := 0; i < a.rows; i++ {
+			rows.add(orow, a.data[i*ac+l], b.data[i*bc:(i+1)*bc])
 		}
+		rows.flush(orow)
 	}
 }
 
@@ -103,19 +94,117 @@ func mulATBInto(out, a, b *Dense) {
 	mulATBRange(out, a, b, 0, a.cols)
 }
 
+// axpyRows adds scaled rows into one output row o, up to four rows per
+// pass over o: o[j] = (((o[j] + c₀r₀[j]) + c₁r₁[j]) + c₂r₂[j]) + c₃r₃[j].
+// Rows are added in the order add receives them, so every element of o
+// sees exactly the additions of the one-row-at-a-time loop, in the same
+// order; only the number of passes over o shrinks. A zero coefficient is
+// skipped, as in that loop: adding 0·r would turn an ±Inf in r into NaN.
+// Call flush once after the last add.
+type axpyRows struct {
+	c [4]float64
+	r [4][]float64
+	n int
+}
+
+// add queues c·r for o, running a four-row pass once four are queued.
+//
+//netlint:hotpath
+func (b *axpyRows) add(o []float64, c float64, r []float64) {
+	if c == 0 {
+		return
+	}
+	b.c[b.n], b.r[b.n] = c, r
+	if b.n++; b.n == 4 {
+		axpy4(o, b.c[0], b.r[0], b.c[1], b.r[1], b.c[2], b.r[2], b.c[3], b.r[3])
+		b.n = 0
+	}
+}
+
+// flush adds the rows still queued.
+//
+//netlint:hotpath
+func (b *axpyRows) flush(o []float64) {
+	k := 0
+	if b.n >= 2 {
+		axpy2(o, b.c[0], b.r[0], b.c[1], b.r[1])
+		k = 2
+	}
+	if k < b.n {
+		axpy1(o, b.c[k], b.r[k])
+	}
+	b.n = 0
+}
+
+//netlint:hotpath
+func axpy4(o []float64, c0 float64, r0 []float64, c1 float64, r1 []float64, c2 float64, r2 []float64, c3 float64, r3 []float64) {
+	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
+	for j, v := range o {
+		v += c0 * r0[j]
+		v += c1 * r1[j]
+		v += c2 * r2[j]
+		v += c3 * r3[j]
+		o[j] = v
+	}
+}
+
+//netlint:hotpath
+func axpy2(o []float64, c0 float64, r0 []float64, c1 float64, r1 []float64) {
+	r0, r1 = r0[:len(o)], r1[:len(o)]
+	for j, v := range o {
+		v += c0 * r0[j]
+		v += c1 * r1[j]
+		o[j] = v
+	}
+}
+
+//netlint:hotpath
+func axpy1(o []float64, c0 float64, r0 []float64) {
+	r0 = r0[:len(o)]
+	for j, v := range o {
+		o[j] = v + c0*r0[j]
+	}
+}
+
 func gramRange(out, m *Dense, lo, hi int) {
+	n, c := m.rows, m.cols
 	for i := lo; i < hi; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j := i; j < m.rows; j++ {
-			rj := m.data[j*m.cols : (j+1)*m.cols]
+		ri := m.data[i*c : (i+1)*c]
+		j := i
+		for ; j+4 <= n; j += 4 {
+			s0, s1, s2, s3 := dot4(ri, m.data[j*c:(j+1)*c], m.data[(j+1)*c:(j+2)*c],
+				m.data[(j+2)*c:(j+3)*c], m.data[(j+3)*c:(j+4)*c])
+			out.data[i*n+j], out.data[j*n+i] = s0, s0
+			out.data[i*n+j+1], out.data[(j+1)*n+i] = s1, s1
+			out.data[i*n+j+2], out.data[(j+2)*n+i] = s2, s2
+			out.data[i*n+j+3], out.data[(j+3)*n+i] = s3, s3
+		}
+		for ; j < n; j++ {
+			rj := m.data[j*c : (j+1)*c]
+			rj = rj[:len(ri)]
 			var s float64
-			for k := range ri {
-				s += ri[k] * rj[k]
+			for k, v := range ri {
+				s += v * rj[k]
 			}
-			out.data[i*out.cols+j] = s
-			out.data[j*out.cols+i] = s
+			out.data[i*n+j], out.data[j*n+i] = s, s
 		}
 	}
+}
+
+// dot4 returns the dot products of x with r0…r3, computed in one pass
+// over x. Each of the four independent accumulators sums its products in
+// ascending k, exactly as the one-row loop does.
+//
+//netlint:hotpath
+func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for k, v := range x {
+		s0 += v * r0[k]
+		s1 += v * r1[k]
+		s2 += v * r2[k]
+		s3 += v * r3[k]
+	}
+	return s0, s1, s2, s3
 }
 
 type gramTask struct{ out, m *Dense }
@@ -241,42 +330,6 @@ func LinComb3Into(out *Dense, sa float64, a *Dense, sb float64, b *Dense, sc flo
 		return
 	}
 	linComb3Range(out.data, a.data, b.data, c.data, sa, sb, sc, 0, len(out.data))
-}
-
-func softRange(out, src []float64, tau float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = softScalar(src[i], tau)
-	}
-}
-
-type softTask struct {
-	out, src []float64
-	tau      float64
-}
-
-func (t *softTask) Run(lo, hi int) { softRange(t.out, t.src, t.tau, lo, hi) }
-
-// SoftThresholdInto applies sign(x)·max(|x|−tau, 0) elementwise into out;
-// out may alias src.
-//
-//netlint:hotpath
-func SoftThresholdInto(out, src *Dense, tau float64) {
-	src.sameDims(out)
-	if parGate(len(out.data)) {
-		parallelFor(len(out.data), elemGrain, &softTask{out: out.data, src: src.data, tau: tau})
-		return
-	}
-	softRange(out.data, src.data, tau, 0, len(out.data))
-}
-
-// AddScaledInPlace computes m += s·b elementwise.
-//
-//netlint:hotpath
-func AddScaledInPlace(m *Dense, s float64, b *Dense) {
-	m.sameDims(b)
-	for i, v := range b.data {
-		m.data[i] += s * v
-	}
 }
 
 // CopyFrom copies b's elements into m (shapes must match).

@@ -524,16 +524,11 @@ func reconstructRange(out, u, vt *Dense, shat []float64, lo, hi int) {
 		for j := range orow {
 			orow[j] = 0
 		}
+		var rows axpyRows
 		for l, sh := range shat {
-			f := u.data[i*ku+l] * sh
-			if f == 0 {
-				continue
-			}
-			vrow := vt.data[l*c : (l+1)*c]
-			for j, vv := range vrow {
-				orow[j] += f * vv
-			}
+			rows.add(orow, u.data[i*ku+l]*sh, vt.data[l*c:(l+1)*c])
 		}
+		rows.flush(orow)
 	}
 }
 

@@ -8,12 +8,16 @@ import "math"
 func (m *Dense) SoftThreshold(tau float64) *Dense {
 	out := NewDense(m.rows, m.cols)
 	for i, v := range m.data {
-		out.data[i] = softScalar(v, tau)
+		out.data[i] = Shrink(v, tau)
 	}
 	return out
 }
 
-func softScalar(x, tau float64) float64 {
+// Shrink returns the soft threshold sign(x)·max(|x|−tau, 0) of one value:
+// x−tau above tau, x+tau below −tau, 0 in between.
+//
+//netlint:hotpath
+func Shrink(x, tau float64) float64 {
 	switch {
 	case x > tau:
 		return x - tau

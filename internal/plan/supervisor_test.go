@@ -329,6 +329,12 @@ func TestCampaignSabotageByteIdentical(t *testing.T) {
 // TestCampaignContinueOnFailure: a task that fails persistently is
 // quarantined while its peers complete, and the deterministic results
 // still carry the healthy tasks' outputs.
+//
+// fig8 has two sweep points. The doomed task runs them on one worker, so
+// each attempt journals exactly one point before -failafter 1 exits and
+// both attempts fail. With more workers both points could reach the
+// journal before the first exit, leaving the retry nothing to run: it
+// would exit 0 and the task would read ok.
 func TestCampaignContinueOnFailure(t *testing.T) {
 	driver := realDriver(t)
 	p := &Plan{
@@ -336,7 +342,7 @@ func TestCampaignContinueOnFailure(t *testing.T) {
 		Seed: 5,
 		Tasks: []Task{
 			{Name: "good", Figures: []string{"fig7"}},
-			{Name: "doomed", Figures: []string{"fig8"}, Extra: []string{"-failafter", "1"}},
+			{Name: "doomed", Figures: []string{"fig8"}, Workers: 1, Extra: []string{"-failafter", "1"}},
 		},
 		MaxProcs:        2,
 		Retry:           Retry{MaxAttempts: 2, BaseDelaySec: 0.01, MaxDelaySec: 0.02, JitterFrac: 0.1},

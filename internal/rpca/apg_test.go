@@ -62,7 +62,9 @@ func decomposeAPG(a *mat.Dense, opts Options) (*Result, error) {
 		}
 		// The next iterates overwrite the spent previous ones.
 		res.RankD = svt.SVTInto(dPrev, yd, mu/2)
-		mat.SoftThresholdInto(ePrev, ye, lambda*mu/2)
+		for i, v := range yed {
+			qd[i] = mat.Shrink(v, lambda*mu/2)
+		}
 
 		change := mat.NormFroDiff(dPrev, d) + mat.NormFroDiff(ePrev, e)
 		d, dPrev = dPrev, d

@@ -41,11 +41,14 @@ type Solver struct {
 	// independent solves must not inherit a previous problem's subspace.
 	carryWarm bool
 
-	// Iterates, multiplier and scratch; aObs and fill serve the masked
-	// route only.
-	d, e, y, t, z, aObs, fill *mat.Dense
+	// Iterates, multiplier and the D-step's SVT input.
+	d, e, y, t *mat.Dense
 
-	obs []bool // masked route: observed-entry flags, row-major
+	// The masked route's observed data, its refreshed working copy and
+	// the observed-entry flags (row-major), allocated by the first
+	// DecomposeMasked at the bound shape.
+	aObs, fill *mat.Dense
+	obs        []bool
 }
 
 // NewSolver returns a Solver with an empty arena.
@@ -73,10 +76,7 @@ func (s *Solver) bind(r, c int) {
 	s.e = mat.NewDense(r, c)
 	s.y = mat.NewDense(r, c)
 	s.t = mat.NewDense(r, c)
-	s.z = mat.NewDense(r, c)
-	s.aObs = mat.NewDense(r, c)
-	s.fill = mat.NewDense(r, c)
-	s.obs = make([]bool, r*c)
+	s.aObs, s.fill, s.obs = nil, nil, nil
 }
 
 // ialmIter carries the scalar state of the IALM loop over the arena.
@@ -88,10 +88,19 @@ type ialmIter struct {
 	masked    bool
 }
 
-// step performs one IALM iteration against the arena: SVT D-step, soft
-// threshold E-step (mask-confined when masked), residual, multiplier
-// update and penalty growth. Returns the residual Frobenius norm and the
-// post-SVT rank. Allocation-free after arena binding.
+// step performs one IALM iteration against the arena: SVT D-step, then
+// one pass over the elements that does the soft-threshold E-step
+// (mask-confined when masked), the residual Z = A − D − E (observed
+// entries only when masked), the multiplier update Y += μZ, ‖Z‖²_F and,
+// when masked, the refresh of the unobserved fill from D + E; then the
+// penalty growth. Returns the residual Frobenius norm and the post-SVT
+// rank. Allocation-free after arena binding.
+//
+// The pass is bit-identical to the pass-by-pass iteration referenceStep
+// keeps in solver_test.go: each element evaluates the same expressions
+// with the same scalars (1·x = x and (−1)·x = −x are exact, and x + (−y)
+// is by definition x − y), an unobserved element still adds μ·0 to Y
+// and +0 to its fill, and ‖Z‖²_F sums in element order.
 //
 //netlint:hotpath
 func (it *ialmIter) step() (resid float64, rank int) {
@@ -102,42 +111,31 @@ func (it *ialmIter) step() (resid float64, rank int) {
 	mat.LinComb3Into(s.t, 1, it.a, -1, s.e, inv, s.y)
 	rank = s.svt.SVTInto(s.d, s.t, inv)
 
-	// E-step: soft threshold of A − D + Y/μ at λ/μ.
-	mat.LinComb3Into(s.t, 1, it.a, -1, s.d, inv, s.y)
-	mat.SoftThresholdInto(s.e, s.t, it.lambda*inv)
+	ad, dd, ed, yd := it.a.Data(), s.d.Data(), s.e.Data(), s.y.Data()
+	dd, ed, yd = dd[:len(ad)], ed[:len(ad)], yd[:len(ad)]
+	var obs []bool
 	if it.masked {
-		ed := s.e.Data()
-		for i, ob := range s.obs {
-			if !ob {
-				ed[i] = 0
-			}
-		}
+		obs = s.obs[:len(ad)]
 	}
-
-	// Residual z = A − D − E (observed entries only when masked).
-	mat.LinComb3Into(s.z, 1, it.a, -1, s.d, -1, s.e)
-	if it.masked {
-		zd := s.z.Data()
-		for i, ob := range s.obs {
-			if !ob {
-				zd[i] = 0
-			}
+	tau, mu := it.lambda*inv, it.mu
+	var zz float64
+	for i, a := range ad {
+		amd := a - dd[i]
+		e := mat.Shrink(amd+inv*yd[i], tau) // soft threshold of A − D + Y/μ at λ/μ
+		z := amd - e
+		if obs != nil && !obs[i] {
+			// Unobserved: no error term and no residual; refresh the
+			// fill from the completion D + E.
+			e, z = 0, 0
+			ad[i] = dd[i] + e
 		}
+		ed[i] = e
+		yd[i] += mu * z
+		zz += z * z
 	}
-	mat.AddScaledInPlace(s.y, it.mu, s.z)
 	//netlint:allow floatsafe mu and muBar are solver constants seeded from norms of the entry-validated (NaN/Inf-rejected) input
 	it.mu = math.Min(muGrowth*it.mu, it.muBar)
-
-	if it.masked {
-		// Refresh the unobserved fill from the current completion D+E.
-		fd, dd, ed := it.a.Data(), s.d.Data(), s.e.Data()
-		for i, ob := range s.obs {
-			if !ob {
-				fd[i] = dd[i] + ed[i]
-			}
-		}
-	}
-	return s.z.NormFrobenius(), rank
+	return math.Sqrt(zz), rank
 }
 
 // Decompose runs RPCA on a over the arena (see the package-level
@@ -174,6 +172,11 @@ func (s *Solver) DecomposeMasked(a, mask *mat.Dense, opts Options) (*Result, err
 	}
 
 	s.bind(r, c)
+	if s.aObs == nil {
+		s.aObs = mat.NewDense(r, c)
+		s.fill = mat.NewDense(r, c)
+		s.obs = make([]bool, r*c)
+	}
 	ad, md := a.Data(), mask.Data()
 	obsData := s.aObs.Data()
 	nObs := 0

@@ -382,7 +382,7 @@ func (s *Sim) visit(f *Flow, ep int64) {
 // ties to the smaller link ID, so the choice is independent of discovery
 // order. Every fill compares its candidates through it.
 func precedes(share float64, l topo.LinkID, minShare float64, minLink topo.LinkID) bool {
-	//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break: equal shares are bit-identical quotients, and the fill's bits depend on which of two tied candidates goes first
+	//netlint:allow floatsafe exact equality is the smallest-link-ID tie-break: AddLinkE admits only finite positive capacities, so every share is finite and equal shares are bit-identical quotients, and the fill's bits depend on which of two tied candidates goes first
 	return share < minShare || (share == minShare && l < minLink)
 }
 

@@ -12,8 +12,10 @@ var (
 	ErrNodeRange = errors.New("topo: node index out of range")
 	// ErrSelfLink: both link endpoints name the same node.
 	ErrSelfLink = errors.New("topo: self link")
-	// ErrBadCapacity: a link capacity is zero or negative.
+	// ErrBadCapacity: a link capacity is zero, negative, NaN or infinite.
 	ErrBadCapacity = errors.New("topo: non-positive capacity")
+	// ErrBadLatency: a link latency is negative, NaN or infinite.
+	ErrBadLatency = errors.New("topo: invalid latency")
 	// ErrNoPath: the endpoints are disconnected.
 	ErrNoPath = errors.New("topo: no path between nodes")
 	// ErrMultiPath: Route/RouteE was asked for "the" shortest path between

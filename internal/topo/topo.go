@@ -80,7 +80,8 @@ func (t *Topology) AddLink(a, b int, capacity, latency float64) LinkID {
 }
 
 // AddLinkE is the fallible variant of AddLink. Errors wrap ErrNodeRange,
-// ErrSelfLink, or ErrBadCapacity.
+// ErrSelfLink, ErrBadCapacity (capacity not finite and positive) or
+// ErrBadLatency (latency not finite and non-negative).
 func (t *Topology) AddLinkE(a, b int, capacity, latency float64) (LinkID, error) {
 	if a < 0 || a >= len(t.nodes) || b < 0 || b >= len(t.nodes) {
 		return 0, fmt.Errorf("%w: link endpoints (%d,%d), %d nodes", ErrNodeRange, a, b, len(t.nodes))
@@ -88,8 +89,11 @@ func (t *Topology) AddLinkE(a, b int, capacity, latency float64) (LinkID, error)
 	if a == b {
 		return 0, fmt.Errorf("%w: node %d", ErrSelfLink, a)
 	}
-	if capacity <= 0 {
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("%w: %g", ErrBadCapacity, capacity)
+	}
+	if !(latency >= 0) || math.IsInf(latency, 1) {
+		return 0, fmt.Errorf("%w: %g", ErrBadLatency, latency)
 	}
 	id := LinkID(len(t.links))
 	t.links = append(t.links, Link{ID: id, A: a, B: b, Capacity: capacity, Latency: latency})

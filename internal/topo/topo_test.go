@@ -249,6 +249,45 @@ func TestAddLinkETypedErrors(t *testing.T) {
 	g.AddLink(a, a, 100, 0.001)
 }
 
+// TestAddLinkERejectsBadNumbers: a capacity must be finite and
+// positive and a latency finite and non-negative; NaN and ±Inf are
+// refused with the typed error instead of reaching the simulator.
+func TestAddLinkERejectsBadNumbers(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name              string
+		capacity, latency float64
+		want              error
+	}{
+		{"zero capacity", 0, 0.001, ErrBadCapacity},
+		{"negative capacity", -1, 0.001, ErrBadCapacity},
+		{"NaN capacity", nan, 0.001, ErrBadCapacity},
+		{"+Inf capacity", inf, 0.001, ErrBadCapacity},
+		{"-Inf capacity", -inf, 0.001, ErrBadCapacity},
+		{"negative latency", 100, -1e-6, ErrBadLatency},
+		{"NaN latency", 100, nan, ErrBadLatency},
+		{"+Inf latency", 100, inf, ErrBadLatency},
+		{"-Inf latency", 100, -inf, ErrBadLatency},
+		{"zero latency", 100, 0, nil},
+		{"valid", 100, 0.001, nil},
+	} {
+		g := New()
+		a := g.AddNode(Server, 0)
+		b := g.AddNode(Server, 0)
+		_, err := g.AddLinkE(a, b, tc.capacity, tc.latency)
+		if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		wantLinks := 0
+		if tc.want == nil {
+			wantLinks = 1
+		}
+		if g.NumLinks() != wantLinks {
+			t.Errorf("%s: %d links added, want %d", tc.name, g.NumLinks(), wantLinks)
+		}
+	}
+}
+
 func TestRouteETypedErrors(t *testing.T) {
 	g := New()
 	a := g.AddNode(Server, 0)
