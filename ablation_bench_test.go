@@ -121,23 +121,6 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSVDRoute compares the Gram-matrix thin-SVD route
-// against one-sided Jacobi on a fat TP-matrix-shaped input.
-func BenchmarkAblationSVDRoute(b *testing.B) {
-	rng := stats.NewRNG(9)
-	a := mat.RandomNormal(rng, 10, 32*32, 50e6, 5e6)
-	b.Run("gram", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.SVDGram()
-		}
-	})
-	b.Run("jacobi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.SVDJacobi()
-		}
-	})
-}
-
 // BenchmarkAblationPairing compares the paired N/2-at-a-time calibration
 // schedule against sequential pair-by-pair measurement (paper §IV-B),
 // reporting cluster-time cost.

@@ -11,6 +11,8 @@
 package netconstant_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -201,6 +203,37 @@ func BenchmarkRPCADecompose64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := rpca.Decompose(a, rpca.Options{Lambda: 0.316}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecomposeTPCalibrated times one advisor analysis's two solves
+// (latency, then bandwidth, on a fresh solver) of a real fault-free
+// calibration at 16 and 30 time steps of 32 and 64 VMs — the row counts
+// above the paper's 10, where only Fig 5's long prefixes go.
+func BenchmarkDecomposeTPCalibrated(b *testing.B) {
+	for _, steps := range []int{16, 30} {
+		for _, vms := range []int{32, 64} {
+			b.Run(fmt.Sprintf("steps%d/vms%d", steps, vms), func(b *testing.B) {
+				p := cloud.NewProvider(cloud.ProviderConfig{Tree: topo.TreeConfig{Racks: 16, ServersPerRack: 16}, Seed: 21})
+				vc, err := p.Provision(vms, 22)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc, err := cloud.CalibrateTPCtx(context.Background(), vc, stats.NewRNG(23), steps, 5, cloud.CalibrationConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					solver := rpca.NewSolver()
+					for _, tp := range []*netmodel.TPMatrix{tc.Latency, tc.Bandwidth} {
+						if _, err := core.DecomposeTPWith(solver, tp, rpca.Options{}, rpca.ExtractMedian); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

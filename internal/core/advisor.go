@@ -82,7 +82,7 @@ type Advisor struct {
 	regimeRun int
 
 	// Streaming session state (see streaming.go): when non-nil, regime
-	// changes are served by a warm partial re-solve over the streaming
+	// changes are served by a partial re-solve over the streaming
 	// matrices instead of a full re-calibration.
 	stream          *streamState
 	partialResolves int
@@ -280,7 +280,7 @@ func (a *Advisor) ExpectedTime(t *mpi.Tree, op mpi.Collective, msgBytes float64)
 // maintenance was triggered.
 //
 // With a streaming session open (BeginStreaming), the regime trigger is
-// served by a cheap warm partial re-solve over the streaming matrices
+// served by a partial re-solve over the streaming matrices
 // instead of a full re-calibration; a hard spike past Threshold still
 // forces the full calibrate (which closes the session).
 func (a *Advisor) Observe(expected, actual float64) (bool, error) {

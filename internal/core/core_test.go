@@ -363,3 +363,72 @@ func TestAdvisorRecalibratorHook(t *testing.T) {
 		t.Fatalf("direct maintenance should calibrate (%d -> %d)", calsBefore, adv.Calibrations())
 	}
 }
+
+// referenceNormE keeps the expressions relNormE replaced: N_D and N_E built
+// as matrices and rpca.RelNorm (clamped at 1) on the plain route, and an
+// At-based loop (unclamped) on the masked one.
+func referenceNormE(a *mat.Dense, row []float64, mask *mat.Dense, masked bool) float64 {
+	nd := rpca.ConstantMatrix(row, a.Rows())
+	if !masked {
+		return rpca.RelNorm(a.Sub(nd), a, rpca.NormL1, 0)
+	}
+	var num, den float64
+	r, c := a.Dims()
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if mask != nil && mask.At(i, j) < 0.5 {
+				continue
+			}
+			num += math.Abs(a.At(i, j) - nd.At(i, j))
+			den += math.Abs(a.At(i, j))
+		}
+	}
+	normE := 0.0
+	if den > 0 {
+		normE = num / den
+	}
+	return normE
+}
+
+// TestDecomposeTPNormEMatchesReference checks the one-pass Norm(N_E) of
+// DecomposeTPWith and DecomposeTPMaskedWith bit for bit against the
+// matrix-building expressions it replaced, on the latency and bandwidth
+// traces of fault-free and lossy real calibrations of 16, 32 and 64 VMs.
+func TestDecomposeTPNormEMatchesReference(t *testing.T) {
+	lossy := cloud.CalibrationConfig{Resilient: true, DropProb: 0.3, MaxRetries: 1}
+	solver := rpca.NewSolver()
+	for i, vms := range []int{16, 32, 64} {
+		seed := int64(70 + 10*i)
+		p := cloud.NewProvider(cloud.ProviderConfig{Tree: topo.TreeConfig{Racks: 16, ServersPerRack: 16}, Seed: seed})
+		for _, cfg := range []cloud.CalibrationConfig{{}, lossy} {
+			vc, err := p.Provision(vms, seed+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc, err := cloud.CalibrateTPCtx(context.Background(), vc, stats.NewRNG(seed+2), 10, 5, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Resilient && tc.Mask == nil {
+				t.Fatalf("%d VMs: the lossy calibration left no gap to mask", vms)
+			}
+			for _, tp := range []*netmodel.TPMatrix{tc.Latency, tc.Bandwidth} {
+				a := tp.Matrix()
+				d, err := DecomposeTPWith(solver, tp, rpca.Options{}, rpca.ExtractMedian)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceNormE(a, d.ConstantRow, nil, false); math.Float64bits(d.NormE) != math.Float64bits(want) {
+					t.Fatalf("%d VMs (gaps %v): DecomposeTPWith NormE %v, reference %v", vms, tc.Mask != nil, d.NormE, want)
+				}
+				d, err = DecomposeTPMaskedWith(solver, tp, tc.Mask, rpca.Options{}, rpca.ExtractMedian)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceNormE(a, d.ConstantRow, tc.Mask, true); math.Float64bits(d.NormE) != math.Float64bits(want) {
+					t.Fatalf("%d VMs (masked %v): DecomposeTPMaskedWith NormE %v, reference %v", vms, tc.Mask != nil, d.NormE, want)
+				}
+			}
+		}
+	}
+}

@@ -159,10 +159,10 @@ func DecomposeTP(tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractM
 // DecomposeTPWith is DecomposeTP running on a caller-held solver, so
 // back-to-back decompositions of same-shaped TP-matrices (an advisor
 // analysis solves latency then bandwidth, and the Fig 5 sweep decomposes
-// dozens of prefixes) reuse the iteration arena and warm-started SVT
-// workspace instead of reallocating them. The arena lives only as long as
-// the caller holds the solver: the advisor builds one per analysis, so an
-// idle advisor keeps none.
+// dozens of prefixes) reuse the iteration arena and SVT workspace instead
+// of reallocating them. The arena lives only as long as the caller holds
+// the solver: the advisor builds one per analysis, so an idle advisor
+// keeps none.
 func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
 	a := tp.Matrix()
 	if opts.Lambda == 0 && a.Rows() > 0 {
@@ -173,11 +173,13 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 		return nil, err
 	}
 	row := rpca.ConstantRow(res.D, extract)
-	nd := rpca.ConstantMatrix(row, a.Rows())
-	ne := a.Sub(nd)
+	normE := relNormE(a, row, nil)
+	if normE > 1 {
+		normE = 1 // clamped like rpca.RelNorm; the masked route is not
+	}
 	return &Decomposition{
 		ConstantRow: row,
-		NormE:       rpca.RelNorm(ne, a, rpca.NormL1, 0),
+		NormE:       normE,
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		RankD:       res.RankD,
@@ -207,29 +209,41 @@ func DecomposeTPMaskedWith(s *rpca.Solver, tp *netmodel.TPMatrix, mask *mat.Dens
 		return nil, err
 	}
 	row := rpca.ConstantRow(res.D, extract)
-	nd := rpca.ConstantMatrix(row, a.Rows())
-	var num, den float64
-	r, c := a.Dims()
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if mask != nil && mask.At(i, j) < 0.5 {
-				continue
-			}
-			num += math.Abs(a.At(i, j) - nd.At(i, j))
-			den += math.Abs(a.At(i, j))
-		}
-	}
-	normE := 0.0
-	if den > 0 {
-		normE = num / den
-	}
 	return &Decomposition{
 		ConstantRow: row,
-		NormE:       normE,
+		NormE:       relNormE(a, row, mask),
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		RankD:       res.RankD,
 	}, nil
+}
+
+// relNormE is the paper's Norm(N_E) in L1, ‖N_A − N_D‖₁ / ‖N_A‖₁ with
+// N_D the constant row repeated down every row of a, summed in one
+// row-major pass without building N_D or N_E. A non-nil mask (same shape
+// as a) confines both sums to its observed cells; a cell with mask < 0.5
+// is skipped. It returns 0 when ‖N_A‖₁ is 0 and does not clamp.
+func relNormE(a *mat.Dense, row []float64, mask *mat.Dense) float64 {
+	r, c := a.Dims()
+	ad := a.Data()
+	var md []float64
+	if mask != nil {
+		md = mask.Data()
+	}
+	var num, den float64
+	for i := 0; i < r; i++ {
+		for j, v := range ad[i*c : (i+1)*c] {
+			if md != nil && md[i*c+j] < 0.5 {
+				continue
+			}
+			num += math.Abs(v - row[j])
+			den += math.Abs(v)
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }
 
 // PerfFromRows assembles a performance matrix from constant latency and

@@ -5,8 +5,8 @@ package core
 // open a streaming session — two rpca.StreamingSolvers (latency and
 // bandwidth) seeded from the last full calibration — and feed re-measured
 // pair columns into it. The divergence-EWMA regime detector then triggers
-// a cheap warm partial re-solve over the updated matrices rather than a
-// cold restart; only a spike past the hard threshold still forces a full
+// a partial re-solve over the updated matrices rather than a fresh
+// calibration; only a spike past the hard threshold still forces a full
 // re-calibration (which ends the streaming session, since its matrices no
 // longer describe the installed guidance).
 
@@ -117,13 +117,14 @@ func (a *Advisor) StreamingConstant() *netmodel.PerfMatrix {
 	return PerfFromRows(a.stream.n, a.stream.lat.Constant(), a.stream.bw.Constant())
 }
 
-// PartialResolves returns how many regime-triggered (or explicit) warm
+// PartialResolves returns how many regime-triggered (or explicit)
 // partial re-solves the streaming session(s) have run.
 func (a *Advisor) PartialResolves() int { return a.partialResolves }
 
-// PartialResolve runs the warm authoritative re-solve over both streaming
+// PartialResolve runs the authoritative re-solve over both streaming
 // matrices and installs the refreshed constant component and NormE as the
-// advisor's guidance — the cheap alternative to a full re-calibration.
+// advisor's guidance — the alternative to a full re-calibration, which
+// would probe the cluster again.
 func (a *Advisor) PartialResolve() error {
 	if a.stream == nil {
 		return ErrNotStreaming
@@ -145,9 +146,9 @@ func (a *Advisor) PartialResolve() error {
 }
 
 // VerifyStreaming runs the differential oracle on both streaming solvers:
-// a cold batch solve of the identical matrices, compared against the warm
-// streaming state. Chaos oracles and the CI stream gate call this to pin
-// the streaming path to the batch solver.
+// a fresh batch solve of the identical matrices, compared against the
+// streaming state. The chaos stream oracle and the ext-stream figure call
+// this to pin the streaming path to the batch solver.
 func (a *Advisor) VerifyStreaming() (lat, bw rpca.StreamAgreement, err error) {
 	if a.stream == nil {
 		return lat, bw, ErrNotStreaming

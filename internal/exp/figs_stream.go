@@ -5,7 +5,7 @@ package exp
 // streaming session, re-measures a seeded set of pairs from the evolved
 // cluster (per-pair time series sampled from instantaneous snapshots),
 // lets sustained divergence trigger the regime detector's partial
-// re-solve, and pins the warm streaming state to a cold batch IALM solve
+// re-solve, and pins the streaming state to a fresh batch IALM solve
 // before and after. Purely deterministic — this table is about
 // accuracy, not the streaming path's latency or throughput.
 
@@ -69,7 +69,7 @@ func ExtStreaming(cfg Config) (*Table, error) {
 	}
 
 	// Sustained 80% divergence: over the regime threshold, under the hard
-	// spike threshold — must resolve via the warm partial path.
+	// spike threshold — must resolve via the partial re-solve.
 	triggered := false
 	for i := 0; i < extStreamMaxObserve && !triggered; i++ {
 		if triggered, err = adv.Observe(1.0, 1.8); err != nil {

@@ -84,8 +84,8 @@ func TestSVDReconstructionAllShapes(t *testing.T) {
 		a := randMat(rng, sh[0], sh[1])
 		for name, svd := range map[string]*SVDResult{
 			"auto":   a.SVD(),
-			"jacobi": a.SVDJacobi(),
-			"gram":   a.SVDGram(),
+			"jacobi": a.svdJacobi(),
+			"gram":   a.svdGram(),
 		} {
 			rec := svd.Reconstruct(-1)
 			diff := rec.Sub(a).NormFrobenius() / math.Max(1, a.NormFrobenius())
@@ -369,4 +369,21 @@ func TestSpectralNormStartOrthogonal(t *testing.T) {
 			t.Errorf("%dx%d rows orthogonal to the start: spectral norm %v, want √10", m.Rows(), m.Cols(), got)
 		}
 	}
+}
+
+// BenchmarkAblationSVDRoute compares the Gram-matrix thin-SVD route
+// against one-sided Jacobi on a fat TP-matrix-shaped input (DESIGN.md §5).
+func BenchmarkAblationSVDRoute(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	a := RandomNormal(rng, 10, 32*32, 50e6, 5e6)
+	b.Run("gram", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.svdGram()
+		}
+	})
+	b.Run("jacobi", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.svdJacobi()
+		}
+	})
 }

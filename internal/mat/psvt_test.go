@@ -25,8 +25,8 @@ func lowRankPlusNoise(rng *rand.Rand, r, c, k int, scale, noise float64) *Dense 
 }
 
 // TestSVTWorkspaceFatFullMatchesSVT pins the allocation-free Gram route to
-// the existing Dense.SVT on fat matrices: first call (cold workspace) must
-// agree to rounding error in both reconstruction and rank.
+// the existing Dense.SVT on fat and tall matrices: it must agree to
+// rounding error in both reconstruction and rank.
 func TestSVTWorkspaceFatFullMatchesSVT(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, sh := range [][2]int{{24, 300}, {31, 200}, {300, 24}} {
@@ -59,44 +59,9 @@ func TestSVTWorkspaceSquareMatchesSVT(t *testing.T) {
 	}
 }
 
-// TestSVTWorkspaceWarmStart drives the workspace the way an RPCA solver
-// does — a sequence of slowly changing iterates — and checks (a) the
-// truncated route actually engages after the first call, and (b) its
-// output stays within subspace-iteration tolerance of the full SVT.
-func TestSVTWorkspaceWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	r, c := 48, 512
-	base := lowRankPlusNoise(rng, r, c, 4, 60, 0)
-	ws := NewSVTWorkspace()
-	got := NewDense(r, c)
-	for step := 0; step < 6; step++ {
-		m := base.Clone()
-		// Slowly drift the iterate, as solver continuation does.
-		drift := lowRankPlusNoise(rng, r, c, 4, 0.5*float64(step), 0.02)
-		m = m.Add(drift)
-		want, wantRank := m.SVT(5.0)
-		rank := ws.SVTInto(got, m, 5.0)
-		if rank != wantRank {
-			t.Fatalf("step %d: rank = %d, want %d", step, rank, wantRank)
-		}
-		diff := NormFroDiff(got, want)
-		if diff > 1e-6*math.Max(1, want.NormFrobenius()) {
-			t.Fatalf("step %d: truncated SVT off by %g (relative)", step,
-				diff/math.Max(1, want.NormFrobenius()))
-		}
-	}
-	full, trunc := ws.Stats()
-	if trunc == 0 {
-		t.Fatalf("warm-start sequence never used the truncated route (full=%d trunc=%d)", full, trunc)
-	}
-	if full != 1 {
-		t.Errorf("expected exactly one cold full SVT, got %d (trunc=%d)", full, trunc)
-	}
-}
-
 // TestSVTWorkspaceRankGrowth feeds a matrix whose rank jumps far past the
-// warm block: the workspace must detect the too-small subspace and still
-// return the right answer (growing the block or falling back to full).
+// previous call's: the answer must match the exact SVT and, bit for bit,
+// a fresh workspace's — a call depends on its input alone.
 func TestSVTWorkspaceRankGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	r, c := 48, 512
@@ -104,7 +69,7 @@ func TestSVTWorkspaceRankGrowth(t *testing.T) {
 	got := NewDense(r, c)
 
 	low := lowRankPlusNoise(rng, r, c, 2, 60, 0.01)
-	ws.SVTInto(got, low, 5.0) // cold call establishes warm state with rank≈2
+	ws.SVTInto(got, low, 5.0) // the previous call, at rank ≈ 2
 
 	high := lowRankPlusNoise(rng, r, c, 20, 60, 0.01)
 	want, wantRank := high.SVT(5.0)
@@ -115,10 +80,54 @@ func TestSVTWorkspaceRankGrowth(t *testing.T) {
 	if diff := NormFroDiff(got, want); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
 		t.Fatalf("rank growth: result off by %g", diff)
 	}
+	fresh := NewDense(r, c)
+	if rank := NewSVTWorkspace().SVTInto(fresh, high, 5.0); rank != wantRank || !bitsEqual(got, fresh) {
+		t.Fatalf("rank growth: result depends on the previous call (fresh rank %d, bitwise match %v)", rank, bitsEqual(got, fresh))
+	}
+}
+
+// TestSVTWorkspaceLeadingSubspace: after a fat or tall call the workspace
+// records rank+slack orthonormal left vectors of the fat orientation whose
+// leading rank columns span the thresholded output's columns; a
+// square-ish call clears them.
+func TestSVTWorkspaceLeadingSubspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	ws := NewSVTWorkspace()
+	if u, _, _ := ws.LeadingSubspace(); u != nil {
+		t.Fatal("fresh workspace reports a subspace")
+	}
+	for _, sh := range [][2]int{{24, 300}, {300, 24}} {
+		r, c := sh[0], sh[1]
+		m := lowRankPlusNoise(rng, r, c, 3, 40, 0.05)
+		got := NewDense(r, c)
+		rank := ws.SVTInto(got, m, 3.0)
+		u, rows, k := ws.LeadingSubspace()
+		if rank == 0 || rows != min(r, c) || k != rank+svtSlack || len(u) != rows*k {
+			t.Fatalf("%dx%d: rank %d, subspace %dx%d over %d values", r, c, rank, rows, k, len(u))
+		}
+		q := NewDenseData(rows, k, append([]float64(nil), u...))
+		checkOrthonormalCols(t, q, 1e-10)
+		ur := NewDense(rows, rank)
+		for i := 0; i < rows; i++ {
+			copy(ur.Row(i), q.Row(i)[:rank])
+		}
+		fat := got
+		if r > c {
+			fat = got.T()
+		}
+		proj := ur.Mul(ur.T().Mul(fat))
+		if diff := NormFroDiff(proj, fat); diff > 1e-10*math.Max(1, fat.NormFrobenius()) {
+			t.Fatalf("%dx%d: output leaves the leading subspace by %g", r, c, diff)
+		}
+	}
+	ws.SVTInto(NewDense(40, 50), lowRankPlusNoise(rng, 40, 50, 3, 30, 0.1), 2.0)
+	if u, _, _ := ws.LeadingSubspace(); u != nil {
+		t.Fatal("square-ish call left a subspace")
+	}
 }
 
 // TestSVTWorkspaceZeroResult thresholds everything away: result must be
-// the zero matrix with rank 0, warm or cold.
+// the zero matrix with rank 0 on every repeated call.
 func TestSVTWorkspaceZeroResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	r, c := 20, 200
@@ -138,7 +147,7 @@ func TestSVTWorkspaceZeroResult(t *testing.T) {
 }
 
 // TestSVTWorkspaceShapeRebind changes shape mid-stream; the workspace must
-// re-bind and forget warm state without corruption.
+// re-size its buffers without corruption.
 func TestSVTWorkspaceShapeRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ws := NewSVTWorkspace()
@@ -158,7 +167,7 @@ func TestSVTWorkspaceShapeRebind(t *testing.T) {
 }
 
 // TestSVTWorkspaceParallelDeterminism: workspace results must be bitwise
-// identical at any parallelism, warm route included.
+// identical at any parallelism.
 func TestSVTWorkspaceParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	r, c := 48, 512
@@ -181,128 +190,5 @@ func TestSVTWorkspaceParallelDeterminism(t *testing.T) {
 		if !bitsEqual(seq[i], par[i]) {
 			t.Fatalf("iterate %d: SVTInto differs between 1 and 8 workers", i)
 		}
-	}
-}
-
-// columnPrefix returns the first cols columns of m — the column-by-column
-// streaming shape: every window of a growing trace shares the same planted
-// subspace.
-func columnPrefix(m *Dense, cols int) *Dense {
-	r, _ := m.Dims()
-	out := NewDense(r, cols)
-	for i := 0; i < r; i++ {
-		copy(out.Row(i), m.Row(i)[:cols])
-	}
-	return out
-}
-
-// TestSVTWorkspaceWidthGrowShrinkCarry is the regression test for warm
-// state across changing matrix shapes: with CarryAcrossWidths enabled,
-// growing or shrinking the large dimension between calls must keep the
-// warm subspace alive (the truncated route keeps engaging) and stay
-// within subspace-iteration tolerance of the exact SVT; buffers must be
-// resized for the new shape, never silently reused at stale dimensions.
-func TestSVTWorkspaceWidthGrowShrinkCarry(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	r := 32
-	full := lowRankPlusNoise(rng, r, 320, 4, 60, 0.02)
-	ws := NewSVTWorkspace()
-	ws.CarryAcrossWidths(true)
-
-	check := func(m *Dense, label string) {
-		rr, cc := m.Dims()
-		got := NewDense(rr, cc)
-		rank := ws.SVTInto(got, m, 5.0)
-		want, wantRank := m.SVT(5.0)
-		if rank != wantRank {
-			t.Fatalf("%s: rank = %d, want %d", label, rank, wantRank)
-		}
-		if diff := NormFroDiff(got, want); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
-			t.Fatalf("%s: result off by %g", label, diff)
-		}
-	}
-
-	check(columnPrefix(full, 256), "cold 32x256")
-	fullBefore, _ := ws.Stats()
-
-	// Grow by a handful of columns, several times: every call must take
-	// the warm truncated route.
-	for _, c := range []int{272, 288, 320} {
-		check(columnPrefix(full, c), "grown")
-	}
-	// Shrink back (a sliding window dropping columns).
-	check(columnPrefix(full, 272), "shrunk 32x272")
-
-	fullAfter, trunc := ws.Stats()
-	if fullAfter != fullBefore {
-		t.Fatalf("width changes fell back to %d extra full decompositions; warm state not carried", fullAfter-fullBefore)
-	}
-	if trunc < 4 {
-		t.Fatalf("truncated route used %d times, want >= 4", trunc)
-	}
-}
-
-// TestSVTWorkspaceCarryResetCases: the carry must NOT survive a change of
-// the small-side dimension or an orientation flip — both invalidate the
-// subspace the warm columns live in.
-func TestSVTWorkspaceCarryResetCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	type step struct {
-		r, c  int
-		label string
-	}
-	cases := [][]step{
-		{{32, 256, "seed"}, {32, 288, "widen"}, {40, 288, "small side grew"}},
-		{{32, 256, "seed"}, {256, 32, "orientation flip"}},
-		{{32, 256, "seed"}, {24, 256, "small side shrank"}},
-	}
-	for ci, steps := range cases {
-		ws := NewSVTWorkspace()
-		ws.CarryAcrossWidths(true)
-		lastFull := 0
-		for si, st := range steps {
-			m := lowRankPlusNoise(rng, st.r, st.c, 4, 60, 0.02)
-			got := NewDense(st.r, st.c)
-			rank := ws.SVTInto(got, m, 5.0)
-			want, wantRank := m.SVT(5.0)
-			if rank != wantRank {
-				t.Fatalf("case %d %s: rank = %d, want %d", ci, st.label, rank, wantRank)
-			}
-			if diff := NormFroDiff(got, want); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
-				t.Fatalf("case %d %s: result off by %g", ci, st.label, diff)
-			}
-			full, _ := ws.Stats()
-			if si == len(steps)-1 && si > 0 && st.label != "widen" {
-				if full == lastFull {
-					t.Fatalf("case %d %s: warm state survived an incompatible reshape", ci, st.label)
-				}
-			}
-			lastFull = full
-		}
-	}
-}
-
-// TestSVTWorkspaceWidthChangeDefaultResets pins the legacy contract:
-// without CarryAcrossWidths, any shape change still forgets the warm
-// state, so batch solvers binding to a new problem are unaffected by the
-// streaming extension.
-func TestSVTWorkspaceWidthChangeDefaultResets(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
-	ws := NewSVTWorkspace()
-	full := lowRankPlusNoise(rng, 32, 272, 4, 60, 0.02)
-	a, b := columnPrefix(full, 256), full
-	out := NewDense(32, 256)
-	ws.SVTInto(out, a, 5.0)
-	ws.SVTInto(out, a, 5.0) // warm up: second same-shape call goes truncated
-	_, truncBefore := ws.Stats()
-	if truncBefore == 0 {
-		t.Fatal("warm route never engaged on same-shape repeat")
-	}
-	fullBefore, _ := ws.Stats()
-	outB := NewDense(32, 272)
-	ws.SVTInto(outB, b, 5.0)
-	fullAfter, _ := ws.Stats()
-	if fullAfter != fullBefore+1 {
-		t.Fatalf("default width change did not reset warm state (full %d -> %d)", fullBefore, fullAfter)
 	}
 }

@@ -62,7 +62,7 @@ func checkFinite(a *mat.Dense) error {
 // A nil mask (or an all-ones mask) reduces to Decompose.
 //
 // Each call builds a throwaway Solver; hot paths should hold a Solver and
-// call its DecomposeMasked to reuse the arena and SVT warm state.
+// call its DecomposeMasked to reuse the arena and SVT workspace.
 func DecomposeMasked(a, mask *mat.Dense, opts Options) (*Result, error) {
 	return NewSolver().DecomposeMasked(a, mask, opts)
 }

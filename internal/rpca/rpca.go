@@ -16,7 +16,8 @@
 // thresholding of A − D + Y/μ at λ/μ for the sparse block, then updates
 // the multiplier Y ← Y + μ(A − D − E) and grows the penalty μ
 // geometrically. DecomposeMasked runs the same iteration with
-// missing-entry projection, and the streaming solver runs it warm-started.
+// missing-entry projection, and the streaming solver's resolves run it
+// over the columns received so far.
 //
 // In this repository A is a temporal performance matrix (one row per
 // all-link calibration of a virtual cluster), D captures the constant
@@ -68,7 +69,7 @@ type Result struct {
 //
 // Each call builds a throwaway Solver; callers decomposing many
 // same-shaped matrices should hold a Solver and call its Decompose to
-// reuse the iteration arena and the warm-started SVT workspace.
+// reuse the iteration arena and the SVT workspace.
 func Decompose(a *mat.Dense, opts Options) (*Result, error) {
 	return NewSolver().Decompose(a, opts)
 }

@@ -1,18 +1,16 @@
 package rpca
 
 // Solver is the arena-backed engine behind Decompose and DecomposeMasked.
-// It owns every per-iteration buffer plus a warm-started
-// truncated-SVT workspace, so solving a sequence of same-shaped temporal
-// performance matrices — the latency and bandwidth solves of one advisor
-// analysis, or the Fig 5 sweep's prefixes — performs zero heap
-// allocations in steady-state iterations: each step is a handful of fused
-// elementwise kernels and one (usually truncated) SVT into preallocated
-// storage.
+// It owns every per-iteration buffer plus an SVT workspace, so solving a
+// sequence of same-shaped temporal performance matrices — the latency and
+// bandwidth solves of one advisor analysis, or the Fig 5 sweep's prefixes
+// — performs zero heap allocations in steady-state iterations: each step
+// is one SVT and two fused elementwise passes into preallocated storage.
 //
-// The arena is scratch memory, not state: a batch solve resets the SVT
-// warm state at bind and zeroes its iterates, so a fresh Solver returns
-// the same bits as a reused one. The advisor therefore builds one per
-// analysis and drops it afterwards, so an idle tenant holds no arena.
+// The arena is scratch memory, not state: a solve zeroes its iterates and
+// no SVT carries anything from one call to the next, so a fresh Solver
+// returns the same bits as a reused one. The advisor therefore builds one
+// per analysis and drops it afterwards, so an idle tenant holds no arena.
 //
 // A Solver is not safe for concurrent use. The package-level functions
 // construct a throwaway Solver per call and remain the convenient entry
@@ -34,13 +32,6 @@ type Solver struct {
 	rows, cols int
 	svt        *mat.SVTWorkspace
 
-	// carryWarm, set by the streaming solver, keeps the SVT warm subspace
-	// across solves (and, with the workspace's CarryAcrossWidths, across
-	// widths) instead of resetting it per bind — the whole point of
-	// warm-started incremental re-solves. Batch solvers leave it false:
-	// independent solves must not inherit a previous problem's subspace.
-	carryWarm bool
-
 	// Iterates, multiplier and the D-step's SVT input.
 	d, e, y, t *mat.Dense
 
@@ -56,18 +47,15 @@ func NewSolver() *Solver {
 	return &Solver{svt: mat.NewSVTWorkspace()}
 }
 
-// SVTStats reports how many SVT calls over the solver's lifetime used a
-// full decomposition and how many the warm-started truncated route —
-// diagnostics for benchmarking the partial-SVD acceleration.
-func (s *Solver) SVTStats() (full, truncated int) { return s.svt.Stats() }
+// SVTStats reports how many SVT calls the solver has made over its
+// lifetime. Every SVT is a full decomposition on a route chosen by shape,
+// so the second result is always 0; it stays only because perfbench
+// reports it as `rpca.svt_truncated`.
+func (s *Solver) SVTStats() (full, truncated int) { return s.svt.Calls(), 0 }
 
-// bind (re)allocates the arena for an r×c problem. Unless carryWarm is
-// set, binding resets the SVT warm state even at the already-bound shape
-// (each batch solve must not inherit the previous solve's subspace).
+// bind (re)allocates the arena for an r×c problem; at the bound shape it
+// keeps the buffers.
 func (s *Solver) bind(r, c int) {
-	if !s.carryWarm {
-		s.svt.Reset()
-	}
 	if s.rows == r && s.cols == c {
 		return
 	}

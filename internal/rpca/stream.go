@@ -8,26 +8,25 @@ package rpca
 // maintains the constant component at two tiers:
 //
 //   - a fast tier, run per column: project the new measurement column onto
-//     the warm left subspace held by the solver's mat.SVTWorkspace (the
-//     leading left singular vectors of the last resolved low-rank
-//     component), split the column into a low-rank part d̂ = U·(Uᵀa) and a
-//     residual ê = a − d̂, and extract the column's constant estimate from
-//     d̂. Cost O(rows·k) — no decomposition at all. Optionally (TrackEvery)
-//     a single warm-started truncated SVT over the accumulated matrix
-//     refreshes the subspace, which the workspace carries across widths
-//     (CarryAcrossWidths), absorbing slow drift between resolves;
+//     the leading left subspace recorded by the solver's mat.SVTWorkspace
+//     (the leading left singular vectors of the last SVT input), split the
+//     column into a low-rank part d̂ = U·(Uᵀa) and a residual ê = a − d̂,
+//     and extract the column's constant estimate from d̂. Cost O(rows·k) —
+//     no decomposition at all. Optionally (TrackEvery) one SVT over the
+//     accumulated matrix refreshes the subspace, absorbing slow drift
+//     between resolves;
 //
-//   - an authoritative tier, Resolve: a warm-started IALM over the matrix
-//     so far, identical in schedule, initialization and stopping rule to
-//     the batch solver — only the SVT route differs, because the warm
-//     subspace makes every D-step take the truncated route. This is the
-//     "cheap partial re-solve" a regime change triggers instead of a cold
-//     restart, and the per-epoch replacement for full re-decomposition.
+//   - an authoritative tier, Resolve: IALM over the matrix so far on the
+//     solver's reused arena. No SVT carries state from one call to the
+//     next, so a resolve is the same computation as a cold batch solve of
+//     the same matrix, bit for bit, at every shape. This is the partial
+//     re-solve a regime change triggers instead of a full re-calibration;
+//     between resolves the fast tier stands in for the per-column
+//     re-decomposition the batch pipeline would run.
 //
-// Verify runs the cold batch solver on the same matrix — the differential
+// Verify runs a fresh batch solver on the same matrix — the differential
 // oracle — and reports how far the streaming state is from it, the same
-// pattern as simnet's verifyGlobal: an independent re-derivation agreeing
-// with the incremental state is strong evidence the tracking is right.
+// pattern as simnet's verifyGlobal. Any difference at all is a bug.
 
 import (
 	"context"
@@ -51,11 +50,11 @@ type StreamOptions struct {
 	// set, cancels inside resolve iterations; the streaming update loop
 	// itself is cancelled via StreamOptions.Ctx below.
 	Solve Options
-	// TrackEvery runs one warm truncated SVT over the accumulated matrix
-	// every n appended columns to refresh the tracked subspace. 0 selects
-	// 1 (every column); negative disables tracking between resolves.
+	// TrackEvery runs one SVT over the accumulated matrix every n
+	// appended columns to refresh the tracked subspace. 0 selects 1
+	// (every column); negative disables tracking between resolves.
 	TrackEvery int
-	// ResolveEvery triggers an authoritative warm resolve every n appended
+	// ResolveEvery triggers an authoritative resolve every n appended
 	// columns. 0 disables cadence resolves — the caller (e.g. the advisor's
 	// regime detector) decides when to resolve.
 	ResolveEvery int
@@ -66,23 +65,22 @@ type StreamOptions struct {
 
 // StreamStats counts the work a StreamingSolver has done.
 type StreamStats struct {
-	Columns   int // columns ingested (Seed + AppendColumn)
-	Replaced  int // columns overwritten by ReplaceColumn
-	Tracked   int // fast-tier subspace-refresh SVTs
-	Resolves  int // authoritative warm resolves
-	FullSVDs  int // solver-lifetime SVT calls served by a full decomposition
-	TruncSVDs int // solver-lifetime SVT calls served by the warm truncated route
+	Columns  int // columns ingested (Seed + AppendColumn)
+	Replaced int // columns overwritten by ReplaceColumn
+	Tracked  int // fast-tier subspace-refresh SVTs
+	Resolves int // authoritative resolves
 }
 
 // StreamAgreement is the differential-oracle verdict: the distance between
-// the streaming solver's authoritative state and a cold batch IALM run on
-// the identical matrix.
+// the streaming solver's authoritative state and a fresh batch IALM run on
+// the identical matrix. Every field but the iteration counts reads 0 when
+// the two agree, as they must.
 type StreamAgreement struct {
 	RelFroD     float64 // ‖D_stream − D_batch‖F / max(1, ‖D_batch‖F)
 	RelFroE     float64 // ‖E_stream − E_batch‖F / max(1, ‖E_batch‖F)
 	ConstantRel float64 // RelDiff of the extracted constant rows
-	StreamIters int     // iterations of the (warm) streaming resolve
-	BatchIters  int     // iterations of the cold oracle solve
+	StreamIters int     // iterations of the streaming resolve
+	BatchIters  int     // iterations of the oracle solve
 }
 
 // StreamingSolver ingests TP-matrix columns one at a time and maintains
@@ -96,8 +94,8 @@ type StreamingSolver struct {
 	colData []float64
 	ncols   int
 
-	// solver is the warm arena: carryWarm plus CarryAcrossWidths keep the
-	// SVT subspace alive across widths and across resolves.
+	// solver is the reused arena; its SVT workspace holds the subspace
+	// the fast tier projects onto.
 	solver *Solver
 
 	// amat is the row-major materialization scratch for tracking/resolves.
@@ -125,10 +123,7 @@ func NewStreamingSolver(rows int, opts StreamOptions) (*StreamingSolver, error) 
 	if opts.TrackEvery == 0 {
 		opts.TrackEvery = 1
 	}
-	s := &StreamingSolver{rows: rows, opts: opts, solver: NewSolver()}
-	s.solver.carryWarm = true
-	s.solver.svt.CarryAcrossWidths(true)
-	return s, nil
+	return &StreamingSolver{rows: rows, opts: opts, solver: NewSolver()}, nil
 }
 
 // Rows returns the fixed column height.
@@ -137,12 +132,8 @@ func (s *StreamingSolver) Rows() int { return s.rows }
 // Columns returns the number of columns ingested so far.
 func (s *StreamingSolver) Columns() int { return s.ncols }
 
-// Stats returns the work counters, including the shared SVT route stats.
-func (s *StreamingSolver) Stats() StreamStats {
-	st := s.stats
-	st.FullSVDs, st.TruncSVDs = s.solver.SVTStats()
-	return st
-}
+// Stats returns the work counters.
+func (s *StreamingSolver) Stats() StreamStats { return s.stats }
 
 // Constant returns a copy of the current per-column constant row estimate
 // P_D: authoritative values from the last resolve for the columns it saw,
@@ -184,7 +175,7 @@ func (s *StreamingSolver) matrixView() *mat.Dense {
 
 // Seed ingests an existing TP-matrix (e.g. the advisor's last full
 // calibration) column-by-column and runs an initial authoritative resolve,
-// so subsequent appends start from a warm subspace.
+// so subsequent appends have a subspace to project onto.
 func (s *StreamingSolver) Seed(a *mat.Dense) error {
 	r, c := a.Dims()
 	if r != s.rows {
@@ -216,7 +207,7 @@ func (s *StreamingSolver) ingest(col []float64) {
 
 // AppendColumn ingests one new pair-measurement column (length Rows()):
 // fast-tier constant estimate immediately, subspace-tracking SVT every
-// TrackEvery columns, authoritative warm resolve every ResolveEvery.
+// TrackEvery columns, authoritative resolve every ResolveEvery.
 func (s *StreamingSolver) AppendColumn(col []float64) error {
 	if len(col) != s.rows {
 		return fmt.Errorf("rpca: column length %d, want %d", len(col), s.rows)
@@ -262,12 +253,12 @@ func (s *StreamingSolver) ReplaceColumn(j int, col []float64) error {
 }
 
 // fastEstimate splits col against the tracked subspace and extracts the
-// column's constant value from the low-rank part. With no warm subspace
-// yet (cold start, or the matrix is still square-ish) the raw column is
-// used — the first resolve replaces these provisional values.
+// column's constant value from the low-rank part. With no subspace yet
+// (no resolve, or the matrix is still square-ish) the raw column is used
+// — the first resolve replaces these provisional values.
 func (s *StreamingSolver) fastEstimate(col []float64) float64 {
 	r := s.rows
-	u, ur, k, _ := s.solver.svt.WarmSubspace()
+	u, ur, k := s.solver.svt.LeadingSubspace()
 	d := col
 	if u != nil && ur == r {
 		if cap(s.projBuf) < k {
@@ -301,10 +292,10 @@ func (s *StreamingSolver) fastEstimate(col []float64) float64 {
 	return extractValue(d, s.opts.Extract, &s.sortBuf)
 }
 
-// track refreshes the warm subspace with a single SVT over the matrix so
-// far at the rank-revealing threshold remembered from the last resolve.
-// Only the workspace's warm state is wanted; the thresholded output is
-// discarded.
+// track refreshes the tracked subspace with a single SVT over the matrix
+// so far at the rank-revealing threshold remembered from the last
+// resolve. Only the leading subspace the workspace records is wanted; the
+// thresholded output is discarded.
 func (s *StreamingSolver) track() {
 	s.sinceTrack = 0
 	if s.trackTau <= 0 {
@@ -320,13 +311,10 @@ func (s *StreamingSolver) track() {
 	s.stats.Tracked++
 }
 
-// Resolve runs the authoritative warm-started IALM over the matrix so far
-// — the cheap partial re-solve a regime change triggers. The schedule,
-// initialization and stopping rule are identical to the batch solver's;
-// the warm subspace only changes which SVT route serves each D-step, so
-// the result tracks the cold batch answer to the subspace-iteration
-// tolerance (and is byte-identical whenever the truncated route does not
-// engage). The constant row is re-extracted for every column.
+// Resolve runs the authoritative IALM over the matrix so far — the
+// partial re-solve a regime change triggers. It is a batch solve of that
+// matrix on the reused arena, so its result is the cold batch answer bit
+// for bit. The constant row is re-extracted for every column.
 func (s *StreamingSolver) Resolve() (*Result, error) {
 	if s.ncols == 0 {
 		return nil, errors.New("rpca: streaming resolve with no columns")
@@ -347,11 +335,11 @@ func (s *StreamingSolver) Resolve() (*Result, error) {
 	return res, nil
 }
 
-// Verify is the differential oracle: run the batch IALM cold (fresh
-// solver, no warm state) on the accumulated matrix and compare it with the
-// streaming solver's authoritative state, resolving first if columns
-// arrived since the last resolve. The same-schedule guarantee means any
-// disagreement beyond the truncated-SVT tolerance is a bug.
+// Verify is the differential oracle: run the batch IALM on a fresh solver
+// over the accumulated matrix and compare it with the streaming solver's
+// authoritative state, resolving first if columns arrived since the last
+// resolve. A resolve is the same computation, so any disagreement at all
+// is a bug.
 func (s *StreamingSolver) Verify() (StreamAgreement, error) {
 	var ag StreamAgreement
 	if s.last == nil || s.dirty {
