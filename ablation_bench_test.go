@@ -86,7 +86,11 @@ func BenchmarkAblationNorms(b *testing.B) {
 		b.Fatal(err)
 	}
 	row := rpca.ConstantRow(res.D, rpca.ExtractMedian)
-	ne := a.Sub(rpca.ConstantMatrix(row, a.Rows()))
+	nd := mat.NewDense(a.Rows(), len(row))
+	for i := 0; i < a.Rows(); i++ {
+		copy(nd.Row(i), row)
+	}
+	ne := a.Sub(nd)
 	norms := map[string]rpca.Norm{"l0": rpca.NormL0, "l1": rpca.NormL1, "fro": rpca.NormFro}
 	for name, nm := range norms {
 		b.Run(name, func(b *testing.B) {

@@ -368,7 +368,10 @@ func TestAdvisorRecalibratorHook(t *testing.T) {
 // as matrices and rpca.RelNorm (clamped at 1) on the plain route, and an
 // At-based loop (unclamped) on the masked one.
 func referenceNormE(a *mat.Dense, row []float64, mask *mat.Dense, masked bool) float64 {
-	nd := rpca.ConstantMatrix(row, a.Rows())
+	nd := mat.NewDense(a.Rows(), len(row))
+	for i := 0; i < a.Rows(); i++ {
+		copy(nd.Row(i), row)
+	}
 	if !masked {
 		return rpca.RelNorm(a.Sub(nd), a, rpca.NormL1, 0)
 	}

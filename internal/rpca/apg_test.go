@@ -124,7 +124,7 @@ func TestIALMConstantRowPipeline(t *testing.T) {
 	for j := range constant {
 		constant[j] = 20 + 80*rng.Float64()
 	}
-	a := ConstantMatrix(constant, 10)
+	a := constantMatrix(constant, 10)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 49; j++ {
 			if rng.Float64() < 0.07 {

@@ -79,16 +79,6 @@ func ConstantRow(d *mat.Dense, method ExtractMethod) []float64 {
 	}
 }
 
-// ConstantMatrix replicates row p into an n-row matrix — the TC-matrix
-// N_D of the paper, whose rank is one by construction.
-func ConstantMatrix(p []float64, n int) *mat.Dense {
-	m := mat.NewDense(n, len(p))
-	for i := 0; i < n; i++ {
-		copy(m.Row(i), p)
-	}
-	return m
-}
-
 // Norm selects the matrix norm used by the effectiveness metric.
 type Norm int
 

@@ -63,7 +63,7 @@ func TestDecomposeRank1TPStyle(t *testing.T) {
 	for j := range constant {
 		constant[j] = 50 + 100*rng.Float64()
 	}
-	a := ConstantMatrix(constant, n)
+	a := constantMatrix(constant, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			if rng.Float64() < 0.08 {
@@ -197,7 +197,7 @@ func TestIALMEdgeCases(t *testing.T) {
 
 func TestConstantRowMethodsAgreeOnCleanInput(t *testing.T) {
 	p := []float64{1, 2, 3, 4}
-	d := ConstantMatrix(p, 6)
+	d := constantMatrix(p, 6)
 	for _, m := range []ExtractMethod{ExtractMean, ExtractMedian, ExtractRank1} {
 		row := ConstantRow(d, m)
 		for j := range p {
@@ -210,7 +210,7 @@ func TestConstantRowMethodsAgreeOnCleanInput(t *testing.T) {
 
 func TestConstantRowMedianRobustness(t *testing.T) {
 	p := []float64{10, 20, 30}
-	d := ConstantMatrix(p, 5)
+	d := constantMatrix(p, 5)
 	d.Set(0, 0, 1e6) // one gross outlier
 	mean := ConstantRow(d, ExtractMean)
 	med := ConstantRow(d, ExtractMedian)
@@ -237,8 +237,18 @@ func TestConstantRowEmpty(t *testing.T) {
 	}
 }
 
+// constantMatrix replicates row p into an n-row matrix — the TC-matrix
+// N_D of the paper, whose rank is one by construction.
+func constantMatrix(p []float64, n int) *mat.Dense {
+	m := mat.NewDense(n, len(p))
+	for i := 0; i < n; i++ {
+		copy(m.Row(i), p)
+	}
+	return m
+}
+
 func TestConstantMatrixRank(t *testing.T) {
-	m := ConstantMatrix([]float64{1, 2, 3}, 4)
+	m := constantMatrix([]float64{1, 2, 3}, 4)
 	if r := m.Rank(0); r != 1 {
 		t.Errorf("TC-matrix rank %d, want 1", r)
 	}
@@ -307,7 +317,7 @@ func TestRPCAPaperExample(t *testing.T) {
 		6, 5, 2, 0,
 	}
 	n := 5
-	a := ConstantMatrix(base, n)
+	a := constantMatrix(base, n)
 	// Calibration noise: a couple of interference spikes.
 	a.Set(1, 1*4+2, 9) // link (1,2) spiked during calibration 1
 	a.Set(3, 2*4+3, 7) // link (2,3) spiked during calibration 3
@@ -337,7 +347,7 @@ func TestPropertyBeatsSingleMeasurement(t *testing.T) {
 		for j := range constant {
 			constant[j] = 10 + 90*rng.Float64()
 		}
-		a := ConstantMatrix(constant, nRows)
+		a := constantMatrix(constant, nRows)
 		for i := 0; i < nRows; i++ {
 			for j := 0; j < nCols; j++ {
 				// Mild volatility on every entry plus sparse spikes.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -282,5 +283,137 @@ func TestStartFlowAcrossMultipathFabric(t *testing.T) {
 	}
 	if _, multi := s.ECMPPairs(); multi != 1 {
 		t.Errorf("cross-leaf pair not counted as multipath")
+	}
+}
+
+// scaledCopy rebuilds t with every link capacity multiplied by c: the same
+// nodes and links in the same order, so link IDs and ECMP routes match.
+func scaledCopy(t *topo.Topology, c float64) *topo.Topology {
+	g := topo.New()
+	for i := 0; i < t.NumNodes(); i++ {
+		n := t.Node(i)
+		g.AddNode(n.Kind, n.Rack)
+	}
+	for i := 0; i < t.NumLinks(); i++ {
+		l := t.Link(topo.LinkID(i))
+		g.AddLink(l.A, l.B, l.Capacity*c, l.Latency)
+	}
+	return g
+}
+
+// rateLog runs the metamorphic script on tr and returns every active
+// flow's rate, in flow-ID order, after each event, plus the number of
+// bulk probes whose arrival was redone. Twelve long flows on seeded pairs
+// start and run until all are active; then twenty pingpongs run on top,
+// one at a time. The long flows never complete, so the event sequence is
+// the same at any capacity scale: fills, restores and redoes alike. The
+// armed oracle stops the script at its first mismatch.
+func rateLog(tr *topo.Topology, seed int64) (log [][]float64, redone int, err error) {
+	s := New(tr)
+	s.SetVerifyGlobal(true)
+	rng := rand.New(rand.NewSource(seed))
+	srv := tr.Servers()
+	// until steps the engine until done reports true, logging the rates
+	// after every event.
+	until := func(done func() bool) error {
+		for !done() {
+			if !s.Eng.Step() {
+				return errors.New("event queue drained")
+			}
+			if err := s.VerifyError(); err != nil {
+				return err
+			}
+			rates := make([]float64, 0, len(s.active))
+			for id := int64(0); id < s.nextID; id++ {
+				if f, ok := s.active[id]; ok {
+					rates = append(rates, f.rate)
+				}
+			}
+			log = append(log, rates)
+		}
+		return nil
+	}
+	var long []*Flow
+	for k := 0; k < 12; k++ {
+		a, b := randomPair(rng, srv)
+		long = append(long, s.StartFlow(a, b, 1e30, nil))
+	}
+	for _, f := range long {
+		if err := until(func() bool { return f.draining }); err != nil {
+			return nil, 0, err
+		}
+	}
+	for k := 0; k < 20; k++ {
+		a, b := randomPair(rng, srv)
+		probe := s.StartFlow(a, b, 1, nil)
+		if err := until(func() bool { return probe.finished }); err != nil {
+			return nil, 0, err
+		}
+		// Only the long flows' distant completions are queued besides
+		// bulk's activation, so that is the next event.
+		bulk := s.StartFlow(a, b, 1<<20, nil)
+		epoch, updates := s.epoch, s.recomputes
+		if err := until(func() bool { return bulk.draining }); err != nil {
+			return nil, 0, err
+		}
+		if s.epoch == epoch && s.recomputes == updates+1 {
+			redone++
+		}
+		if err := until(func() bool { return bulk.finished }); err != nil {
+			return nil, 0, err
+		}
+	}
+	return log, redone, nil
+}
+
+// Metamorphic max-min relation: scaling every link capacity by a power of
+// two scales every flow's rate by exactly that factor, bit for bit. Every
+// operation of the fill is a comparison, a subtraction or a division by a
+// flow count, and each commutes exactly with a power-of-two scale, so a
+// fill, a restore and a redo must all honour it after every event. Run on
+// a tree whose single-flow server links fold into per-flow caps and on an
+// oversubscribed Clos fabric with ECMP routes.
+func TestMaxMinScalesWithCapacity(t *testing.T) {
+	tree := topo.NewTree(topo.TreeConfig{Racks: 4, ServersPerRack: 4, IntraRackBps: 1e9 / 8, InterRackBps: 2e9 / 8, HopLatency: 5e-5})
+	clos := topo.NewClos(topo.ClosConfig{Leaves: 4, ServersPerLeaf: 4, Spines: 2, ServerBps: 1e6, Oversubscription: 4, HopLatency: 1e-4})
+	cases := []struct {
+		name    string
+		tr      *topo.Topology
+		seeds   []int64
+		factors []float64
+	}{
+		{"tree", tree, []int64{1, 2, 3, 4, 5}, []float64{0.25, 4, 1024}},
+		{"clos", clos, []int64{1, 2}, []float64{0.5, 8}},
+	}
+	for _, tc := range cases {
+		for _, seed := range tc.seeds {
+			base, redone, err := rateLog(tc.tr, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			if redone == 0 {
+				t.Fatalf("%s seed %d: no bulk probe was redone", tc.name, seed)
+			}
+			for _, c := range tc.factors {
+				got, _, err := rateLog(scaledCopy(tc.tr, c), seed)
+				if err != nil {
+					t.Fatalf("%s seed %d ×%v: %v", tc.name, seed, c, err)
+				}
+				if len(got) != len(base) {
+					t.Fatalf("%s seed %d ×%v: %d events, want %d", tc.name, seed, c, len(got), len(base))
+				}
+				for e := range base {
+					if len(got[e]) != len(base[e]) {
+						t.Fatalf("%s seed %d ×%v event %d: %d active flows, want %d", tc.name, seed, c, e, len(got[e]), len(base[e]))
+					}
+					for i, r := range base[e] {
+						//netlint:allow floatsafe the metamorphic relation is exact: a power-of-two scale commutes with every rounding the fill makes
+						if got[e][i] != r*c {
+							t.Fatalf("%s seed %d ×%v event %d flow %d: rate %v, want %v×%v = %v", tc.name, seed, c, e, i, got[e][i], r, c, r*c)
+						}
+					}
+				}
+			}
+		}
 	}
 }

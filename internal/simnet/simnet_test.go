@@ -413,8 +413,10 @@ func TestPropertyMaxMinInvariantsChurn(t *testing.T) {
 // rates f's arrival replaced are stale and f's departure must refill:
 // g then runs alone at the full 100 B/s. Afterwards h arrives beside k
 // and leaves before anything else happens, so its departure restores k's
-// rate without a fill; a second h, with a RefillAll in between, is
-// refilled again. The reference fill checks every step.
+// rate without a fill. A second h on the same links then arrives without
+// a fill too (a redo), and after a RefillAll in between its departure is
+// refilled again. Arrivals on other links, or after an intervening
+// update, fill. The reference fill checks every step.
 func TestQuietDepartureRestoresOnlyWhenQuiet(t *testing.T) {
 	s, srv := twoRackSim()
 	s.SetVerifyGlobal(true)
@@ -454,19 +456,166 @@ func TestQuietDepartureRestoresOnlyWhenQuiet(t *testing.T) {
 	if k.rate != alone {
 		t.Fatalf("k's restored rate %v, want its pre-arrival %v", k.rate, alone)
 	}
-	// A whole-network refill is an allocation update too: after it, the
-	// next departure refills even though no flow came or went.
+	// The second h arrives on the first one's links with nothing in
+	// between, so it takes the departed h's place without a fill.
+	epoch, updates := s.epoch, s.recomputes
 	h = s.StartFlow(srv[0], srv[1], 10, nil)
 	s.Eng.RunUntil(s.Now() + 0.05)
+	if s.epoch != epoch || s.recomputes != updates+1 {
+		t.Fatalf("h's arrival after a quiet departure on its links: %d fills, %d updates; want a redo (0, 1)",
+			s.epoch-epoch, s.recomputes-updates)
+	}
+	if h.rate != 50 || k.rate != 50 {
+		t.Fatalf("redone rates %v and %v, want 50 each", h.rate, k.rate)
+	}
+	// A whole-network refill is an allocation update too: after it, the
+	// next departure refills even though no flow came or went.
 	s.RefillAll()
 	epoch = s.epoch
 	s.RunUntilDone(h)
 	if s.epoch == epoch || k.rate != alone {
 		t.Fatalf("departure after RefillAll: refilled %v, k's rate %v (want a refill and %v)", s.epoch != epoch, k.rate, alone)
 	}
+
+	// A quiet departure followed by an arrival on other links (srv[0]'s
+	// uplink, but cross-rack) fills.
+	h = s.StartFlow(srv[0], srv[1], 10, nil)
+	s.RunUntilDone(h)
+	epoch = s.epoch
+	x := s.StartFlow(srv[0], srv[2], 10, nil)
+	s.Eng.RunUntil(s.Now() + 0.05)
+	if s.epoch == epoch {
+		t.Fatal("an arrival on other links than the quiet departure's redid it instead of filling")
+	}
+	s.RunUntilDone(x)
+
+	// A quiet departure, then an update (here a refill), then an arrival on
+	// the departed flow's links: the arrival fills.
+	h = s.StartFlow(srv[0], srv[1], 10, nil)
+	s.RunUntilDone(h)
+	s.RefillAll()
+	epoch = s.epoch
+	h = s.StartFlow(srv[0], srv[1], 10, nil)
+	s.Eng.RunUntil(s.Now() + 0.05)
+	if s.epoch == epoch {
+		t.Fatal("an arrival after an intervening update redid a stale departure instead of filling")
+	}
+	s.RunUntilDone(h)
 	s.RunUntilDone(k)
 	if err := s.VerifyError(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A redo commits in flow-ID order even when the newcomer is not the
+// newest active flow. n (ID 1) starts after a (ID 0) on a's cross-rack
+// path; m (ID 2) starts just after n on a shorter same-rack path sharing
+// srv[0]'s link, so m is active before a arrives. a's arrival halves m's
+// rate, a leaves quietly and m gets 100 B/s back, and then n arrives on
+// a's links: the redo moves n and m, and must move n first.
+func TestRedoCommitsInFlowIDOrder(t *testing.T) {
+	s, srv := twoRackSim()
+	s.SetVerifyGlobal(true)
+	a := s.StartFlow(srv[0], srv[2], 0.5, nil) // active 0.04–0.05
+	var n, m *Flow
+	s.Eng.Schedule(0.012, func() { n = s.StartFlow(srv[0], srv[2], 1000, nil) }) // active from 0.052
+	s.Eng.Schedule(0.013, func() { m = s.StartFlow(srv[0], srv[1], 1000, nil) }) // active from 0.033
+	s.RunUntilDone(a)
+	epoch, updates := s.epoch, s.recomputes
+	for !n.draining {
+		if !s.Eng.Step() {
+			t.Fatal("event queue drained before n arrived")
+		}
+	}
+	if s.epoch != epoch || s.recomputes != updates+1 {
+		t.Fatalf("n's arrival: %d fills, %d updates; want a redo (0, 1)", s.epoch-epoch, s.recomputes-updates)
+	}
+	if n.ID > m.ID || n.rate != 50 || m.rate != 50 {
+		t.Fatalf("n (ID %d) at %v, m (ID %d) at %v; want n's ID below m's and 50 each", n.ID, n.rate, m.ID, m.rate)
+	}
+	var moved []int64
+	for _, u := range s.undo {
+		moved = append(moved, u.f.ID)
+	}
+	if len(moved) != 2 || moved[0] != n.ID || moved[1] != m.ID {
+		t.Fatalf("the redo moved flows %v, want n then m: [%d %d]", moved, n.ID, m.ID)
+	}
+	s.Eng.Run()
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomPair draws two distinct servers from srv.
+func randomPair(rng *rand.Rand, srv []int) (int, int) {
+	i := rng.Intn(len(srv))
+	return srv[i], srv[(i+1+rng.Intn(len(srv)-1))%len(srv)]
+}
+
+// SKaMPI-style pingpongs under Poisson background load: the bulk probe
+// usually arrives on its latency probe's links right after that probe's
+// quiet departure, so its arrival is redone without a fill. The
+// reference fill is armed over every update, redoes included, and the
+// test counts the redone bulk arrivals to prove they happened.
+func TestPingpongBulkProbesRedoUnderLoad(t *testing.T) {
+	tr := topo.NewTree(topo.TreeConfig{Racks: 4, ServersPerRack: 4, IntraRackBps: 1e9 / 8, InterRackBps: 2e9 / 8, HopLatency: 5e-5})
+	srv := tr.Servers()
+	s := New(tr)
+	s.SetVerifyGlobal(true)
+	rng := rand.New(rand.NewSource(5))
+	var bgs []*Background
+	for k := 0; k < 6; k++ {
+		a, b := randomPair(rng, srv)
+		bgs = append(bgs, s.AddBackground(rand.New(rand.NewSource(int64(k))), a, b, 8<<20, 0.05))
+	}
+	const bulk = 1 << 20
+	probes, redone := 0, 0
+	for k := 0; k < 60; k++ {
+		a, b := randomPair(rng, srv)
+		s.Transfer(a, b, 1)
+		f := s.StartFlow(a, b, bulk, nil)
+		var epoch, updates int64
+		for !f.draining {
+			epoch, updates = s.epoch, s.recomputes
+			if !s.Eng.Step() {
+				t.Fatal("event queue drained before the bulk probe arrived")
+			}
+		}
+		probes++
+		if s.epoch == epoch && s.recomputes == updates+1 {
+			redone++
+		}
+		s.RunUntilDone(f)
+	}
+	for _, b := range bgs {
+		b.Stop()
+	}
+	s.Eng.Run()
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+	if redone == 0 || redone == probes {
+		t.Fatalf("%d of %d bulk probes redone; want some, and some filled under background load", redone, probes)
+	}
+	t.Logf("%d of %d bulk probes redone", redone, probes)
+}
+
+// The armed oracle checks the invariant commitDirty tests rates by: an
+// active flow's timer is queued exactly when its rate is positive. A
+// cancelled timer on a flow with a positive rate must be reported at the
+// next update.
+func TestVerifyCatchesIdleTimerAtPositiveRate(t *testing.T) {
+	s, srv := twoRackSim()
+	s.SetVerifyGlobal(true)
+	f := s.StartFlow(srv[0], srv[1], 1000, nil)
+	s.Eng.RunUntil(0.1)
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+	f.timer.Cancel()
+	s.RefillAll()
+	if s.VerifyError() == nil {
+		t.Fatal("an active flow at a positive rate with an idle timer passed the armed oracle")
 	}
 }
 
