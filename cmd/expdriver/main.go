@@ -253,6 +253,18 @@ func run() int {
 		}
 	}
 
+	// header prints a figure's "== " line: how it ran, then the readings
+	// of real time its tables carry. Those vary by run, like the line
+	// itself, so they stay out of the tables and the -json and -md reports.
+	header := func(fig exp.Figure, how string, tables []*exp.Table) {
+		for _, t := range tables {
+			for _, w := range t.WallClock {
+				how += "; " + w
+			}
+		}
+		fmt.Printf("== %s: %s (%s)\n\n", fig.Name, fig.Desc, how)
+	}
+
 	exitCode := 0
 	interrupted := false
 	for _, fig := range exp.Figures() {
@@ -260,7 +272,7 @@ func run() int {
 			continue
 		}
 		if tables, ok := ckpt.FigureTables(fig.Name); ok {
-			fmt.Printf("== %s: %s (replayed from checkpoint)\n\n", fig.Name, fig.Desc)
+			header(fig, "replayed from checkpoint", tables)
 			emit(tables)
 			continue
 		}
@@ -286,7 +298,7 @@ func run() int {
 				exitCode = cli.ExitFailure
 			}
 		}
-		fmt.Printf("== %s: %s (%.1fs)\n\n", fig.Name, fig.Desc, time.Since(start).Seconds())
+		header(fig, fmt.Sprintf("%.1fs", time.Since(start).Seconds()), tables)
 		emit(tables)
 	}
 	if interrupted {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,63 @@ func TestTableRendering(t *testing.T) {
 	}
 	if f(1.5) != "1.5" || pct(0.25) != "25.0%" {
 		t.Error("formatters")
+	}
+}
+
+// Fig 4's RPCA timing is a reading of real time, so it stays out of the
+// rendered table: two builds of the figure whose injected clocks report
+// different elapsed times give byte-identical JSON, Markdown and text,
+// and each keeps its own reading for the driver's header line. A table
+// journaled to a checkpoint and replayed renders the same and keeps its
+// reading.
+func TestFig4TableIgnoresWallClock(t *testing.T) {
+	build := func(tick time.Duration) *Fig4Result {
+		t.Helper()
+		cfg := quick()
+		now := time.Unix(0, 0)
+		cfg.Clock = func() time.Time { now = now.Add(tick); return now }
+		res, err := Fig4Calibration(cfg, []int{16, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := build(time.Second), build(7*time.Second)
+	if a.RPCASeconds != 1 || b.RPCASeconds != 7 {
+		t.Fatalf("RPCA timed at %v s and %v s, want the clocks' 1 s and 7 s", a.RPCASeconds, b.RPCASeconds)
+	}
+	ja, err := a.Table.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := b.Table.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("JSON depends on the wall clock:\n%s\n%s", ja, jb)
+	}
+	if ma, mb := a.Table.Markdown(), b.Table.Markdown(); ma != mb {
+		t.Fatalf("Markdown depends on the wall clock:\n%s\n%s", ma, mb)
+	}
+	if sa, sb := a.Table.String(), b.Table.String(); sa != sb {
+		t.Fatalf("text depends on the wall clock:\n%s\n%s", sa, sb)
+	}
+	wa, wb := a.Table.WallClock, b.Table.WallClock
+	if len(wa) != 1 || len(wb) != 1 || !strings.Contains(wa[0], "took 1.00 s") || !strings.Contains(wb[0], "took 7.00 s") {
+		t.Fatalf("wall-clock readings %q and %q, want one each with the clock's elapsed time", wa, wb)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode([]*Table{a.Table}); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []*Table
+	if err := gob.NewDecoder(&buf).Decode(&replayed); err != nil {
+		t.Fatal(err)
+	}
+	if jr, err := replayed[0].JSON(); err != nil || !bytes.Equal(jr, ja) || len(replayed[0].WallClock) != 1 || replayed[0].WallClock[0] != wa[0] {
+		t.Fatalf("replayed table: JSON equal %v (err %v), wall-clock readings %q; want equal and %q",
+			bytes.Equal(jr, ja), err, replayed[0].WallClock, wa)
 	}
 }
 

@@ -70,9 +70,10 @@ func Fig4Calibration(cfg Config, sizes []int) (*Fig4Result, error) {
 
 	// Measure the RPCA analysis cost at the largest requested size. The
 	// wall clock is injected (Config.Clock): this figure is *about* real
-	// time, but reading time.Now here would hand every run a different
-	// table and break the byte-identical-output invariant for everyone
-	// who doesn't opt in.
+	// time, but reading time.Now here would break the byte-identical-output
+	// invariant for everyone who doesn't opt in. Even an injected reading
+	// stays out of the rows and notes, so two runs of one build render the
+	// same table; it travels as the table's wall-clock reading.
 	nMax := sizes[len(sizes)-1]
 	rng := stats.NewRNG(cfg.Seed)
 	a := mat.RandomNormal(rng, cfg.TimeStep, nMax*nMax, 50e6, 5e6)
@@ -85,9 +86,10 @@ func Fig4Calibration(cfg Config, sizes []int) (*Fig4Result, error) {
 	}
 	if cfg.Clock != nil {
 		res.RPCASeconds = cfg.Clock().Sub(start).Seconds()
-		res.Table.AddNote("one RPCA analysis at %d instances took %.2f s wall clock (paper: < 1 min)", nMax, res.RPCASeconds)
+		res.Table.AddNote("one RPCA analysis at %d instances ran to convergence (paper: < 1 min); its wall-clock time varies by run, so it is reported outside the table", nMax)
+		res.Table.WallClock = []string{fmt.Sprintf("one RPCA analysis at %d instances took %.2f s wall clock", nMax, res.RPCASeconds)}
 	} else {
-		res.Table.AddNote("one RPCA analysis at %d instances ran to convergence; wall-clock timing skipped (no Config.Clock injected)", nMax)
+		res.Table.AddNote("one RPCA analysis at %d instances ran to convergence (paper: < 1 min); wall-clock timing skipped (no Config.Clock injected)", nMax)
 	}
 	return res, nil
 }

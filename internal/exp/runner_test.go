@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -63,30 +62,17 @@ func TestRunPointsLowestIndexError(t *testing.T) {
 	}
 }
 
-// stripWallClock drops note lines reporting measured wall-clock time.
-func stripWallClock(s string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if !strings.Contains(line, "wall clock") {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
-}
-
 // figuresForDeterminism runs one figure from each port pattern and
 // renders its tables.
 func figuresForDeterminism(t *testing.T, cfg Config) string {
 	t.Helper()
 	var out string
-	// Independent per-point environments. (Fig 4's table carries a
-	// wall-clock timing note — the one legitimately nondeterministic line —
-	// which is stripped before comparison.)
+	// Independent per-point environments.
 	r4, err := Fig4Calibration(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += stripWallClock(r4.Table.String())
+	out += r4.Table.String()
 	// Two-phase: sequential stateful inputs, parallel pure evaluation.
 	r7, err := Fig7Overall(cfg)
 	if err != nil {

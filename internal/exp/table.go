@@ -16,6 +16,12 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// WallClock holds readings of real time, which differ between two runs
+	// of one build. String, Markdown and JSON leave them out, so the table
+	// renders byte-identically across runs; cmd/expdriver prints them on
+	// the figure's "== " header line instead. A checkpoint journals them
+	// with the table, so a resumed run still shows the reading it replays.
+	WallClock []string
 }
 
 // NewTable creates a table with the given title and column headers.

@@ -44,7 +44,10 @@ type Flow struct {
 	start    float64
 	draining bool // the drain has started; the next firing completes the flow
 	finished bool
-	unfixed  bool // fill scratch, packed with the flags: not yet frozen at its share
+	// recycle marks a background message: complete hands it to s.free
+	// after its last read of it. A Transfer's flow goes back from Transfer.
+	recycle bool
+	unfixed bool // fill scratch, packed with the flags: not yet frozen at its share
 
 	// settled is the simulator's recompute count right after this flow's
 	// arrival; complete compares it to tell a quiet departure.
@@ -126,6 +129,11 @@ type Sim struct {
 	redoPath []topo.LinkID
 	redoAt   int64
 
+	// free holds completed flows whose *Flow never left the package (a
+	// Transfer's and a background message's), each with its idle timer and
+	// the closure bound to it; startOwned starts the next such flow in one.
+	free []*Flow
+
 	// ECMP routing scratch (see ecmp.go) and cached-pair statistics.
 	ecmpDist   []int32
 	ecmpQueue  []int32
@@ -179,8 +187,33 @@ func (s *Sim) Now() float64 { return s.Eng.Now() }
 // StartFlow submits a transfer of the given size between two server nodes.
 // done (optional) fires when the last byte is delivered. The model charges
 // the path propagation latency up front, then drains the flow at its
-// max-min fair share of the path bandwidth.
+// max-min fair share of the path bandwidth. The returned handle is the
+// caller's: the simulator never starts another flow in it, so Finished and
+// Start keep reading this flow's after it completes.
 func (s *Sim) StartFlow(src, dst int, bytes float64, done func(at float64)) *Flow {
+	re := s.route(src, dst, bytes)
+	f := &Flow{
+		ID:    s.nextID,
+		Src:   src,
+		Dst:   dst,
+		Bytes: bytes,
+		path:  re.path,
+		done:  done,
+		start: s.Now(),
+	}
+	s.nextID++
+	if bytes == 0 {
+		s.Eng.After(re.latency, func() { s.finish(f) })
+		return f
+	}
+	f.remaining = bytes
+	f.timer = s.Eng.After(re.latency, func() { s.fire(f) })
+	return f
+}
+
+// route checks a flow's endpoints and size and returns the pair's cached
+// path and propagation latency, routing the pair on its first flow.
+func (s *Sim) route(src, dst int, bytes float64) routeEntry {
 	if src == dst {
 		panic("simnet: flow to self")
 	}
@@ -201,22 +234,46 @@ func (s *Sim) StartFlow(src, dst int, bytes float64, done func(at float64)) *Flo
 			s.multiPairs++
 		}
 	}
-	f := &Flow{
-		ID:    s.nextID,
-		Src:   src,
-		Dst:   dst,
-		Bytes: bytes,
-		path:  re.path,
-		done:  done,
-		start: s.Now(),
-	}
-	s.nextID++
-	if bytes == 0 {
-		s.Eng.After(re.latency, func() { s.finish(f) })
+	return re
+}
+
+// startOwned starts a flow whose *Flow never leaves the package, in a
+// completed one from s.free when there is one. Every field is reset but
+// the timer, whose closure is bound to the struct, and the timer is queued
+// at the instant StartFlow's After would queue a new one: After is
+// NewTimer + Reschedule, so the event gets the same (time, sequence) key
+// and the flow the next ID, as if it were new. A zero-byte flow has no
+// timer and takes StartFlow, as does a flow that finds s.free empty; that
+// miss allocates, so this path carries no hotpath marker. Every flow on
+// s.free has finished; one that has not was put there twice and started
+// again since, and startOwned panics rather than run two flows in it.
+func (s *Sim) startOwned(src, dst int, bytes float64, done func(at float64), recycle bool) *Flow {
+	n := len(s.free)
+	if bytes == 0 || n == 0 {
+		f := s.StartFlow(src, dst, bytes, done)
+		f.recycle = recycle
 		return f
 	}
-	f.remaining = bytes
-	f.timer = s.Eng.After(re.latency, func() { s.fire(f) })
+	re := s.route(src, dst, bytes)
+	f := s.free[n-1]
+	if !f.finished {
+		panic("simnet: a live flow on the free list")
+	}
+	s.free = s.free[:n-1]
+	*f = Flow{
+		ID:        s.nextID,
+		Src:       src,
+		Dst:       dst,
+		Bytes:     bytes,
+		path:      re.path,
+		remaining: bytes,
+		timer:     f.timer,
+		done:      done,
+		start:     s.Now(),
+		recycle:   recycle,
+	}
+	s.nextID++
+	s.Eng.Reschedule(f.timer, s.Now()+re.latency)
 	return f
 }
 
@@ -293,6 +350,9 @@ func (s *Sim) complete(f *Flow) {
 		s.redoRate, s.redoPath, s.redoAt = rate, f.path, s.recomputes
 	} else {
 		s.recompute(f.path)
+	}
+	if f.recycle {
+		s.free = append(s.free, f)
 	}
 }
 
@@ -760,11 +820,16 @@ func (s *Sim) RunUntilDone(f *Flow) {
 
 // Transfer synchronously sends bytes from src to dst and returns the
 // elapsed simulated time. Background flows continue to progress and
-// interfere during the transfer.
+// interfere during the transfer. The flow never leaves Transfer, so once
+// it has completed it goes back to s.free for the next owned flow, unless
+// it had no bytes and so no timer to keep.
 func (s *Sim) Transfer(src, dst int, bytes float64) float64 {
 	start := s.Now()
-	f := s.StartFlow(src, dst, bytes, nil)
+	f := s.startOwned(src, dst, bytes, nil, false)
 	s.RunUntilDone(f)
+	if f.timer != nil {
+		s.free = append(s.free, f)
+	}
 	return s.Now() - start
 }
 
@@ -797,7 +862,8 @@ func (b *Background) Stop() { b.stopped = true }
 // value λ") and then sends msgBytes. The source runs until stopped.
 func (s *Sim) AddBackground(rng *rand.Rand, src, dst int, msgBytes, lambda float64) *Background {
 	b := &Background{}
-	// One timer and one message-done callback serve every message.
+	// One timer and one message-done callback serve every message, and
+	// each message starts in a completed owned flow when one is free.
 	var wait *des.Timer
 	next := func(float64) {
 		if !b.stopped {
@@ -806,7 +872,7 @@ func (s *Sim) AddBackground(rng *rand.Rand, src, dst int, msgBytes, lambda float
 	}
 	wait = s.Eng.NewTimer(func() {
 		if !b.stopped {
-			s.StartFlow(src, dst, msgBytes, next)
+			s.startOwned(src, dst, msgBytes, next, true)
 		}
 	})
 	next(0)

@@ -656,3 +656,127 @@ func TestFoldedLinkTieGoesToSmallerLinkID(t *testing.T) {
 		}
 	}
 }
+
+// loadedTree is Fig 13's link rates on a 4×4-rack tree with six Poisson
+// background sources sending 8 MB messages at λ = 0.05 s, seeded.
+func loadedTree(seed int64) (*Sim, []int, []*Background) {
+	tr := topo.NewTree(topo.TreeConfig{Racks: 4, ServersPerRack: 4, IntraRackBps: 1e9 / 8, InterRackBps: 2e9 / 8, HopLatency: 5e-5})
+	srv := tr.Servers()
+	s := New(tr)
+	rng := rand.New(rand.NewSource(seed))
+	var bgs []*Background
+	for k := 0; k < 6; k++ {
+		a, b := randomPair(rng, srv)
+		bgs = append(bgs, s.AddBackground(rand.New(rand.NewSource(seed*10+int64(k))), a, b, 8<<20, 0.05))
+	}
+	return s, srv, bgs
+}
+
+// After warm-up a pingpong allocates nothing, although background
+// messages start and complete while it runs: each probe and each message
+// starts in a completed flow from the simulator's free list, keeping that
+// flow's timer and the closure bound to it, and every scratch slice, the
+// event heap and the small s.active map have reached the size this load
+// needs. A background source has at most one message in flight, so six
+// sources and one probe never need more than seven flows.
+func TestPingpongSteadyStateAllocationFree(t *testing.T) {
+	s, srv, _ := loadedTree(5)
+	a, b := srv[0], srv[len(srv)-1]
+	const bulk = 1 << 20
+	for k := 0; k < 50; k++ {
+		s.Pingpong(a, b, bulk)
+	}
+	const runs = 200
+	started := s.nextID
+	if allocs := testing.AllocsPerRun(runs, func() { s.Pingpong(a, b, bulk) }); allocs != 0 {
+		t.Fatalf("a warm pingpong under background load made %v allocations, want 0", allocs)
+	}
+	// AllocsPerRun makes one more call than runs.
+	if bg := s.nextID - started - 2*(runs+1); bg == 0 {
+		t.Fatal("no background message started during the measured pingpongs")
+	}
+	if len(s.free) > 7 {
+		t.Fatalf("%d flows on the free list; six sources and one probe need at most 7", len(s.free))
+	}
+}
+
+// StartFlow's handles stay their callers': the simulator never starts
+// another flow in one, while the flows of Transfer and of background
+// messages go back to the free list and are started again. Handles,
+// transfers and background messages interleave under the armed reference
+// fill; after every handle has completed and more transfers have run,
+// each handle still reports its own ID, start time and completion, its
+// done callback ran once, no handle ever sat on the free list, the list
+// never held one flow twice or a live flow, and the allocator matched the
+// reference at every update.
+func TestStartFlowHandlesAreNeverReused(t *testing.T) {
+	s, srv, bgs := loadedTree(9)
+	s.SetVerifyGlobal(true)
+	rng := rand.New(rand.NewSource(9))
+	type handle struct {
+		f        *Flow
+		id       int64
+		start    float64
+		doneAt   float64
+		doneRuns int
+	}
+	hs := make([]*handle, 0, 40)
+	handles := map[*Flow]bool{}
+	recycled := map[*Flow]bool{}
+	checkFree := func(when string) {
+		t.Helper()
+		seen := map[*Flow]bool{}
+		for _, f := range s.free {
+			if seen[f] {
+				t.Fatalf("%s: flow struct %p is on the free list twice", when, f)
+			}
+			seen[f] = true
+			if s.active[f.ID] == f || !f.finished {
+				t.Fatalf("%s: live flow %d is on the free list", when, f.ID)
+			}
+			recycled[f] = true
+		}
+	}
+	for k := 0; k < 40; k++ {
+		a, b := randomPair(rng, srv)
+		h := &handle{start: s.Now()}
+		h.f = s.StartFlow(a, b, float64(1+rng.Intn(4<<20)), func(at float64) { h.doneAt, h.doneRuns = at, h.doneRuns+1 })
+		h.id = h.f.ID
+		hs = append(hs, h)
+		handles[h.f] = true
+		a, b = randomPair(rng, srv)
+		s.Transfer(a, b, float64(1+rng.Intn(1<<20)))
+		checkFree("after a transfer")
+	}
+	for _, h := range hs {
+		s.RunUntilDone(h.f)
+		checkFree("after a handle completed")
+	}
+	for k := 0; k < 40; k++ {
+		a, b := randomPair(rng, srv)
+		s.Pingpong(a, b, 1<<20)
+		checkFree("after a later pingpong")
+	}
+	for _, bg := range bgs {
+		bg.Stop()
+	}
+	s.Eng.Run()
+	checkFree("after the drain")
+	if len(recycled) == 0 {
+		t.Fatal("no flow was recycled")
+	}
+	for f := range recycled {
+		if handles[f] {
+			t.Fatalf("handle of flow %d was recycled", f.ID)
+		}
+	}
+	for _, h := range hs {
+		if h.f.ID != h.id || h.f.Start() != h.start || !h.f.Finished() || h.doneRuns != 1 {
+			t.Fatalf("handle of flow %d reads ID %d, start %v (want %v), finished %v, done ran %d times",
+				h.id, h.f.ID, h.f.Start(), h.start, h.f.Finished(), h.doneRuns)
+		}
+	}
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+}
