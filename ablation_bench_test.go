@@ -141,8 +141,7 @@ func BenchmarkAblationPairing(b *testing.B) {
 			var cost float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cal := cloud.Calibrate(vc, rng, cloud.CalibrationConfig{Sequential: seq})
-				cost = cal.Cost
+				cost = cloud.CalibrateTP(vc, rng, 1, 0, cloud.CalibrationConfig{Sequential: seq}).TotalCost
 			}
 			b.ReportMetric(cost, "cluster-s")
 		})

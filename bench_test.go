@@ -285,49 +285,11 @@ func BenchmarkCalibrate64(b *testing.B) {
 	rng := stats.NewRNG(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloud.Calibrate(vc, rng, cloud.CalibrationConfig{})
+		cloud.CalibrateTP(vc, rng, 1, 0, cloud.CalibrationConfig{})
 	}
 }
 
 // --- Extended-module benchmarks ------------------------------------------
-
-func BenchmarkRingAllgather64(b *testing.B) {
-	pm := netmodel.NewPerfMatrix(64)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 64; j++ {
-			if i != j {
-				pm.SetLink(i, j, netmodel.Link{Alpha: 3e-4, Beta: 50e6})
-			}
-		}
-	}
-	order := make([]int, 64)
-	for i := range order {
-		order[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mpi.RingAllgather(mpi.NewAnalyticNet(pm), order, 1<<20)
-	}
-}
-
-func BenchmarkPipelinedBroadcast64(b *testing.B) {
-	pm := netmodel.NewPerfMatrix(64)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 64; j++ {
-			if i != j {
-				pm.SetLink(i, j, netmodel.Link{Alpha: 3e-4, Beta: 50e6})
-			}
-		}
-	}
-	chain := make([]int, 64)
-	for i := range chain {
-		chain[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mpi.PipelinedBroadcast(mpi.NewAnalyticNet(pm), chain, 8<<20, 32)
-	}
-}
 
 func BenchmarkHEFTSchedule(b *testing.B) {
 	rng := stats.NewRNG(5)

@@ -2,18 +2,18 @@
 // determinism of the measurement+analysis pipeline, NaN discipline in the
 // numeric kernels, error discipline around the typed E-APIs, the purity
 // contract of worker goroutines, context threading, the layering DAG,
-// allocation-free hot paths, gob-journal type stability, and the
-// process-exit vocabulary. It is a multichecker over the suite in
-// internal/analysis:
+// allocation-free hot paths, gob-journal type stability, the
+// process-exit vocabulary, and internal packages free of code only tests
+// use. It is a multichecker over the suite in internal/analysis:
 //
 //	go run ./cmd/netlint ./...
 //
 // Packages are analyzed in dependency order through one fact session —
 // cancelflow, hotalloc and journalsafe prove properties about a
-// package's functions that checks on downstream packages consume — so
-// the requested patterns are loaded together with their module-internal
-// dependencies; diagnostics are only reported for the packages the
-// patterns named.
+// package's functions that checks on downstream packages consume, and
+// testonly needs every use in the module — so the requested patterns are
+// loaded together with the rest of the module and its dependencies;
+// diagnostics are only reported for the packages the patterns named.
 //
 // Findings print as file:line:col: message (analyzer); a run with
 // findings exits 1, which is what makes the CI lint job blocking. With
@@ -86,16 +86,16 @@ func run() int {
 		patterns = []string{"./..."}
 	}
 
-	// LoadDeps rather than Load: facts must be computed for every
-	// dependency before its dependents are analyzed, even when the
-	// patterns name a single leaf-most package.
+	// LoadDeps: facts must be computed for every dependency before its
+	// dependents are analyzed, and testonly must see every use, even
+	// when the patterns name a single package.
 	loader := &analysis.Loader{}
 	pkgs, err := loader.LoadDeps(patterns...)
 	if err != nil {
 		return cli.Usagef("netlint", "%v", err)
 	}
 
-	session := analysis.NewSession()
+	session := analysis.NewSession(pkgs)
 	var out []jsonFinding
 	findings := 0
 	for _, pkg := range pkgs {

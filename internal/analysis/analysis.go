@@ -50,6 +50,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	facts       *factStore
+	prog        *program
 	diagnostics []Diagnostic
 }
 
@@ -67,17 +68,4 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 		Analyzer: p.Analyzer.Name,
 	})
-}
-
-// Run applies each analyzer to pkg and returns the surviving diagnostics:
-// findings suppressed by a well-formed `//netlint:allow <analyzer> <reason>`
-// comment (same line or the line immediately above) are dropped, and
-// malformed, unknown-analyzer, or nothing-suppressing allow comments are
-// themselves reported as AllowAnalyzerName findings. Diagnostics come back
-// sorted by position.
-//
-// Run analyzes pkg in isolation with a throwaway fact store; use a
-// Session to thread facts across a dependency-ordered package sequence.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runWithFacts(pkg, analyzers, newFactStore())
 }

@@ -36,6 +36,8 @@ var (
 // testdata/src/<pkgpath>. Pass every analyzer whose diagnostics the
 // fixture annotates: suppression fixtures, for example, need the
 // suppressed analyzer and a control analyzer in the same run.
+//
+//netlint:allow testonly the fixture harness: internal/analysis's single-fixture tests call it
 func Run(t *testing.T, testdata, pkgpath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	RunDeps(t, testdata, []string{pkgpath}, analyzers...)
@@ -46,23 +48,29 @@ func Run(t *testing.T, testdata, pkgpath string, analyzers ...*analysis.Analyzer
 // way cmd/netlint does over the real module: facts exported while
 // analyzing an earlier fixture are visible to later ones, and a fixture
 // may import any fixture that precedes it in pkgpaths (the Loader's
-// importer cache resolves the fake import paths). `// want` expectations
-// are checked in every fixture of the chain.
+// importer cache resolves the fake import paths). The chain is the
+// session's whole program: a whole-program analyzer (testonly) sees the
+// uses of every fixture in it. `// want` expectations are checked in
+// every fixture of the chain.
 func RunDeps(t *testing.T, testdata string, pkgpaths []string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	loaderMu.Lock()
 	defer loaderMu.Unlock()
 
-	session := analysis.NewSession()
-	for _, pkgpath := range pkgpaths {
+	pkgs := make([]*analysis.Package, len(pkgpaths))
+	for i, pkgpath := range pkgpaths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgpath))
 		pkg, err := loader.CheckDir(dir, pkgpath)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", pkgpath, err)
 		}
+		pkgs[i] = pkg
+	}
+	session := analysis.NewSession(pkgs)
+	for _, pkg := range pkgs {
 		diags, err := session.Run(pkg, analyzers)
 		if err != nil {
-			t.Fatalf("running analyzers on %s: %v", pkgpath, err)
+			t.Fatalf("running analyzers on %s: %v", pkg.PkgPath, err)
 		}
 
 		wants := collectWants(t, pkg)

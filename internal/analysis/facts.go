@@ -64,9 +64,7 @@ func (s *factStore) imports(obj types.Object, f Fact) bool {
 
 // ExportObjectFact records fact about obj for consumption by later
 // passes in the same Session (including passes over downstream
-// packages). fact must be a pointer to a struct. Outside a Session
-// (the legacy package-level Run) facts are stored per-call and vanish
-// with the pass — fixture tests that need propagation use a Session.
+// packages). fact must be a pointer to a struct.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil || obj == nil {
 		return
@@ -86,31 +84,37 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.imports(obj, fact)
 }
 
-// A Session runs analyzers over a sequence of packages in dependency
-// order, threading one fact store through every pass so that facts
-// exported while analyzing a dependency are visible to passes over its
-// dependents. Run packages dependencies-first (LoadDeps returns them in
-// that order); a fact exported after its consumer has already run is
-// silently useless.
+// A Session runs analyzers over the packages of one program in
+// dependency order, threading one fact store through every pass so that
+// facts exported while analyzing a dependency are visible to passes over
+// its dependents. Run packages dependencies-first (LoadDeps returns them
+// in that order); a fact exported after its consumer has already run is
+// silently useless. The session also holds the whole package list, so a
+// whole-program analyzer (testonly) sees every package's uses before
+// the first Run.
 type Session struct {
 	facts *factStore
+	prog  *program
 }
 
-// NewSession creates an empty session.
-func NewSession() *Session {
-	return &Session{facts: newFactStore()}
+// program is the package list of one Session. Whole-program analyzers
+// read it through their Pass; each index over it is built at most once.
+type program struct {
+	pkgs []*Package
+	refs *refIndex
 }
 
-// Run applies each analyzer to pkg exactly like the package-level Run,
-// with two additions: passes see the session's shared fact store, and
-// an allow comment that names an analyzer in this run yet suppresses
-// nothing is itself reported (a decorative suppression hides nothing
-// today and will silently hide a regression tomorrow).
+// NewSession creates a session over pkgs, every package the run loaded.
+func NewSession(pkgs []*Package) *Session {
+	return &Session{facts: newFactStore(), prog: &program{pkgs: pkgs}}
+}
+
+// Run applies each analyzer to pkg, which should be one of the
+// session's packages. Findings suppressed by an allow comment are
+// dropped, and an allow comment that names an analyzer in this run yet
+// suppresses nothing is itself reported (a decorative suppression hides
+// nothing today and will silently hide a regression tomorrow).
 func (s *Session) Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runWithFacts(pkg, analyzers, s.facts)
-}
-
-func runWithFacts(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -119,7 +123,8 @@ func runWithFacts(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diag
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			facts:     facts,
+			facts:     s.facts,
+			prog:      s.prog,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)

@@ -24,10 +24,11 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 
-	// DepOnly marks a package LoadDeps pulled in solely because a
-	// requested package imports it. It is analyzed (its facts feed the
-	// requested packages) but callers normally suppress its diagnostics:
-	// the user did not ask about it.
+	// DepOnly marks a package LoadDeps pulled in although the patterns
+	// did not name it: a dependency of a requested package, or another
+	// package of the main module. It is analyzed (its facts and uses
+	// feed the requested packages) but callers normally suppress its
+	// diagnostics: the user did not ask about it.
 	DepOnly bool
 }
 
@@ -35,7 +36,7 @@ type Package struct {
 // loaded through one Loader share a FileSet and an importer, so a
 // dependency is type-checked at most once per Loader.
 //
-// Every package the Loader itself checks — via Load, LoadDeps, or
+// Every package the Loader itself checks — via LoadDeps or
 // CheckDir — is registered in an internal cache that the importer
 // consults first. Two things follow. First, a module-internal package is
 // type-checked exactly once, and the *types.Package a dependent sees for
@@ -196,31 +197,23 @@ func topoSortPackages(metas []goListPkg) ([]goListPkg, error) {
 	return out, nil
 }
 
-// Load expands the go-list patterns (e.g. "./...") and returns the
-// matched packages, parsed with comments and fully type-checked, in
-// dependency order (a package follows everything it imports from the
-// same result set). Test files are excluded: the invariants netlint
-// enforces are about shipped code, and tests legitimately compare floats
-// exactly or measure wall-clock time.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	metas, err := l.goList(nil, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return l.checkMetas(metas, nil)
-}
-
-// LoadDeps is Load plus the transitive module-internal dependencies of
-// the matched packages: every non-standard-library dependency is loaded
-// and returned too, marked DepOnly, so analyzers that consume facts see
-// every definer before its users even when the patterns name a single
-// package. Standard-library packages are never analyzed.
+// LoadDeps expands the go-list patterns (e.g. "./...") and returns the
+// matched packages, parsed with comments and fully type-checked, together
+// with every other non-standard-library package of the go-list pattern
+// "all" — the main module and its dependencies — marked DepOnly, in
+// dependency order (a package follows everything it imports). So
+// analyzers that consume facts see every definer before its users, and
+// testonly sees every use of a requested package, even when the patterns
+// name a single package. Standard-library packages are never analyzed.
+// Test files are excluded: the invariants netlint enforces are about
+// shipped code, and tests legitimately compare floats exactly or measure
+// wall-clock time.
 func (l *Loader) LoadDeps(patterns ...string) ([]*Package, error) {
 	requested, err := l.goList(nil, patterns)
 	if err != nil {
 		return nil, err
 	}
-	metas, err := l.goList([]string{"-deps"}, patterns)
+	metas, err := l.goList([]string{"-deps"}, append(patterns, "all"))
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +288,7 @@ func (l *Loader) CheckDir(dir, pkgPath string) (*Package, error) {
 func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error) {
 	if p, ok := l.pkgCache[pkgPath]; ok && p.Dir == dir {
 		// Already checked through this Loader (e.g. listed by two
-		// overlapping patterns, or LoadDeps after Load). Re-checking
+		// overlapping patterns, or LoadDeps twice). Re-checking
 		// would mint a second *types.Package and split object identity.
 		return p, nil
 	}

@@ -85,7 +85,7 @@ func TestRepoCleanUnderNetlint(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	session := analysis.NewSession()
+	session := analysis.NewSession(pkgs)
 	for _, pkg := range pkgs {
 		diags, err := session.Run(pkg, analysis.All())
 		if err != nil {

@@ -32,13 +32,6 @@ type Breakdown struct {
 // Total returns the end-to-end elapsed time.
 func (b Breakdown) Total() float64 { return b.Computation + b.Communication + b.Overhead }
 
-// Add accumulates another breakdown.
-func (b *Breakdown) Add(o Breakdown) {
-	b.Computation += o.Computation
-	b.Communication += o.Communication
-	b.Overhead += o.Overhead
-}
-
 // String renders the breakdown.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total=%.3fs comp=%.3fs comm=%.3fs overhead=%.3fs",

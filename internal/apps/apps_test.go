@@ -26,10 +26,6 @@ func TestBreakdown(t *testing.T) {
 	if b.Total() != 6 {
 		t.Error("total")
 	}
-	b.Add(Breakdown{Computation: 1})
-	if b.Computation != 2 {
-		t.Error("add")
-	}
 	if !strings.Contains(b.String(), "total=") {
 		t.Error("string")
 	}

@@ -53,18 +53,13 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Campaign runs rounds seeded fault campaigns: each round draws a fresh
-// plan from the campaign seed and checks every oracle against it. All
-// derivation is splitmix-style from (seed, round), so reports replay
-// exactly.
-func Campaign(seed int64, rounds, maxOps int) Report {
-	return CampaignWith(seed, rounds, maxOps, Options{})
-}
-
-// CampaignWith is Campaign with the externally-equipped oracles enabled
-// (the fleet oracle, when opts carries a driver binary). Plan generation
-// is identical either way — opts changes what is checked, not what is
-// drawn — so a failing round's seed replays under either entry point.
+// CampaignWith runs rounds seeded fault campaigns: each round draws a
+// fresh plan from the campaign seed and checks every oracle against it,
+// the externally-equipped ones included when opts carries them (the fleet
+// oracle, when opts carries a driver binary). All derivation is
+// splitmix-style from (seed, round), so reports replay exactly. Plan
+// generation ignores opts — opts changes what is checked, not what is
+// drawn — so a failing round's seed replays under any options.
 func CampaignWith(seed int64, rounds, maxOps int, opts Options) Report {
 	rep := Report{Seed: seed, Rounds: rounds, MaxOps: maxOps}
 	for r := 0; r < rounds; r++ {

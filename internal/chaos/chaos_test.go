@@ -145,8 +145,8 @@ func TestCampaignReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full fault campaigns")
 	}
-	a := Campaign(42, 2, 5)
-	b := Campaign(42, 2, 5)
+	a := CampaignWith(42, 2, 5, Options{})
+	b := CampaignWith(42, 2, 5, Options{})
 	ja, err := json.MarshalIndent(a, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -291,9 +291,6 @@ func (j *Journal) Append(payload []byte) error {
 	return j.f.Sync()
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the journal. Further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -114,10 +114,6 @@ type Calibration struct {
 	Missing  int // cells left unmeasured (masked, not repaired)
 }
 
-// Coverage returns the fraction of off-diagonal cells that hold a real
-// measurement.
-func (cal *Calibration) Coverage() float64 { return cal.Perf.Coverage() }
-
 // MeanQuality returns the average per-cell quality score (1 for legacy
 // calibrations without quality tracking).
 func (cal *Calibration) MeanQuality() float64 { return cal.Perf.MeanQuality() }
@@ -320,31 +316,6 @@ func pairProbe(c Cluster, rng *rand.Rand, cfg *CalibrationConfig, cal *Calibrati
 	return link, true, elapsed, quality
 }
 
-// Calibrate performs one all-link calibration on the cluster, advancing
-// the cluster clock by the measurement cost as it goes, so that later
-// rounds observe later network conditions.
-//
-// In resilient mode (cfg.Resilient) failed probes are retried within a
-// backoff budget, repeated probes are screened for outliers, every cell
-// carries a quality score, and pairs that stay unmeasurable are marked
-// missing rather than repaired — callers run masked RPCA over the gaps.
-func Calibrate(c Cluster, rng *rand.Rand, cfg CalibrationConfig) *Calibration {
-	//netlint:allow cancelflow Calibrate is the documented no-cancellation compat shim over CalibrateCtx; this Background root never outlives the call
-	cal, _ := CalibrateCtx(context.Background(), c, rng, cfg)
-	return cal
-}
-
-// CalibrateCtx is Calibrate with cancellation: the context is checked
-// once per measurement round, and a cancelled context aborts with a
-// *cancel.Error (matching cancel.ErrCanceled) carrying the rounds
-// completed. The abandoned pass's partial measurements are discarded;
-// cluster time already consumed stays consumed, exactly as a real
-// interrupted measurement campaign would leave the cluster older but
-// yield no trace.
-func CalibrateCtx(ctx context.Context, c Cluster, rng *rand.Rand, cfg CalibrationConfig) (*Calibration, error) {
-	return calibrate(ctx, c, rng, cfg, pairedSchedule(c, cfg))
-}
-
 // pairedSchedule returns the paired schedule of c's VMs, or nil when cfg
 // measures pairs sequentially.
 func pairedSchedule(c Cluster, cfg CalibrationConfig) [][][2]int {
@@ -354,8 +325,23 @@ func pairedSchedule(c Cluster, cfg CalibrationConfig) [][][2]int {
 	return PairSchedule(c.Size())
 }
 
-// calibrate is CalibrateCtx with the paired schedule built by the
-// caller, so a temporal calibration builds it once for all its passes.
+// calibrate performs one all-link calibration on the cluster with the
+// paired schedule built by the caller (nil measures pairs sequentially),
+// so a temporal calibration builds it once for all its passes. It
+// advances the cluster clock by the measurement cost as it goes, so that
+// later rounds observe later network conditions.
+//
+// In resilient mode (cfg.Resilient) failed probes are retried within a
+// backoff budget, repeated probes are screened for outliers, every cell
+// carries a quality score, and pairs that stay unmeasurable are marked
+// missing rather than repaired — callers run masked RPCA over the gaps.
+//
+// The context is checked once per measurement round, and a cancelled
+// context aborts with a *cancel.Error (matching cancel.ErrCanceled)
+// carrying the rounds completed. The abandoned pass's partial
+// measurements are discarded; cluster time already consumed stays
+// consumed, exactly as a real interrupted measurement campaign would
+// leave the cluster older but yield no trace.
 func calibrate(ctx context.Context, c Cluster, rng *rand.Rand, cfg CalibrationConfig, schedule [][][2]int) (*Calibration, error) {
 	cfg.applyDefaults()
 	n := c.Size()

@@ -23,7 +23,8 @@ func TestCalibrateCtxCancelled(t *testing.T) {
 	vc := cancelTestCluster(t)
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
-	cal, err := CalibrateCtx(ctx, vc, stats.NewRNG(1), CalibrationConfig{})
+	cfg := CalibrationConfig{}
+	cal, err := calibrate(ctx, vc, stats.NewRNG(1), cfg, pairedSchedule(vc, cfg))
 	if cal != nil {
 		t.Error("cancelled calibration returned a partial trace")
 	}
@@ -32,7 +33,8 @@ func TestCalibrateCtxCancelled(t *testing.T) {
 	}
 
 	// Sequential mode takes the per-pair path.
-	cal, err = CalibrateCtx(ctx, vc, stats.NewRNG(1), CalibrationConfig{Sequential: true})
+	cfg = CalibrationConfig{Sequential: true}
+	cal, err = calibrate(ctx, vc, stats.NewRNG(1), cfg, pairedSchedule(vc, cfg))
 	if cal != nil || !errors.Is(err, cancel.ErrCanceled) {
 		t.Errorf("sequential: cal=%v err=%v, want nil + typed cancellation", cal, err)
 	}
@@ -52,16 +54,11 @@ func TestCalibrateTPCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCalibrateBackgroundUnchanged: the ctx-less wrappers must still
+// TestCalibrateBackgroundUnchanged: the ctx-less wrapper must still
 // return complete traces (byte-compatible with the pre-context code).
 func TestCalibrateBackgroundUnchanged(t *testing.T) {
 	vc := cancelTestCluster(t)
-	cal := Calibrate(vc, stats.NewRNG(1), CalibrationConfig{})
-	if cal == nil || cal.Rounds == 0 {
-		t.Fatal("Calibrate returned no trace")
-	}
-	vc2 := cancelTestCluster(t)
-	tc := CalibrateTP(vc2, stats.NewRNG(1), 2, 60, CalibrationConfig{})
+	tc := CalibrateTP(vc, stats.NewRNG(1), 2, 60, CalibrationConfig{})
 	if tc == nil || len(tc.Steps) != 2 {
 		t.Fatal("CalibrateTP returned no trace")
 	}

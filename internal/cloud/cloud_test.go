@@ -2,7 +2,10 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"netconstant/internal/netmodel"
@@ -11,6 +14,13 @@ import (
 )
 
 // smallProvider builds a compact data center for tests.
+// calibrateOnce runs one uncancellable all-link calibration, as each step
+// of CalibrateTPCtx does.
+func calibrateOnce(c Cluster, rng *rand.Rand, cfg CalibrationConfig) *Calibration {
+	cal, _ := calibrate(context.Background(), c, rng, cfg, pairedSchedule(c, cfg))
+	return cal
+}
+
 func smallProvider(seed int64) *Provider {
 	return NewProvider(ProviderConfig{
 		Tree: topo.TreeConfig{Racks: 4, ServersPerRack: 4},
@@ -46,16 +56,11 @@ func TestProvisionErrors(t *testing.T) {
 	if _, err := p.Provision(129, 1); err == nil {
 		t.Error("over capacity should error")
 	}
-	vc, err := p.Provision(128, 1)
-	if err != nil {
+	if _, err := p.Provision(128, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Provision(1, 2); err == nil {
 		t.Error("full provider should reject")
-	}
-	p.Release(vc)
-	if _, err := p.Provision(1, 3); err != nil {
-		t.Errorf("release should free capacity: %v", err)
 	}
 }
 
@@ -113,17 +118,13 @@ func TestMigrationChangesGroundTruth(t *testing.T) {
 		MigrationRate: 1000, // force migrations quickly
 	})
 	vc, _ := p.Provision(6, 11)
-	migrated := 0
-	vc.OnMigration(func(vm int) { migrated++ })
 	before := vc.TruePerf()
-	for k := 0; k < 200 && vc.Migrations() == 0; k++ {
+	hosts := append([]int(nil), vc.Hosts...)
+	for k := 0; k < 200 && slices.Equal(hosts, vc.Hosts); k++ {
 		vc.AdvanceTime(3600)
 	}
-	if vc.Migrations() == 0 {
+	if slices.Equal(hosts, vc.Hosts) {
 		t.Fatal("no migration occurred at extreme rate")
-	}
-	if migrated != vc.Migrations() {
-		t.Error("hook count mismatch")
 	}
 	after := vc.TruePerf()
 	if before.Bandwth.ApproxEqual(after.Bandwth, 1e-12) {
@@ -180,7 +181,7 @@ func TestCalibrateCoversAllPairs(t *testing.T) {
 	p := smallProvider(8)
 	vc, _ := p.Provision(6, 13)
 	rng := stats.NewRNG(99)
-	cal := Calibrate(vc, rng, CalibrationConfig{})
+	cal := calibrateOnce(vc, rng, CalibrationConfig{})
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			if i == j {
@@ -201,8 +202,8 @@ func TestCalibrateSequentialCostsMore(t *testing.T) {
 	vc1, _ := p.Provision(6, 17)
 	vc2, _ := p.Provision(6, 17)
 	rng := stats.NewRNG(1)
-	paired := Calibrate(vc1, rng, CalibrationConfig{})
-	seq := Calibrate(vc2, rng, CalibrationConfig{Sequential: true})
+	paired := calibrateOnce(vc1, rng, CalibrationConfig{})
+	seq := calibrateOnce(vc2, rng, CalibrationConfig{Sequential: true})
 	if seq.Cost <= paired.Cost {
 		t.Errorf("sequential %v should cost more than paired %v", seq.Cost, paired.Cost)
 	}
@@ -292,9 +293,6 @@ func TestTraceRecordReplay(t *testing.T) {
 	if rc.PairPerf(0, 1) != tr.Perfs[0].Link(0, 1) {
 		t.Error("seek back")
 	}
-	if rc.Snapshot() != tr.Perfs[0] {
-		t.Error("snapshot accessor")
-	}
 }
 
 func TestTraceEncodeDecode(t *testing.T) {
@@ -382,9 +380,6 @@ func TestSimClusterMeasurement(t *testing.T) {
 	if sc.Now() < before+1 {
 		t.Error("advance time")
 	}
-	if el := sc.Transfer(0, 1, 1000); el <= 0 {
-		t.Error("transfer elapsed")
-	}
 	mustPanic(t, func() { sc.AdvanceTime(-1) })
 	mustPanic(t, func() {
 		NewSimCluster(SimClusterConfig{Tree: topo.TreeConfig{Racks: 1, ServersPerRack: 2}, VMs: 99})
@@ -453,7 +448,7 @@ func TestCalibrateWithDropouts(t *testing.T) {
 	p := smallProvider(30)
 	vc, _ := p.Provision(8, 31)
 	rng := stats.NewRNG(7)
-	cal := Calibrate(vc, rng, CalibrationConfig{DropProb: 0.3})
+	cal := calibrateOnce(vc, rng, CalibrationConfig{DropProb: 0.3})
 	if cal.Dropped == 0 {
 		t.Fatal("expected dropped probes at 30% drop rate")
 	}
@@ -499,7 +494,7 @@ func TestAdvisorPipelineSurvivesDropouts(t *testing.T) {
 
 func TestSnapshotPerfAndConfig(t *testing.T) {
 	p := smallProvider(40)
-	if p.Config().SlotsPerServer != 8 {
+	if p.cfg.SlotsPerServer != 8 {
 		t.Error("defaulted config")
 	}
 	vc, _ := p.Provision(4, 41)
@@ -517,31 +512,7 @@ func TestTraceCloneAndInjectors(t *testing.T) {
 	p := smallProvider(42)
 	vc, _ := p.Provision(3, 43)
 	tr := Record(vc, 100, 25)
-	cl := tr.Clone()
 	rng := stats.NewRNG(44)
-
-	cl.InjectDrift(rng, 50, 0.1, 2)
-	if tr.Perfs[2].Bandwth.ApproxEqual(cl.Perfs[2].Bandwth, 1e-9) {
-		t.Error("drift should change the clone")
-	}
-	// Drift is cumulative: later snapshots deviate more on average.
-	dev := func(k int) float64 {
-		var s float64
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				if i != j {
-					o := tr.Perfs[k].Bandwth.At(i, j)
-					n := cl.Perfs[k].Bandwth.At(i, j)
-					d := (n - o) / o
-					s += d * d
-				}
-			}
-		}
-		return s
-	}
-	if dev(0) > dev(tr.Len()-1)*10 {
-		t.Errorf("drift variance should grow along the trace: first %v last %v", dev(0), dev(tr.Len()-1))
-	}
 
 	cl2 := tr.Clone()
 	cl2.InjectBursts(rng, 1.0, 0, tr.Len(), 2, 3)
@@ -559,7 +530,6 @@ func TestTraceCloneAndInjectors(t *testing.T) {
 	cl3.InjectBursts(rng, 1, 5, 2, 1, 3) // startHi <= startLo
 	cl3.InjectBursts(rng, 1, 0, 2, 0, 3) // span < 1
 	(&Trace{}).InjectBursts(rng, 1, 0, 1, 1, 1)
-	(&Trace{}).InjectDrift(rng, 1, 0.1, 1)
 
 	// Original untouched by clone mutations.
 	if tr.Perfs[0].Bandwth.ApproxEqual(cl2.Perfs[0].Bandwth, 1e-9) && tr.Len() > 0 {
@@ -577,50 +547,5 @@ func TestReplayNow(t *testing.T) {
 	rc.AdvanceTime(7)
 	if rc.Now() != start+7 {
 		t.Error("replay clock")
-	}
-}
-
-func TestSimClusterCalibratePaired(t *testing.T) {
-	mk := func() *SimCluster {
-		return NewSimCluster(SimClusterConfig{
-			Tree:      topo.TreeConfig{Racks: 4, ServersPerRack: 4, IntraRackBps: 100e6, InterRackBps: 200e6, HopLatency: 50e-6},
-			VMs:       8,
-			Seed:      60,
-			ProbeBulk: 1 << 20,
-		})
-	}
-	sc := mk()
-	perf, cost := sc.CalibratePaired()
-	if cost <= 0 {
-		t.Fatal("paired calibration should consume simulated time")
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if i == j {
-				continue
-			}
-			l := perf.Link(i, j)
-			if l.Alpha <= 0 || l.Beta <= 0 {
-				t.Fatalf("pair (%d,%d) unmeasured: %+v", i, j, l)
-			}
-			if l.Beta > 100e6*1.01 {
-				t.Fatalf("pair (%d,%d) impossible bandwidth %v", i, j, l.Beta)
-			}
-		}
-	}
-	// Paired calibration must be much cheaper in simulated time than
-	// sequential pingpong over all ordered pairs.
-	sc2 := mk()
-	seqStart := sc2.Now()
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if i != j {
-				sc2.PairPerf(i, j)
-			}
-		}
-	}
-	seqCost := sc2.Now() - seqStart
-	if cost >= seqCost {
-		t.Errorf("paired cost %v should beat sequential %v", cost, seqCost)
 	}
 }

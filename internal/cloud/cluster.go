@@ -40,9 +40,7 @@ type VirtualCluster struct {
 	pairBW   *mat.Dense
 	pairLat  *mat.Dense
 
-	migrations     int
 	lastMigCheck   float64
-	migrationHook  func(vm int)
 	freezeDynamics bool
 }
 
@@ -130,12 +128,6 @@ func (vc *VirtualCluster) Size() int { return len(vc.Hosts) }
 // Now returns the cluster-local clock.
 func (vc *VirtualCluster) Now() float64 { return vc.now }
 
-// Migrations returns how many VM migrations (regime changes) occurred.
-func (vc *VirtualCluster) Migrations() int { return vc.migrations }
-
-// OnMigration registers a hook invoked with the migrated VM index.
-func (vc *VirtualCluster) OnMigration(f func(vm int)) { vc.migrationHook = f }
-
 // SetFreezeDynamics disables volatility, spikes and migration when true —
 // used by tests that need the pure constant component.
 func (vc *VirtualCluster) SetFreezeDynamics(freeze bool) { vc.freezeDynamics = freeze }
@@ -180,10 +172,6 @@ func (vc *VirtualCluster) migrate(vm int) {
 	}
 	vc.vmFactor[vm] = stats.Uniform(vc.rng, p.cfg.VirtFactorMin, p.cfg.VirtFactorMax)
 	vc.rebuildGroundTruth()
-	vc.migrations++
-	if vc.migrationHook != nil {
-		vc.migrationHook(vm)
-	}
 }
 
 // PairPerf returns the instantaneous performance of the directed pair:

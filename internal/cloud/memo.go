@@ -30,12 +30,14 @@ type CalibrationKey struct {
 // CalibrationMemo is a size-bounded, thread-safe LRU cache of calibration
 // traces. Identical (provider, size, seeds, procedure) tuples are measured
 // once per driver run; later requests replay the cached trace. Get and
-// GetOrCompute return deep clones, so callers can hand the trace to an
+// GetOrComputeCtx return deep clones, so callers can hand the trace to an
 // advisor (which keeps and may inspect it) without sharing state.
 //
-// Fault- and regime-change experiments that mutate the substrate between
-// calibrations must Invalidate their key (or InvalidateAll) before
-// re-calibrating, or they would replay the pre-fault trace.
+// A cached trace stands for its key's provenance, so a caller that
+// mutates the substrate between calibrations must not reuse the key, or
+// it would replay the pre-fault trace. No production caller does; the
+// memo's tests drop keys through Invalidate and InvalidateAll (in
+// memo_test.go) to exercise the fence below.
 type CalibrationMemo struct {
 	mu  sync.Mutex
 	cap int
@@ -135,17 +137,6 @@ func (m *CalibrationMemo) Get(key CalibrationKey) *TemporalCalibration {
 	return nil
 }
 
-// Put stores a deep clone of tc under key, evicting the least recently
-// used entry when full.
-func (m *CalibrationMemo) Put(key CalibrationKey, tc *TemporalCalibration) {
-	if m == nil || tc == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.put("", key, tc.Clone())
-}
-
 func (m *CalibrationMemo) put(owner string, key CalibrationKey, tc *TemporalCalibration) {
 	if el, ok := m.byK[key]; ok {
 		e := el.Value.(*memoEntry)
@@ -195,20 +186,15 @@ func (m *CalibrationMemo) removeElement(el *list.Element) {
 	}
 }
 
-// GetOrCompute returns a deep clone of the trace for key, calling compute
-// (and caching its result) on the first request. Concurrent requests for
-// the same key block on a single computation; distinct keys compute
-// concurrently. A compute error is returned to every waiter and nothing
-// is cached, so the next request retries.
-func (m *CalibrationMemo) GetOrCompute(key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
-	//netlint:allow cancelflow GetOrCompute is the documented non-cancellable compat shim over GetOrComputeCtx
-	return m.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute with cancellable waiting: a request
-// that finds the key's computation already in flight blocks until
-// either the computation finishes or ctx ends, in which case it
-// abandons the wait with a *cancel.Error (matching cancel.ErrCanceled).
+// GetOrComputeCtx returns a deep clone of the trace for key, calling
+// compute (and caching its result) on the first request. Concurrent
+// requests for the same key block on a single computation; distinct keys
+// compute concurrently. A compute error is returned to every waiter and
+// nothing is cached, so the next request retries. Waiting is
+// cancellable: a request that finds the key's computation already in
+// flight blocks until either the computation finishes or ctx ends, in
+// which case it abandons the wait with a *cancel.Error (matching
+// cancel.ErrCanceled).
 // The computation itself is never interrupted by a *waiter's* context —
 // it belongs to the request that started it, which typically passes the
 // same ctx into its compute closure (so cancelling the whole sweep
@@ -284,43 +270,6 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 	// The computing request owns the freshly measured trace (a clone went
 	// into the cache), so no extra copy is needed.
 	return tc, nil
-}
-
-// Invalidate drops the entry for key (e.g. after injecting a fault into
-// the substrate the key describes) and fences any computation of that key
-// currently in flight: its eventual result is handed to the waiters that
-// already joined it but is not cached, and a request arriving after the
-// invalidation starts a fresh computation instead of joining the stale
-// one. It reports whether a cached entry existed.
-func (m *CalibrationMemo) Invalidate(key CalibrationKey) bool {
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gens[key]++
-	delete(m.inflight, key)
-	el, ok := m.byK[key]
-	if !ok {
-		return false
-	}
-	m.removeElement(el)
-	return true
-}
-
-// InvalidateAll empties the memo and fences every in-flight computation,
-// with the same semantics per key as Invalidate.
-func (m *CalibrationMemo) InvalidateAll() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.allGen++
-	m.inflight = map[CalibrationKey]*memoCall{}
-	m.lru.Init()
-	m.byK = map[CalibrationKey]*list.Element{}
-	m.ownerCost = map[string]float64{}
 }
 
 // Stats returns hit/miss counters and the current entry count.

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"sync"
@@ -37,11 +38,11 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	a, err := m.GetOrCompute(key, compute)
+	a, err := m.GetOrComputeCtx(context.Background(), key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.GetOrCompute(key, compute)
+	b, err := m.GetOrComputeCtx(context.Background(), key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			issued.Done()
-			_, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -124,7 +125,7 @@ func TestMemoInvalidate(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	if _, err := m.GetOrCompute(key, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Invalidate(key) {
@@ -133,7 +134,7 @@ func TestMemoInvalidate(t *testing.T) {
 	if m.Invalidate(key) {
 		t.Fatal("second Invalidate should find nothing")
 	}
-	if _, err := m.GetOrCompute(key, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
 		t.Fatal(err)
 	}
 	if computes != 2 {
@@ -142,10 +143,10 @@ func TestMemoInvalidate(t *testing.T) {
 
 	boom := errors.New("probe storm")
 	k2 := memoKey(6, 301)
-	if _, err := m.GetOrCompute(k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := m.GetOrComputeCtx(context.Background(), k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want compute error", err)
 	}
-	if _, err := m.GetOrCompute(k2, compute); err != nil {
+	if _, err := m.GetOrComputeCtx(context.Background(), k2, compute); err != nil {
 		t.Fatalf("error must not be cached: %v", err)
 	}
 
@@ -161,12 +162,18 @@ func TestMemoLRUBound(t *testing.T) {
 	m := NewCalibrationMemo(2)
 	tc := measureFor(t, memoKey(4, 400))
 	k1, k2, k3 := memoKey(4, 401), memoKey(4, 402), memoKey(4, 403)
-	m.Put(k1, tc)
-	m.Put(k2, tc)
+	put := func(k CalibrationKey) {
+		t.Helper()
+		if _, err := m.GetOrComputeCtx(context.Background(), k, func() (*TemporalCalibration, error) { return tc, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(k1)
+	put(k2)
 	if m.Get(k1) == nil { // touch k1 so k2 is the LRU
 		t.Fatal("k1 missing")
 	}
-	m.Put(k3, tc)
+	put(k3)
 	if st := m.Stats(); st.Entries != 2 {
 		t.Fatalf("entries %d, want 2", st.Entries)
 	}
@@ -214,7 +221,7 @@ func TestMemoInvalidateDropsInflightInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tc, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release // hold the computation while Invalidate lands
 			return pre, nil
@@ -245,7 +252,7 @@ func TestMemoInvalidateAllDropsInflightInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release
 			return pre, nil
@@ -279,7 +286,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	staleDone := make(chan struct{})
 	go func() {
 		defer close(staleDone)
-		if _, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 			close(started)
 			<-release
 			return pre, nil
@@ -291,7 +298,7 @@ func TestMemoInvalidateDetachesInflight(t *testing.T) {
 	m.Invalidate(key)
 
 	freshRan := false
-	got, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+	got, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 		freshRan = true
 		return post, nil
 	})
@@ -333,7 +340,7 @@ func TestMemoInvalidateRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tc, err := m.GetOrCompute(key, func() (*TemporalCalibration, error) {
+				tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
 					mu.Lock()
 					r := round
 					mu.Unlock()
@@ -417,4 +424,44 @@ func TestMemoOwnerFairness(t *testing.T) {
 	if m.Get(memoKey(4, 609)) == nil {
 		t.Fatal("hot tenant's most recent trace should survive its own burst")
 	}
+}
+
+// Invalidate and InvalidateAll exercise the memo's invalidation fence;
+// no production caller mutates a substrate under a memoized key.
+
+// Invalidate drops the entry for key (e.g. after injecting a fault into
+// the substrate the key describes) and fences any computation of that key
+// currently in flight: its eventual result is handed to the waiters that
+// already joined it but is not cached, and a request arriving after the
+// invalidation starts a fresh computation instead of joining the stale
+// one. It reports whether a cached entry existed.
+func (m *CalibrationMemo) Invalidate(key CalibrationKey) bool {
+	if m == nil {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.gens[key]++
+	delete(m.inflight, key)
+	el, ok := m.byK[key]
+	if !ok {
+		return false
+	}
+	m.removeElement(el)
+	return true
+}
+
+// InvalidateAll empties the memo and fences every in-flight computation,
+// with the same semantics per key as Invalidate.
+func (m *CalibrationMemo) InvalidateAll() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.allGen++
+	m.inflight = map[CalibrationKey]*memoCall{}
+	m.lru.Init()
+	m.byK = map[CalibrationKey]*list.Element{}
+	m.ownerCost = map[string]float64{}
 }

@@ -117,9 +117,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Provider) Config() ProviderConfig { return p.cfg }
-
 // rackPairFactor returns the stable oversubscription multiplier for a rack
 // pair, drawing it on first use.
 func (p *Provider) rackPairFactor(r1, r2 int) float64 {
@@ -162,15 +159,6 @@ func (p *Provider) Provision(n int, seed int64) (*VirtualCluster, error) {
 	}
 	vc := newVirtualCluster(p, hosts, seed)
 	return vc, nil
-}
-
-// Release returns a cluster's slots to the provider.
-func (p *Provider) Release(vc *VirtualCluster) {
-	for _, h := range vc.Hosts {
-		if p.used[h] > 0 {
-			p.used[h]--
-		}
-	}
 }
 
 func min(a, b int) int {

@@ -65,48 +65,6 @@ func (tr *Trace) At(t float64) int {
 	return best
 }
 
-// InjectDrift overlays a cumulative per-link random walk plus sparse
-// spikes — the paper's §V-D3 noise procedure ("we change the network
-// performance by 1%... we repeat the process"). Each link's multiplicative
-// factor takes `steps` ±1% steps *per snapshot* and carries over to the
-// next snapshot, so the long-term performance itself drifts away from any
-// earlier calibration; spikes add transient interference on top.
-func (tr *Trace) InjectDrift(rng *rand.Rand, steps int, spikeProb, spikeAmp float64) {
-	if tr.N == 0 {
-		return
-	}
-	factor := make([]float64, tr.N*tr.N)
-	for i := range factor {
-		factor[i] = 1
-	}
-	for _, pm := range tr.Perfs {
-		for i := 0; i < pm.N; i++ {
-			for j := 0; j < pm.N; j++ {
-				if i == j {
-					continue
-				}
-				idx := i*pm.N + j
-				for s := 0; s < steps; s++ {
-					if rng.Float64() < 0.5 {
-						factor[idx] *= 1.01
-					} else {
-						factor[idx] *= 0.99
-					}
-				}
-				l := pm.Link(i, j)
-				l.Beta *= factor[idx]
-				l.Alpha /= factor[idx]
-				if stats.Bernoulli(rng, spikeProb) {
-					slow := 1 + spikeAmp*rng.Float64()
-					l.Beta /= slow
-					l.Alpha *= slow
-				}
-				pm.SetLink(i, j, l)
-			}
-		}
-	}
-}
-
 // InjectBursts overlays correlated congestion episodes: each affected
 // directed link (chosen with probability linkProb) suffers one contiguous
 // burst of `span` snapshots starting uniformly within [startLo, startHi),
@@ -260,9 +218,4 @@ func (rc *ReplayCluster) Seek(t float64) {
 // PairPerf returns the recorded performance at the current replay point.
 func (rc *ReplayCluster) PairPerf(i, j int) netmodel.Link {
 	return rc.trace.Perfs[rc.cur].Link(i, j)
-}
-
-// Snapshot returns the full current performance matrix.
-func (rc *ReplayCluster) Snapshot() *netmodel.PerfMatrix {
-	return rc.trace.Perfs[rc.cur]
 }

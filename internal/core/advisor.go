@@ -332,7 +332,3 @@ func (a *Advisor) recalibrate(ctx context.Context) error {
 	}
 	return a.CalibrateCtx(ctx)
 }
-
-// DivergenceEWMA exposes the current smoothed actual-vs-expected relative
-// difference the regime detector tracks.
-func (a *Advisor) DivergenceEWMA() float64 { return a.divEWMA }

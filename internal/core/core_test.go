@@ -435,3 +435,18 @@ func TestDecomposeTPNormEMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// WeightsTP converts latency and bandwidth TP-matrices into a TP-matrix of
+// transfer-time weights for a fixed message size — used when the analysis
+// should reflect the cost actually optimized.
+func WeightsTP(lat, bw *netmodel.TPMatrix, msgBytes float64) *netmodel.TPMatrix {
+	if lat.Steps() != bw.Steps() || lat.N != bw.N {
+		panic("core: mismatched TP-matrices")
+	}
+	out := netmodel.NewTPMatrix(lat.N)
+	for s := 0; s < lat.Steps(); s++ {
+		pm := &netmodel.PerfMatrix{N: lat.N, Latency: lat.Snapshot(s), Bandwth: bw.Snapshot(s)}
+		out.Append(lat.Times[s], pm.Weights(msgBytes))
+	}
+	return out
+}

@@ -192,7 +192,7 @@ func TestObserveRegimeChange(t *testing.T) {
 	if adv.Recalibrations() != 1 {
 		t.Errorf("recalibrations %d", adv.Recalibrations())
 	}
-	if adv.DivergenceEWMA() != 0 {
+	if adv.divEWMA != 0 {
 		t.Error("EWMA should reset after re-calibration")
 	}
 }

@@ -186,19 +186,13 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 	}, nil
 }
 
-// DecomposeTPMasked runs the masked solver on a partially observed
-// TP-matrix and extracts the constant row. mask is the rows×N² observation
-// mask (1 = measured); nil falls back to the fully observed path. The
-// same fat-matrix λ default as DecomposeTP applies, and NormE is evaluated
-// on the observed cells only — unobserved cells carry no evidence about
-// the network's dynamism, so counting their (reconstructed) residual would
-// understate it.
-func DecomposeTPMasked(tp *netmodel.TPMatrix, mask *mat.Dense, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
-	return DecomposeTPMaskedWith(rpca.NewSolver(), tp, mask, opts, extract)
-}
-
-// DecomposeTPMaskedWith is DecomposeTPMasked on a caller-held solver (see
-// DecomposeTPWith).
+// DecomposeTPMaskedWith runs the masked solver (on a caller-held solver,
+// see DecomposeTPWith) on a partially observed TP-matrix and extracts the
+// constant row. mask is the rows×N² observation mask (1 = measured); nil
+// falls back to the fully observed path. The same fat-matrix λ default as
+// DecomposeTP applies, and NormE is evaluated on the observed cells only —
+// unobserved cells carry no evidence about the network's dynamism, so
+// counting their (reconstructed) residual would understate it.
 func DecomposeTPMaskedWith(s *rpca.Solver, tp *netmodel.TPMatrix, mask *mat.Dense, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
 	a := tp.Matrix()
 	if opts.Lambda == 0 && a.Rows() > 0 {
@@ -327,19 +321,4 @@ func TimeStepAccuracy(tp *netmodel.TPMatrix, steps []int, opts rpca.Options, ext
 		out[k] = rpca.RelDiff(d.ConstantRow, oracle)
 	}
 	return out, nil
-}
-
-// WeightsTP converts latency and bandwidth TP-matrices into a TP-matrix of
-// transfer-time weights for a fixed message size — used when the analysis
-// should reflect the cost actually optimized.
-func WeightsTP(lat, bw *netmodel.TPMatrix, msgBytes float64) *netmodel.TPMatrix {
-	if lat.Steps() != bw.Steps() || lat.N != bw.N {
-		panic("core: mismatched TP-matrices")
-	}
-	out := netmodel.NewTPMatrix(lat.N)
-	for s := 0; s < lat.Steps(); s++ {
-		pm := &netmodel.PerfMatrix{N: lat.N, Latency: lat.Snapshot(s), Bandwth: bw.Snapshot(s)}
-		out.Append(lat.Times[s], pm.Weights(msgBytes))
-	}
-	return out
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"netconstant/internal/netmodel"
 	"netconstant/internal/rpca"
 )
 
@@ -76,10 +75,6 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 // StreamingActive reports whether a streaming session is open.
 func (a *Advisor) StreamingActive() bool { return a.stream != nil }
 
-// EndStreaming closes the session (no-op when none is open). The installed
-// guidance is left as the last partial re-solve produced it.
-func (a *Advisor) EndStreaming() { a.stream = nil }
-
 // StreamPair ingests a re-measured pair: the latency and bandwidth time
 // series (length TimeStep) for the src→dst column of the TP-matrices. The
 // fast tier refreshes that pair's constant estimate immediately; the
@@ -104,17 +99,6 @@ func (a *Advisor) StreamColumn(j int, lat, bw []float64) error {
 		return err
 	}
 	return a.stream.bw.ReplaceColumn(j, bw)
-}
-
-// StreamingConstant assembles the current streaming constant estimate —
-// authoritative values from the last resolve, fast-tier projections for
-// columns replaced since — without forcing a re-solve. Nil when no session
-// is open.
-func (a *Advisor) StreamingConstant() *netmodel.PerfMatrix {
-	if a.stream == nil {
-		return nil
-	}
-	return PerfFromRows(a.stream.n, a.stream.lat.Constant(), a.stream.bw.Constant())
 }
 
 // PartialResolves returns how many regime-triggered (or explicit)

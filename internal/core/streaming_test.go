@@ -28,8 +28,8 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 	if !adv.StreamingActive() {
 		t.Fatal("session not active after BeginStreaming")
 	}
-	if adv.StreamingConstant() == nil {
-		t.Fatal("no streaming constant")
+	if got := len(adv.stream.lat.Constant()); got != 36 {
+		t.Fatalf("streaming constant row has %d pairs, want 36", got)
 	}
 	// A fresh full calibration supersedes the session.
 	if err := adv.Calibrate(); err != nil {
@@ -38,8 +38,8 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 	if adv.StreamingActive() {
 		t.Fatal("session survived a full calibration")
 	}
-	if adv.StreamingConstant() != nil {
-		t.Fatal("streaming constant after session end")
+	if adv.stream != nil {
+		t.Fatal("streaming state after session end")
 	}
 	if err := adv.PartialResolve(); !errors.Is(err, ErrNotStreaming) {
 		t.Fatalf("PartialResolve err = %v, want ErrNotStreaming", err)
@@ -117,7 +117,7 @@ func TestAdvisorObserveRegimeUsesPartialResolve(t *testing.T) {
 	if !adv.StreamingActive() {
 		t.Fatal("session closed by a partial re-solve")
 	}
-	if adv.DivergenceEWMA() != 0 {
+	if adv.divEWMA != 0 {
 		t.Fatal("partial re-solve did not reset the divergence EWMA")
 	}
 

@@ -35,9 +35,6 @@ func (t *Timer) Cancel() {
 	heap.Remove(&t.eng.q, t.index)
 }
 
-// At returns the simulated time the timer was last scheduled for.
-func (t *Timer) At() float64 { return t.at }
-
 // Queued reports whether the timer is waiting to fire.
 //
 //netlint:hotpath
@@ -134,6 +131,8 @@ func (e *Engine) RunUntil(deadline float64) {
 }
 
 // Pending returns the number of queued events.
+//
+//netlint:allow testonly perfbench, a module of its own, checks that a simulate op drains its engine
 func (e *Engine) Pending() int { return len(e.q) }
 
 // timerHeap orders by (time, sequence) for deterministic tie-breaking.

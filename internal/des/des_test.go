@@ -56,7 +56,7 @@ func TestCancel(t *testing.T) {
 		t.Error("cancelled timer fired")
 	}
 	timer.Cancel() // double-cancel is fine
-	if timer.At() != 1 {
+	if timer.at != 1 {
 		t.Error("At")
 	}
 }
@@ -316,8 +316,8 @@ func TestReschedulePanics(t *testing.T) {
 			f()
 		}()
 	}
-	if !tm.Queued() || tm.At() != 5 || e.Pending() != 1 {
-		t.Fatalf("a refused Reschedule moved the timer: queued %v, at %v, pending %d", tm.Queued(), tm.At(), e.Pending())
+	if !tm.Queued() || tm.at != 5 || e.Pending() != 1 {
+		t.Fatalf("a refused Reschedule moved the timer: queued %v, at %v, pending %d", tm.Queued(), tm.at, e.Pending())
 	}
 }
 

@@ -171,8 +171,8 @@ func newEnvAdv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, adv
 // AnalyzeCalibration, with the cluster clock advanced by the measurement
 // cost it would have paid. Maintenance re-calibrations (Advisor.Calibrate
 // from Observe/Maintain) still measure the live, evolved cluster and
-// never consult the memo; experiments that mutate the substrate under a
-// previously memoized key must call Memo.Invalidate.
+// never consult the memo; an experiment that mutated the substrate under
+// a previously memoized key would replay the pre-fault trace.
 func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, advCfg core.AdvisorConfig, vc *cloud.VirtualCluster, adv *core.Advisor) error {
 	ctx := cfg.context()
 	if cfg.Memo == nil {

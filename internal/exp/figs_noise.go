@@ -64,8 +64,8 @@ func TargetNormE(tr *cloud.Trace, steps int, target float64, rng *rand.Rand) (*c
 		// performance aware optimizations have little impact" — without
 		// creating a persistent trend a stale plan could keep riding. (A
 		// cumulative random walk is a martingale: past ordering keeps
-		// predicting the future and improvement never decays; InjectDrift
-		// provides that variant for contrast.)
+		// predicting the future and improvement never decays. That is an
+		// argument; no figure runs such a walk.)
 		denseSteps := intensity * 2 / 3
 		if denseSteps < 1 {
 			denseSteps = 1

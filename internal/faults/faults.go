@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"netconstant/internal/cloud"
 	"netconstant/internal/netmodel"
@@ -219,22 +218,6 @@ func Wrap(inner cloud.Cluster, sc Scenario) *Cluster {
 	}
 	return c
 }
-
-// StragglerVMs returns the VM indices selected as stragglers, sorted.
-func (c *Cluster) StragglerVMs() []int {
-	var out []int
-	for vm, s := range c.straggler {
-		if s {
-			out = append(out, vm)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Events returns the recorded fault log (capped; see EventCounts for
-// exact totals).
-func (c *Cluster) Events() []Event { return c.events }
 
 // EventCounts returns exact per-kind fault totals, unaffected by the log
 // cap.

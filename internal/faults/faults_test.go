@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"netconstant/internal/cloud"
@@ -188,7 +189,7 @@ func TestChurnMakesVMsTransientlyUnreachable(t *testing.T) {
 	}
 	// Find the churned VM from the log and verify unreachability.
 	vm := -1
-	for _, ev := range fc.Events() {
+	for _, ev := range fc.events {
 		if ev.Kind == EventChurnStart {
 			vm = ev.I
 		}
@@ -236,7 +237,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	fc1, tc1 := build()
 	fc2, tc2 := build()
 
-	if !reflect.DeepEqual(fc1.Events(), fc2.Events()) {
+	if !reflect.DeepEqual(fc1.events, fc2.events) {
 		t.Error("event logs differ across identically seeded runs")
 	}
 	if !reflect.DeepEqual(fc1.EventCounts(), fc2.EventCounts()) {
@@ -291,4 +292,16 @@ func TestResilientCalibrationUnderFaults(t *testing.T) {
 			t.Errorf("mean quality %v should be degraded but nonzero", q)
 		}
 	}
+}
+
+// StragglerVMs returns the VM indices selected as stragglers, sorted.
+func (c *Cluster) StragglerVMs() []int {
+	var out []int
+	for vm, s := range c.straggler {
+		if s {
+			out = append(out, vm)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

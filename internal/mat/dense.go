@@ -39,6 +39,8 @@ func NewDenseData(r, c int, data []float64) *Dense {
 }
 
 // FromRows builds a matrix from a slice of equal-length rows (copied).
+//
+//netlint:allow testonly netmodel's, mpi's, core's and rpca's tests build their fixtures with it
 func FromRows(rows [][]float64) *Dense {
 	if len(rows) == 0 {
 		return NewDense(0, 0)
@@ -65,6 +67,8 @@ func Eye(n int) *Dense {
 
 // Random returns an r×c matrix with i.i.d. entries drawn uniformly from
 // [lo, hi) using the supplied source.
+//
+//netlint:allow testonly the root BenchmarkFNFTree196, BenchmarkVivaldiTrain and BenchmarkTriangleAnalysis64 draw their matrices with it
 func Random(rng *rand.Rand, r, c int, lo, hi float64) *Dense {
 	m := NewDense(r, c)
 	for i := range m.data {
@@ -117,18 +121,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic("mat: col out of bounds")
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Data returns the backing row-major slice (not a copy).
 //
 //netlint:hotpath
@@ -153,6 +145,8 @@ func (m *Dense) T() *Dense {
 }
 
 // Add returns m + b as a new matrix.
+//
+//netlint:allow testonly rpca's tests assemble planted low-rank plus sparse inputs with it
 func (m *Dense) Add(b *Dense) *Dense {
 	m.sameDims(b)
 	out := NewDense(m.rows, m.cols)
@@ -163,6 +157,8 @@ func (m *Dense) Add(b *Dense) *Dense {
 }
 
 // Sub returns m - b as a new matrix.
+//
+//netlint:allow testonly core's and rpca's tests and the root BenchmarkAblationNorms form residuals with it
 func (m *Dense) Sub(b *Dense) *Dense {
 	m.sameDims(b)
 	out := NewDense(m.rows, m.cols)
@@ -172,23 +168,9 @@ func (m *Dense) Sub(b *Dense) *Dense {
 	return out
 }
 
-// AddInPlace adds b into m.
-func (m *Dense) AddInPlace(b *Dense) {
-	m.sameDims(b)
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-}
-
-// SubInPlace subtracts b from m.
-func (m *Dense) SubInPlace(b *Dense) {
-	m.sameDims(b)
-	for i := range m.data {
-		m.data[i] -= b.data[i]
-	}
-}
-
 // Scale returns s*m as a new matrix.
+//
+//netlint:allow testonly rpca's scaling tests use it
 func (m *Dense) Scale(s float64) *Dense {
 	out := NewDense(m.rows, m.cols)
 	for i := range m.data {
@@ -213,6 +195,8 @@ func (m *Dense) sameDims(b *Dense) {
 // Mul returns the matrix product m·b. It panics on inner-dimension mismatch.
 // The inner loop is ordered (i, k, j) for cache-friendly row-major access;
 // large products run on the package worker pool (see parallel.go).
+//
+//netlint:allow testonly rpca's tests build planted low-rank inputs with it
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("mat: inner dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
@@ -245,6 +229,8 @@ func (m *Dense) Gram() *Dense {
 }
 
 // ApproxEqual reports whether every element of m and b differs by at most tol.
+//
+//netlint:allow testonly netmodel's, cloud's and rpca's tests compare matrices with it
 func (m *Dense) ApproxEqual(b *Dense, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
 		return false
@@ -258,6 +244,8 @@ func (m *Dense) ApproxEqual(b *Dense, tol float64) bool {
 }
 
 // Apply replaces every element x with f(i, j, x).
+//
+//netlint:allow testonly rpca's masked-solver tests build observation masks with it
 func (m *Dense) Apply(f func(i, j int, v float64) float64) {
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
@@ -292,33 +280,6 @@ func (m *Dense) String() string {
 		sb.WriteString("...\n")
 	}
 	return sb.String()
-}
-
-// Outer returns the outer product u·vᵀ.
-func Outer(u, v []float64) *Dense {
-	m := NewDense(len(u), len(v))
-	for i, ui := range u {
-		if ui == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, vj := range v {
-			row[j] = ui * vj
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // VecNorm2 returns the Euclidean norm of v.

@@ -256,3 +256,58 @@ func TestRank(t *testing.T) {
 		t.Errorf("zero matrix rank %d", r)
 	}
 }
+
+// Col returns a copy of column j.
+func (m *Dense) Col(j int) []float64 {
+	if j < 0 || j >= m.cols {
+		panic("mat: col out of bounds")
+	}
+	out := make([]float64, m.rows)
+	for i := 0; i < m.rows; i++ {
+		out[i] = m.data[i*m.cols+j]
+	}
+	return out
+}
+
+// AddInPlace adds b into m.
+func (m *Dense) AddInPlace(b *Dense) {
+	m.sameDims(b)
+	for i := range m.data {
+		m.data[i] += b.data[i]
+	}
+}
+
+// SubInPlace subtracts b from m.
+func (m *Dense) SubInPlace(b *Dense) {
+	m.sameDims(b)
+	for i := range m.data {
+		m.data[i] -= b.data[i]
+	}
+}
+
+// Outer returns the outer product u·vᵀ.
+func Outer(u, v []float64) *Dense {
+	m := NewDense(len(u), len(v))
+	for i, ui := range u {
+		if ui == 0 {
+			continue
+		}
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, vj := range v {
+			row[j] = ui * vj
+		}
+	}
+	return m
+}
+
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("mat: Dot length mismatch")
+	}
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}

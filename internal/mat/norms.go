@@ -128,20 +128,11 @@ func (m *Dense) powerSpectral() float64 {
 	return sigma
 }
 
-// NormNuclear returns the nuclear (trace) norm, the sum of singular values.
-// This is the convex surrogate for rank used by RPCA's low-rank term.
-func (m *Dense) NormNuclear() float64 {
-	sv := m.SingularValues()
-	var s float64
-	for _, v := range sv {
-		s += v
-	}
-	return s
-}
-
 // Rank returns the numerical rank: the number of singular values larger
 // than tol·σmax. A tol of 0 uses the conventional machine-precision
 // threshold max(r,c)·eps.
+//
+//netlint:allow testonly rpca's TestConstantMatrixRank checks the TC-matrix's rank with it
 func (m *Dense) Rank(tol float64) int {
 	sv := m.SingularValues()
 	if len(sv) == 0 {

@@ -313,12 +313,6 @@ func (m *Dense) SingularValues() []float64 {
 	return m.SVD().S
 }
 
-// TruncateRank returns the best rank-k approximation of m in the Frobenius
-// sense (Eckart–Young), via the thin SVD.
-func (m *Dense) TruncateRank(k int) *Dense {
-	return m.SVD().Reconstruct(k)
-}
-
 // Rank1 returns the best rank-one approximation σ·u·vᵀ using power
 // iteration (cheaper than a full SVD when only the leading component is
 // needed, as for TC-matrix extraction).

@@ -1,18 +1,5 @@
 package mat
 
-import "math"
-
-// SoftThreshold applies the elementwise shrinkage operator
-// sign(x)·max(|x|−tau, 0), the proximal operator of the L1 norm. It returns
-// a new matrix.
-func (m *Dense) SoftThreshold(tau float64) *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = Shrink(v, tau)
-	}
-	return out
-}
-
 // Shrink returns the soft threshold sign(x)·max(|x|−tau, 0) of one value:
 // x−tau above tau, x+tau below −tau, 0 in between.
 //
@@ -45,15 +32,4 @@ func (m *Dense) SVT(tau float64) (*Dense, int) {
 		svd.S[i] = s
 	}
 	return svd.Reconstruct(rank), rank
-}
-
-// HardThreshold zeroes entries with |x| <= tau, returning a new matrix.
-func (m *Dense) HardThreshold(tau float64) *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i, v := range m.data {
-		if math.Abs(v) > tau {
-			out.data[i] = v
-		}
-	}
-	return out
 }

@@ -412,3 +412,30 @@ func TestFNFTreeDegradedWeightsTerminates(t *testing.T) {
 		}
 	}
 }
+
+// The helpers below serve only these tests.
+
+// LongestPathWeight returns the maximum root-to-leaf sum of edge weights —
+// the "total weight of the longest path" of the paper's Fig 1 example.
+func (t *Tree) LongestPathWeight(w *mat.Dense) float64 {
+	var walk func(v int) float64
+	walk = func(v int) float64 {
+		best := 0.0
+		for _, c := range t.Children[v] {
+			if d := w.At(v, c) + walk(c); d > best {
+				best = d
+			}
+		}
+		return best
+	}
+	return walk(t.Root)
+}
+
+// RingOrder returns ranks in a ring starting at root.
+func RingOrder(n, root int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = (root + i) % n
+	}
+	return out
+}

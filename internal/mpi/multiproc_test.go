@@ -1,11 +1,206 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"netconstant/internal/mat"
 	"netconstant/internal/netmodel"
 )
+
+// The paper assumes one process per machine and notes that "the extension
+// to multiple processes per machine is straightforward" (§II-C). This file
+// sketches that extension — rank-level performance matrices expanded from
+// machine-level ones, with co-located ranks connected by a fast loopback
+// link — and tests it. No figure or command runs it, so it lives with its
+// tests rather than in the package.
+
+// Placement maps ranks to machines: MachineOf[rank] = machine index.
+type Placement struct {
+	MachineOf []int
+	machines  int
+}
+
+// NewPlacement validates and wraps a rank→machine assignment over
+// `machines` machines.
+func NewPlacement(machineOf []int, machines int) (*Placement, error) {
+	if len(machineOf) == 0 {
+		return nil, fmt.Errorf("mpi: empty placement")
+	}
+	for r, m := range machineOf {
+		if m < 0 || m >= machines {
+			return nil, fmt.Errorf("mpi: rank %d on machine %d out of range [0,%d)", r, m, machines)
+		}
+	}
+	return &Placement{MachineOf: machineOf, machines: machines}, nil
+}
+
+// RoundRobinPlacement assigns rank r to machine r mod machines — the
+// interleaved layout MPI launchers often default to.
+func RoundRobinPlacement(machines, perMachine int) *Placement {
+	mo := make([]int, machines*perMachine)
+	for r := range mo {
+		mo[r] = r % machines
+	}
+	return &Placement{MachineOf: mo, machines: machines}
+}
+
+// BlockPlacement assigns ranks to machines in contiguous blocks of
+// perMachine ranks (machine 0 gets ranks 0..p−1, etc.).
+func BlockPlacement(machines, perMachine int) *Placement {
+	mo := make([]int, machines*perMachine)
+	for r := range mo {
+		mo[r] = r / perMachine
+	}
+	return &Placement{MachineOf: mo, machines: machines}
+}
+
+// Ranks returns the number of ranks.
+func (p *Placement) Ranks() int { return len(p.MachineOf) }
+
+// Machines returns the number of machines.
+func (p *Placement) Machines() int { return p.machines }
+
+// Colocated reports whether two ranks share a machine.
+func (p *Placement) Colocated(a, b int) bool {
+	return p.MachineOf[a] == p.MachineOf[b]
+}
+
+// ExpandPerf lifts a machine-level performance matrix to rank level:
+// ranks on different machines inherit their machines' link, co-located
+// ranks get the loopback link `local` (shared-memory transfer: very high
+// bandwidth, very low latency).
+func ExpandPerf(machine *netmodel.PerfMatrix, p *Placement, local netmodel.Link) *netmodel.PerfMatrix {
+	if p.machines != machine.N {
+		panic(fmt.Sprintf("mpi: placement spans %d machines, perf matrix has %d", p.machines, machine.N))
+	}
+	n := p.Ranks()
+	out := netmodel.NewPerfMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			if p.Colocated(i, j) {
+				out.SetLink(i, j, local)
+				continue
+			}
+			out.SetLink(i, j, machine.Link(p.MachineOf[i], p.MachineOf[j]))
+		}
+	}
+	return out
+}
+
+// ExpandWeights lifts a machine-level weight matrix to rank level with
+// localWeight for co-located pairs, for tree algorithms that take weights
+// directly.
+func ExpandWeights(machineW *mat.Dense, p *Placement, localWeight float64) *mat.Dense {
+	if p.machines != machineW.Rows() {
+		panic("mpi: placement/weight size mismatch")
+	}
+	n := p.Ranks()
+	out := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			if p.Colocated(i, j) {
+				out.Set(i, j, localWeight)
+				continue
+			}
+			out.Set(i, j, machineW.At(p.MachineOf[i], p.MachineOf[j]))
+		}
+	}
+	return out
+}
+
+// FNFTreeMultiProcess builds a rank-level broadcast tree for a
+// multi-process placement hierarchically: an FNF tree over machines
+// (network-aware link selection where it matters) with one representative
+// rank per machine, and a binomial tree among the co-located ranks under
+// each representative (shared-memory fanout). The result pays exactly
+// machines−1 network edges.
+//
+// Running FNF directly on loopback-expanded rank weights does NOT achieve
+// this: FNF's doubling forces every selected rank to grab a receiver each
+// iteration, so once a machine's local ranks are exhausted its senders
+// are pushed onto network links prematurely. The hierarchical composition
+// is the natural "multiple processes per machine" extension the paper
+// alludes to in §II-C.
+func FNFTreeMultiProcess(machineW *mat.Dense, p *Placement, root int) *Tree {
+	machines := p.Machines()
+	if machineW.Rows() != machines {
+		panic("mpi: placement/weight size mismatch")
+	}
+	rootMachine := p.MachineOf[root]
+	mt := FNFTree(machineW, rootMachine)
+
+	// Group ranks by machine; the root leads its own machine, otherwise
+	// the lowest rank does.
+	members := make([][]int, machines)
+	for r, m := range p.MachineOf {
+		members[m] = append(members[m], r)
+	}
+	rep := make([]int, machines)
+	for m := range rep {
+		if len(members[m]) == 0 {
+			rep[m] = -1
+			continue
+		}
+		rep[m] = members[m][0]
+	}
+	rep[rootMachine] = root
+
+	tree := newEmptyTree(p.Ranks(), root)
+	// Machine-level edges between representatives, in FNF order.
+	var walk func(m int)
+	walk = func(m int) {
+		for _, child := range mt.Children[m] {
+			if rep[child] >= 0 && rep[m] >= 0 {
+				tree.addEdge(rep[m], rep[child])
+			}
+			walk(child)
+		}
+	}
+	walk(rootMachine)
+
+	// Intra-machine binomial fanout below each representative.
+	for m := 0; m < machines; m++ {
+		locals := members[m]
+		if len(locals) < 2 {
+			continue
+		}
+		// Order locals with the representative first.
+		ordered := make([]int, 0, len(locals))
+		ordered = append(ordered, rep[m])
+		for _, r := range locals {
+			if r != rep[m] {
+				ordered = append(ordered, r)
+			}
+		}
+		for mask := 1; mask < len(ordered); mask <<= 1 {
+			for rel := 0; rel < mask && rel+mask < len(ordered); rel++ {
+				tree.addEdge(ordered[rel], ordered[rel+mask])
+			}
+		}
+	}
+	return tree
+}
+
+// CrossMachineEdges counts tree edges that cross machines — the network
+// transfers a schedule will actually pay for.
+func CrossMachineEdges(t *Tree, p *Placement) int {
+	n := t.NumRanks()
+	count := 0
+	for v := 0; v < n; v++ {
+		if t.Parent[v] >= 0 && !p.Colocated(v, t.Parent[v]) {
+			count++
+		}
+	}
+	return count
+}
 
 func TestRoundRobinPlacement(t *testing.T) {
 	p := RoundRobinPlacement(3, 2)

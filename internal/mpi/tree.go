@@ -23,6 +23,8 @@ func (t *Tree) NumRanks() int { return len(t.Parent) }
 // Validate checks structural invariants: exactly one root, every non-root
 // has a parent consistent with the children lists, and the tree is
 // connected and acyclic.
+//
+//netlint:allow testonly perfbench, a module of its own, validates every tree it plans
 func (t *Tree) Validate() error {
 	n := len(t.Parent)
 	if t.Root < 0 || t.Root >= n {
@@ -98,22 +100,6 @@ func (t *Tree) Depth() int {
 			}
 		}
 		return d
-	}
-	return walk(t.Root)
-}
-
-// LongestPathWeight returns the maximum root-to-leaf sum of edge weights —
-// the "total weight of the longest path" of the paper's Fig 1 example.
-func (t *Tree) LongestPathWeight(w *mat.Dense) float64 {
-	var walk func(v int) float64
-	walk = func(v int) float64 {
-		best := 0.0
-		for _, c := range t.Children[v] {
-			if d := w.At(v, c) + walk(c); d > best {
-				best = d
-			}
-		}
-		return best
 	}
 	return walk(t.Root)
 }
@@ -265,14 +251,4 @@ func TopologyAwareTree(t *topo.Topology, hosts []int, root int) *Tree {
 		}
 	}
 	return tree
-}
-
-// RingOrder returns ranks in a ring starting at root — used by the ring
-// mapping baseline in the topology-mapping workload.
-func RingOrder(n, root int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = (root + i) % n
-	}
-	return out
 }

@@ -2,8 +2,14 @@ package netmodel
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -282,5 +288,119 @@ func TestRepairInNetmodel(t *testing.T) {
 func TestDecodeTPMatrixCorrupt(t *testing.T) {
 	if _, err := DecodeTPMatrix(bytes.NewBufferString("garbage")); err == nil {
 		t.Error("garbage should fail to decode")
+	}
+}
+
+// The windowing, codecs and noise injectors below run only under these
+// tests: no figure, command or daemon op calls them.
+
+// Window returns the rows with Times in [t0, t1] as a new TP-matrix.
+func (tp *TPMatrix) Window(t0, t1 float64) *TPMatrix {
+	out := NewTPMatrix(tp.N)
+	for i, tm := range tp.Times {
+		if tm >= t0 && tm <= t1 {
+			out.Times = append(out.Times, tm)
+			out.rows = append(out.rows, append([]float64(nil), tp.rows[i]...))
+		}
+	}
+	return out
+}
+
+// DecodeTPMatrix reads a TP-matrix previously written by Encode.
+func DecodeTPMatrix(r io.Reader) (*TPMatrix, error) {
+	var g gobTP
+	if err := gob.NewDecoder(r).Decode(&g); err != nil {
+		return nil, err
+	}
+	if len(g.Times) != len(g.Rows) {
+		return nil, errors.New("netmodel: corrupt TP-matrix: times/rows mismatch")
+	}
+	for _, row := range g.Rows {
+		if len(row) != g.N*g.N {
+			return nil, errors.New("netmodel: corrupt TP-matrix: row length mismatch")
+		}
+	}
+	return &TPMatrix{N: g.N, Times: g.Times, rows: g.Rows}, nil
+}
+
+// WriteCSV writes a snapshot matrix as CSV (one row per line).
+func WriteCSV(w io.Writer, m *mat.Dense) error {
+	cw := csv.NewWriter(w)
+	rec := make([]string, m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			rec[j] = strconv.FormatFloat(m.At(i, j), 'g', -1, 64)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// ReadCSV parses a dense matrix from CSV.
+func ReadCSV(r io.Reader) (*mat.Dense, error) {
+	recs, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return mat.NewDense(0, 0), nil
+	}
+	rows := make([][]float64, len(recs))
+	for i, rec := range recs {
+		rows[i] = make([]float64, len(rec))
+		for j, s := range rec {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				return nil, fmt.Errorf("netmodel: bad CSV cell (%d,%d): %w", i, j, err)
+			}
+			rows[i][j] = v
+		}
+	}
+	return mat.FromRows(rows), nil
+}
+
+// RoundTripBytes is a convenience helper that encodes and re-decodes a
+// TP-matrix through memory, used in tests and the trace tooling.
+func RoundTripBytes(tp *TPMatrix) (*TPMatrix, error) {
+	var buf bytes.Buffer
+	if err := tp.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return DecodeTPMatrix(&buf)
+}
+
+// InjectNoiseStep applies one batch of the paper's noise procedure to the
+// TP-matrix in place: each selected cell is increased or decreased by 1%
+// (§V-D3, "for each time of adding noise, we change the network
+// performance by 1%"). cells gives how many random cells to perturb.
+func (tp *TPMatrix) InjectNoiseStep(rng *rand.Rand, cells int) {
+	if len(tp.rows) == 0 {
+		return
+	}
+	width := tp.N * tp.N
+	for k := 0; k < cells; k++ {
+		i := rng.Intn(len(tp.rows))
+		j := rng.Intn(width)
+		if rng.Float64() < 0.5 {
+			tp.rows[i][j] *= 1.01
+		} else {
+			tp.rows[i][j] *= 0.99
+		}
+	}
+}
+
+// InjectSpikes adds sparse multiplicative spikes (factor amp, probability
+// density per cell) — a faster way to reach high Norm(N_E) targets than
+// repeated 1% steps, used by the Fig 10 sweep's upper range.
+func (tp *TPMatrix) InjectSpikes(rng *rand.Rand, density, amp float64) {
+	for _, row := range tp.rows {
+		for j := range row {
+			if rng.Float64() < density {
+				row[j] *= 1 + amp*rng.Float64()
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ type Norm int
 const (
 	// NormL1 is the entrywise L1 norm — the convex surrogate actually
 	// minimized by the solver, and the default for Norm(N_E).
-	NormL1 Norm = iota
+	NormL1 Norm = iota //netlint:allow testonly core's TestDecomposeTPNormEMatchesReference and the root BenchmarkAblationNorms select it
 	// NormL0 counts entries above a relative magnitude threshold,
 	// matching the paper's ‖·‖₀ notation.
 	NormL0
@@ -96,6 +96,8 @@ const (
 // RelNorm computes the paper's effectiveness metric
 // Norm(N_E) = ‖N_E‖ / ‖N_A‖, clamped to [0, 1]. For NormL0 the threshold
 // is eps·max|A|; pass eps <= 0 for the default 1e-3.
+//
+//netlint:allow testonly core's TestDecomposeTPNormEMatchesReference and the root BenchmarkAblationNorms compute their reference with it
 func RelNorm(e, a *mat.Dense, norm Norm, eps float64) float64 {
 	var num, den float64
 	switch norm {

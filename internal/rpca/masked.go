@@ -44,25 +44,3 @@ func checkFinite(a *mat.Dense) error {
 	}
 	return nil
 }
-
-// DecomposeMasked solves RPCA with missing entries: given an observation
-// mask Ω (mask cell > 0.5 ⇔ observed), it finds D low-rank and E sparse
-// with P_Ω(A) = P_Ω(D + E), leaving the unobserved entries of A free. This
-// is the IALM iteration with missing-entry projection: each round the
-// unobserved entries of the working matrix are refreshed from the current
-// D + E (so they exert no pull of their own), the sparse component is
-// confined to Ω (no error term can live where nothing was measured), and
-// the multiplier/residual updates only count observed entries.
-//
-// Calibrations with probe gaps use this instead of zero-filling: a zero
-// bandwidth cell fed to the unmasked solver looks like an extreme outlier
-// and corrupts the constant component, whereas the mask lets the low-rank
-// structure interpolate the gap.
-//
-// A nil mask (or an all-ones mask) reduces to Decompose.
-//
-// Each call builds a throwaway Solver; hot paths should hold a Solver and
-// call its DecomposeMasked to reuse the arena and SVT workspace.
-func DecomposeMasked(a, mask *mat.Dense, opts Options) (*Result, error) {
-	return NewSolver().DecomposeMasked(a, mask, opts)
-}

@@ -51,6 +51,8 @@ func NewSolver() *Solver {
 // lifetime. Every SVT is a full decomposition on a route chosen by shape,
 // so the second result is always 0; it stays only because perfbench
 // reports it as `rpca.svt_truncated`.
+//
+//netlint:allow testonly perfbench, a module of its own, reports it as rpca.svt_full and rpca.svt_truncated
 func (s *Solver) SVTStats() (full, truncated int) { return s.svt.Calls(), 0 }
 
 // bind (re)allocates the arena for an r×c problem; at the bound shape it
@@ -141,9 +143,22 @@ func (s *Solver) Decompose(a *mat.Dense, opts Options) (*Result, error) {
 	return s.solve("rpca.Decompose", a, a, false, opts)
 }
 
-// DecomposeMasked runs the missing-entry IALM variant over the arena (see
-// the package-level DecomposeMasked for semantics). The returned matrices
-// are caller-owned.
+// DecomposeMasked solves RPCA with missing entries: given an observation
+// mask Ω (mask cell > 0.5 ⇔ observed), it finds D low-rank and E sparse
+// with P_Ω(A) = P_Ω(D + E), leaving the unobserved entries of A free. This
+// is the IALM iteration with missing-entry projection: each round the
+// unobserved entries of the working matrix are refreshed from the current
+// D + E (so they exert no pull of their own), the sparse component is
+// confined to Ω (no error term can live where nothing was measured), and
+// the multiplier/residual updates only count observed entries.
+//
+// Calibrations with probe gaps use this instead of zero-filling: a zero
+// bandwidth cell fed to the unmasked solver looks like an extreme outlier
+// and corrupts the constant component, whereas the mask lets the low-rank
+// structure interpolate the gap.
+//
+// A nil mask (or an all-ones mask) reduces to Decompose. It runs over the
+// arena, and the returned matrices are caller-owned.
 func (s *Solver) DecomposeMasked(a, mask *mat.Dense, opts Options) (*Result, error) {
 	if mask == nil {
 		return s.Decompose(a, opts)

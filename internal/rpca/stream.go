@@ -1,22 +1,21 @@
 package rpca
 
-// Online streaming RPCA: incremental constant-subspace tracking with the
-// batch solver kept as a differential oracle.
+// Online streaming RPCA: per-column constant estimates between resolves,
+// with the batch solver kept as a differential oracle.
 //
 // The batch pipeline re-decomposes a complete TP-matrix per epoch; the
-// streaming solver instead ingests pair measurements column-by-column and
-// maintains the constant component at two tiers:
+// streaming solver instead is seeded with a TP-matrix, takes re-measured
+// pair columns one at a time, and maintains the constant component at two
+// tiers:
 //
-//   - a fast tier, run per column: project the new measurement column onto
-//     the leading left subspace recorded by the solver's mat.SVTWorkspace
-//     (the leading left singular vectors of the last SVT input), split the
-//     column into a low-rank part d̂ = U·(Uᵀa) and a residual ê = a − d̂,
-//     and extract the column's constant estimate from d̂. Cost O(rows·k) —
-//     no decomposition at all. Optionally (TrackEvery) one SVT over the
-//     accumulated matrix refreshes the subspace, absorbing slow drift
-//     between resolves;
+//   - a fast tier, run per replaced column: project the new measurement
+//     column onto the leading left subspace recorded by the solver's
+//     mat.SVTWorkspace (the leading left singular vectors of the last
+//     resolve's SVT input), split the column into a low-rank part
+//     d̂ = U·(Uᵀa) and a residual ê = a − d̂, and extract the column's
+//     constant estimate from d̂. Cost O(rows·k) — no decomposition at all;
 //
-//   - an authoritative tier, Resolve: IALM over the matrix so far on the
+//   - an authoritative tier, Resolve: IALM over the matrix on the
 //     solver's reused arena. No SVT carries state from one call to the
 //     next, so a resolve is the same computation as a cold batch solve of
 //     the same matrix, bit for bit, at every shape. This is the partial
@@ -39,8 +38,7 @@ import (
 )
 
 // StreamOptions configures a StreamingSolver. The zero value selects the
-// batch solver defaults, median extraction, and subspace tracking on every
-// appended column.
+// batch solver defaults and median extraction.
 type StreamOptions struct {
 	// Extract selects how per-column constant estimates are obtained; the
 	// zero value is ExtractMedian, matching the batch pipeline default.
@@ -50,25 +48,11 @@ type StreamOptions struct {
 	// set, cancels inside resolve iterations; the streaming update loop
 	// itself is cancelled via StreamOptions.Ctx below.
 	Solve Options
-	// TrackEvery runs one SVT over the accumulated matrix every n
-	// appended columns to refresh the tracked subspace. 0 selects 1
-	// (every column); negative disables tracking between resolves.
-	TrackEvery int
-	// ResolveEvery triggers an authoritative resolve every n appended
-	// columns. 0 disables cadence resolves — the caller (e.g. the advisor's
-	// regime detector) decides when to resolve.
-	ResolveEvery int
-	// Ctx, when non-nil, is checked on every append and inside Seed's
-	// ingestion loop; a cancelled context aborts with a *cancel.Error.
+	// Ctx, when non-nil, is checked inside Seed's ingestion loop; a
+	// cancelled context aborts with a *cancel.Error. The caller decides
+	// when to resolve (the advisor's regime detector, or an explicit
+	// request).
 	Ctx context.Context
-}
-
-// StreamStats counts the work a StreamingSolver has done.
-type StreamStats struct {
-	Columns  int // columns ingested (Seed + AppendColumn)
-	Replaced int // columns overwritten by ReplaceColumn
-	Tracked  int // fast-tier subspace-refresh SVTs
-	Resolves int // authoritative resolves
 }
 
 // StreamAgreement is the differential-oracle verdict: the distance between
@@ -83,14 +67,14 @@ type StreamAgreement struct {
 	BatchIters  int     // iterations of the oracle solve
 }
 
-// StreamingSolver ingests TP-matrix columns one at a time and maintains
-// the constant component incrementally. It is not safe for concurrent use.
+// StreamingSolver maintains the constant component of a seeded TP-matrix
+// as its columns are re-measured. It is not safe for concurrent use.
 type StreamingSolver struct {
 	rows int
 	opts StreamOptions
 
-	// colData holds the accumulated matrix column-major (column j occupies
-	// colData[j*rows : (j+1)*rows]) so appends are O(rows).
+	// colData holds the matrix column-major (column j occupies
+	// colData[j*rows : (j+1)*rows]) so a replacement is O(rows).
 	colData []float64
 	ncols   int
 
@@ -98,20 +82,15 @@ type StreamingSolver struct {
 	// the fast tier projects onto.
 	solver *Solver
 
-	// amat is the row-major materialization scratch for tracking/resolves.
-	amat, aout []float64
+	// amat is the row-major materialization scratch for resolves.
+	amat []float64
 
-	constant     []float64 // per-column constant estimates, streaming tier
-	last         *Result   // last authoritative resolve (caller-owned clones)
-	dirty        bool      // columns ingested or replaced since the last resolve
-	trackTau     float64   // SVT threshold for subspace tracking; 0 = none yet
-	sinceTrack   int
-	sinceResolve int
-	stats        StreamStats
-	projBuf      []float64 // k-length projection scratch
-	colBuf       []float64 // rows-length cleaned-column scratch
-	sortBuf      []float64 // rows-length extraction scratch
-	constantOld  []float64 // resolve-time snapshot (diagnostics for drift)
+	constant []float64 // per-column constant estimates, streaming tier
+	last     *Result   // last authoritative resolve (caller-owned clones)
+	dirty    bool      // columns replaced since the last resolve
+	projBuf  []float64 // k-length projection scratch
+	colBuf   []float64 // rows-length cleaned-column scratch
+	sortBuf  []float64 // rows-length extraction scratch
 }
 
 // NewStreamingSolver returns a streaming solver for TP-matrices with the
@@ -120,44 +99,21 @@ func NewStreamingSolver(rows int, opts StreamOptions) (*StreamingSolver, error) 
 	if rows <= 0 {
 		return nil, errors.New("rpca: streaming solver needs rows > 0")
 	}
-	if opts.TrackEvery == 0 {
-		opts.TrackEvery = 1
-	}
 	return &StreamingSolver{rows: rows, opts: opts, solver: NewSolver()}, nil
 }
 
-// Rows returns the fixed column height.
-func (s *StreamingSolver) Rows() int { return s.rows }
-
-// Columns returns the number of columns ingested so far.
-func (s *StreamingSolver) Columns() int { return s.ncols }
-
-// Stats returns the work counters.
-func (s *StreamingSolver) Stats() StreamStats { return s.stats }
-
 // Constant returns a copy of the current per-column constant row estimate
-// P_D: authoritative values from the last resolve for the columns it saw,
-// fast-tier projections for columns appended since.
+// P_D: authoritative values from the last resolve for the columns it saw
+// unchanged, fast-tier projections for columns replaced since.
 func (s *StreamingSolver) Constant() []float64 {
 	out := make([]float64, s.ncols)
 	copy(out, s.constant)
 	return out
 }
 
-// LastResult returns the last authoritative resolve, or nil before the
-// first one. The matrices are owned by the solver's history — treat them
-// as read-only.
-func (s *StreamingSolver) LastResult() *Result { return s.last }
-
-// Matrix materializes the accumulated TP-matrix (rows × Columns()) as a
-// fresh caller-owned Dense.
-func (s *StreamingSolver) Matrix() *mat.Dense {
-	return s.matrixView().Clone()
-}
-
-// matrixView materializes the accumulated matrix row-major into the amat
-// scratch and returns a view over it. The view is invalidated by the next
-// append/materialize.
+// matrixView materializes the matrix row-major into the amat scratch and
+// returns a view over it. The view is invalidated by the next
+// materialize.
 func (s *StreamingSolver) matrixView() *mat.Dense {
 	r, c := s.rows, s.ncols
 	if cap(s.amat) < r*c {
@@ -175,7 +131,7 @@ func (s *StreamingSolver) matrixView() *mat.Dense {
 
 // Seed ingests an existing TP-matrix (e.g. the advisor's last full
 // calibration) column-by-column and runs an initial authoritative resolve,
-// so subsequent appends have a subspace to project onto.
+// so subsequent replacements have a subspace to project onto.
 func (s *StreamingSolver) Seed(a *mat.Dense) error {
 	r, c := a.Dims()
 	if r != s.rows {
@@ -199,38 +155,8 @@ func (s *StreamingSolver) Seed(a *mat.Dense) error {
 func (s *StreamingSolver) ingest(col []float64) {
 	s.colData = append(s.colData, col...)
 	s.ncols++
-	s.stats.Columns++
 	s.dirty = true
-	s.sinceResolve++
 	s.constant = append(s.constant, s.fastEstimate(col))
-}
-
-// AppendColumn ingests one new pair-measurement column (length Rows()):
-// fast-tier constant estimate immediately, subspace-tracking SVT every
-// TrackEvery columns, authoritative resolve every ResolveEvery.
-func (s *StreamingSolver) AppendColumn(col []float64) error {
-	if len(col) != s.rows {
-		return fmt.Errorf("rpca: column length %d, want %d", len(col), s.rows)
-	}
-	if err := cancel.Check(s.opts.Ctx, "rpca.Stream", s.ncols, s.ncols+1); err != nil {
-		return err
-	}
-	if err := checkFiniteSlice(col); err != nil {
-		return err
-	}
-	s.ingest(col)
-
-	if s.opts.ResolveEvery > 0 && s.sinceResolve >= s.opts.ResolveEvery {
-		_, err := s.Resolve()
-		return err
-	}
-	if s.opts.TrackEvery > 0 {
-		s.sinceTrack++
-		if s.sinceTrack >= s.opts.TrackEvery {
-			s.track()
-		}
-	}
-	return nil
 }
 
 // ReplaceColumn overwrites a previously ingested column (a re-measured
@@ -248,14 +174,13 @@ func (s *StreamingSolver) ReplaceColumn(j int, col []float64) error {
 	copy(s.colData[j*s.rows:(j+1)*s.rows], col)
 	s.constant[j] = s.fastEstimate(col)
 	s.dirty = true
-	s.stats.Replaced++
 	return nil
 }
 
 // fastEstimate splits col against the tracked subspace and extracts the
-// column's constant value from the low-rank part. With no subspace yet
-// (no resolve, or the matrix is still square-ish) the raw column is used
-// — the first resolve replaces these provisional values.
+// column's constant value from the low-rank part. With no subspace (during
+// Seed's ingestion, or after a square-ish resolve) the raw column is used;
+// the next resolve replaces these provisional values.
 func (s *StreamingSolver) fastEstimate(col []float64) float64 {
 	r := s.rows
 	u, ur, k := s.solver.svt.LeadingSubspace()
@@ -292,26 +217,7 @@ func (s *StreamingSolver) fastEstimate(col []float64) float64 {
 	return extractValue(d, s.opts.Extract, &s.sortBuf)
 }
 
-// track refreshes the tracked subspace with a single SVT over the matrix
-// so far at the rank-revealing threshold remembered from the last
-// resolve. Only the leading subspace the workspace records is wanted; the
-// thresholded output is discarded.
-func (s *StreamingSolver) track() {
-	s.sinceTrack = 0
-	if s.trackTau <= 0 {
-		return // no resolve yet — nothing rank-revealing to track against
-	}
-	a := s.matrixView()
-	r, c := a.Dims()
-	if cap(s.aout) < r*c {
-		s.aout = make([]float64, r*c)
-	}
-	out := mat.NewDenseData(r, c, s.aout[:r*c])
-	s.solver.svt.SVTInto(out, a, s.trackTau)
-	s.stats.Tracked++
-}
-
-// Resolve runs the authoritative IALM over the matrix so far — the
+// Resolve runs the authoritative IALM over the matrix — the
 // partial re-solve a regime change triggers. It is a batch solve of that
 // matrix on the reused arena, so its result is the cold batch answer bit
 // for bit. The constant row is re-extracted for every column.
@@ -326,20 +232,15 @@ func (s *StreamingSolver) Resolve() (*Result, error) {
 	}
 	s.last = res
 	s.dirty = false
-	s.sinceResolve = 0
-	s.sinceTrack = 0
-	s.stats.Resolves++
-	s.constantOld = append(s.constantOld[:0], s.constant...)
 	s.constant = append(s.constant[:0], ConstantRow(res.D, s.opts.Extract)...)
-	s.trackTau = trackThreshold(res.D, res.RankD)
 	return res, nil
 }
 
 // Verify is the differential oracle: run the batch IALM on a fresh solver
-// over the accumulated matrix and compare it with the streaming solver's
-// authoritative state, resolving first if columns arrived since the last
-// resolve. A resolve is the same computation, so any disagreement at all
-// is a bug.
+// over the same matrix and compare it with the streaming solver's
+// authoritative state, resolving first if columns were replaced since the
+// last resolve. A resolve is the same computation, so any disagreement at
+// all is a bug.
 func (s *StreamingSolver) Verify() (StreamAgreement, error) {
 	var ag StreamAgreement
 	if s.last == nil || s.dirty {
@@ -359,8 +260,8 @@ func (s *StreamingSolver) Verify() (StreamAgreement, error) {
 	return ag, nil
 }
 
-// RelNormE returns the paper's effectiveness metric over the accumulated
-// matrix against the current constant row: ‖A − N_D‖₁ / ‖A‖₁, where N_D
+// RelNormE returns the paper's effectiveness metric over the matrix
+// against the current constant row: ‖A − N_D‖₁ / ‖A‖₁, where N_D
 // replicates the constant row. Cheap (one pass) and usable between
 // resolves, since the constant row is maintained per column.
 func (s *StreamingSolver) RelNormE() float64 {
@@ -382,30 +283,6 @@ func (s *StreamingSolver) RelNormE() float64 {
 		v = 1
 	}
 	return v
-}
-
-// trackThreshold picks the subspace-tracking SVT threshold from a resolved
-// low-rank component: half its smallest kept singular value, which keeps
-// the tracked block at the resolved rank while rejecting residual noise
-// directions. Returns 0 (tracking disabled) for a rank-0 component.
-func trackThreshold(d *mat.Dense, rank int) float64 {
-	if rank <= 0 {
-		return 0
-	}
-	r, c := d.Dims()
-	if r > c {
-		// Track in the fat orientation the workspace uses.
-		rank = min(rank, c)
-	}
-	vals, _ := mat.EigSym(d.Gram())
-	if rank > len(vals) {
-		rank = len(vals)
-	}
-	lam := vals[rank-1]
-	if lam <= 0 {
-		return 0
-	}
-	return 0.5 * math.Sqrt(lam)
 }
 
 // extractValue reduces a cleaned column to its constant estimate using the

@@ -11,41 +11,41 @@ import (
 	"netconstant/internal/mat"
 )
 
-// streamTrace builds a synthetic TP-matrix and returns it split as a seed
-// prefix plus the remaining columns in arrival order — the streaming
-// workload: every column shares the same planted constant subspace, with
-// sparse spikes.
+// streamTrace builds a synthetic TP-matrix of r rows and c pair columns
+// and c/2 re-measurements: columns drawn from the same planted constant
+// subspace, with their own sparse spikes, that re-measure the last c/2
+// pairs in order — the streaming workload production runs (seed the last
+// calibration, then replace re-measured pairs).
 func streamTrace(seed int64, r, c, rank int, spikeFrac float64) (*mat.Dense, [][]float64) {
 	rng := rand.New(rand.NewSource(seed))
-	a := syntheticTP(rng, r, c, rank, spikeFrac)
-	seedCols := c / 2
-	pre := mat.NewDense(r, seedCols)
+	all := syntheticTP(rng, r, c+c/2, rank, spikeFrac)
+	a := mat.NewDense(r, c)
 	for i := 0; i < r; i++ {
-		copy(pre.Row(i), a.Row(i)[:seedCols])
+		copy(a.Row(i), all.Row(i)[:c])
 	}
-	var rest [][]float64
-	for j := seedCols; j < c; j++ {
+	remeasured := make([][]float64, c/2)
+	for k := range remeasured {
 		col := make([]float64, r)
-		for i := 0; i < r; i++ {
-			col[i] = a.At(i, j)
+		for i := range col {
+			col[i] = all.At(i, c+k)
 		}
-		rest = append(rest, col)
+		remeasured[k] = col
 	}
-	return pre, rest
+	return a, remeasured
 }
 
-// traceMatrix rebuilds the first seed-width+n columns of a streamTrace as
-// a fresh matrix, independent of the streaming solver's column store.
-func traceMatrix(pre *mat.Dense, rest [][]float64, n int) *mat.Dense {
-	r, c0 := pre.Dims()
-	a := mat.NewDense(r, c0+n)
-	for i := 0; i < r; i++ {
-		copy(a.Row(i), pre.Row(i))
-		for j, col := range rest[:n] {
-			a.Set(i, c0+j, col[i])
-		}
+// replaceAt returns the column index the k-th re-measurement of a
+// streamTrace overwrites.
+func replaceAt(a *mat.Dense, k int) int {
+	_, c := a.Dims()
+	return c - c/2 + k
+}
+
+// setColumn writes col into column j of a.
+func setColumn(a *mat.Dense, j int, col []float64) {
+	for i, v := range col {
+		a.Set(i, j, v)
 	}
-	return a
 }
 
 // sameBits reports whether x and y hold the same float64 bit patterns.
@@ -61,40 +61,41 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
-// TestStreamingAgreesWithBatch is the differential-oracle acceptance test:
-// after seeding, appending the rest of a trace column-by-column and
-// resolving, the streaming state must equal a cold batch IALM solve bit
-// for bit — D, E and the constant row. The batch solve runs on the test's
-// own copy of the trace, not on s.Matrix(), so the column store is checked
-// too, and Verify must report zero disagreement. The gate case is CI's
-// stream-oracle-gate: resolves every 16 columns, and the oracle runs
-// after every 16th appended column as well as at the end. The rows10 case
-// has the advisor's shape (ten time steps per pair column).
+// TestStreamingAgreesWithBatch is the differential-oracle acceptance test
+// in the shape production runs: seed the whole trace, replace the last
+// half of its columns with re-measurements, and Verify after every
+// checkEvery-th replacement and at the end. Each Verify resolves, and the
+// streaming state must equal a cold batch IALM solve bit for bit — D, E
+// and the constant row. The batch solve runs on the test's own edited
+// copy of the trace, not on the solver's column store, so the store is
+// checked too, and Verify must report zero disagreement. The gate case is
+// CI's stream-oracle-gate. The rows10 case has the advisor's shape (ten
+// time steps per pair column).
 func TestStreamingAgreesWithBatch(t *testing.T) {
 	cases := []struct {
 		name             string
 		seed             int64
 		rows, cols, rank int
-		opts             StreamOptions
-		checkEvery       int // also check after every n-th appended column; 0 = only at the end
+		checkEvery       int // also check after every n-th replacement; 0 = only at the end
 		wantChecks       int
 	}{
-		{"seed7", 7, 24, 196, 3, StreamOptions{}, 0, 1},
-		{"gate", 1, 24, 196, 3, StreamOptions{ResolveEvery: 16}, 16, 7},
-		{"rows10", 11, 10, 64, 2, StreamOptions{}, 0, 1},
+		{"seed7", 7, 24, 196, 3, 0, 1},
+		{"gate", 1, 24, 196, 3, 16, 7},
+		{"rows10", 11, 10, 64, 2, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seedM, rest := streamTrace(tc.seed, tc.rows, tc.cols, tc.rank, 0.05)
-			s, err := NewStreamingSolver(tc.rows, tc.opts)
+			a, remeasured := streamTrace(tc.seed, tc.rows, tc.cols, tc.rank, 0.05)
+			s, err := NewStreamingSolver(tc.rows, StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Seed(seedM); err != nil {
+			if err := s.Seed(a); err != nil {
 				t.Fatal(err)
 			}
+			edited := a.Clone()
 			checks := 0
-			check := func(appended int) {
+			check := func(replaced int) {
 				t.Helper()
 				ag, err := s.Verify()
 				if err != nil {
@@ -103,78 +104,87 @@ func TestStreamingAgreesWithBatch(t *testing.T) {
 				checks++
 				// Written so that a NaN agreement fails too.
 				if !(ag.RelFroD == 0) || !(ag.RelFroE == 0) || !(ag.ConstantRel == 0) {
-					t.Fatalf("check %d at %d columns: streaming vs batch disagreement D %.3e, E %.3e, constant row %.3e (want 0)",
-						checks, s.Columns(), ag.RelFroD, ag.RelFroE, ag.ConstantRel)
+					t.Fatalf("check %d after %d replacements: streaming vs batch disagreement D %.3e, E %.3e, constant row %.3e (want 0)",
+						checks, replaced, ag.RelFroD, ag.RelFroE, ag.ConstantRel)
 				}
-				batch, err := NewSolver().Decompose(traceMatrix(seedM, rest, appended), tc.opts.Solve)
+				batch, err := NewSolver().Decompose(edited, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := s.LastResult()
 				for _, m := range []struct {
 					name      string
 					got, want []float64
 				}{
-					{"D", got.D.Data(), batch.D.Data()},
-					{"E", got.E.Data(), batch.E.Data()},
-					{"constant row", s.Constant(), ConstantRow(batch.D, tc.opts.Extract)},
+					{"D", s.last.D.Data(), batch.D.Data()},
+					{"E", s.last.E.Data(), batch.E.Data()},
+					{"constant row", s.Constant(), ConstantRow(batch.D, ExtractMedian)},
 				} {
 					if !sameBits(m.got, m.want) {
-						t.Fatalf("check %d at %d columns: streaming %s differs bitwise from the batch solve of the trace", checks, s.Columns(), m.name)
+						t.Fatalf("check %d after %d replacements: streaming %s differs bitwise from the batch solve of the trace", checks, replaced, m.name)
 					}
 				}
 			}
-			for i, col := range rest {
-				if err := s.AppendColumn(col); err != nil {
+			for k, col := range remeasured {
+				j := replaceAt(a, k)
+				if err := s.ReplaceColumn(j, col); err != nil {
 					t.Fatal(err)
 				}
-				if n := i + 1; tc.checkEvery > 0 && n%tc.checkEvery == 0 && n != len(rest) {
+				setColumn(edited, j, col)
+				if n := k + 1; tc.checkEvery > 0 && n%tc.checkEvery == 0 && n != len(remeasured) {
 					check(n)
 				}
 			}
-			check(len(rest))
+			check(len(remeasured))
 			if checks != tc.wantChecks {
 				t.Fatalf("ran %d oracle checks, want %d", checks, tc.wantChecks)
 			}
-			if st := s.Stats(); st.Columns != tc.cols {
-				t.Fatalf("columns = %d, want %d", st.Columns, tc.cols)
+			if s.ncols != tc.cols {
+				t.Fatalf("columns = %d, want %d", s.ncols, tc.cols)
 			}
 		})
 	}
 }
 
 // BenchmarkStreamingTrace times the gate trace of TestStreamingAgreesWithBatch
-// (24 rows, 196 pair columns, rank 3, 5% spikes): "stream" seeds 98
-// columns and appends the other 98 with a resolve every 16; "cold" is what
-// the batch pipeline would do per epoch instead, a fresh IALM solve of the
-// matrix so far on each of the 98 arrivals.
+// (24 rows, 196 pair columns, rank 3, 5% spikes): "stream" seeds the
+// trace and replaces its last 98 columns with a resolve after every 16th
+// replacement and at the end; "cold" is what the batch pipeline would do
+// per epoch instead, a fresh IALM solve of the edited matrix after each
+// of the 98 replacements.
 func BenchmarkStreamingTrace(b *testing.B) {
-	seedM, rest := streamTrace(1, 24, 196, 3, 0.05)
+	a, remeasured := streamTrace(1, 24, 196, 3, 0.05)
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := NewStreamingSolver(24, StreamOptions{ResolveEvery: 16})
+			s, err := NewStreamingSolver(24, StreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.Seed(seedM); err != nil {
+			if err := s.Seed(a); err != nil {
 				b.Fatal(err)
 			}
-			for _, col := range rest {
-				if err := s.AppendColumn(col); err != nil {
+			for k, col := range remeasured {
+				if err := s.ReplaceColumn(replaceAt(a, k), col); err != nil {
 					b.Fatal(err)
+				}
+				if n := k + 1; n%16 == 0 || n == len(remeasured) {
+					if _, err := s.Resolve(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		mats := make([]*mat.Dense, len(rest))
-		for n := range rest {
-			mats[n] = traceMatrix(seedM, rest, n+1)
+		mats := make([]*mat.Dense, len(remeasured))
+		edited := a.Clone()
+		for k, col := range remeasured {
+			setColumn(edited, replaceAt(a, k), col)
+			mats[k] = edited.Clone()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, a := range mats {
-				if _, err := NewSolver().Decompose(a, Options{}); err != nil {
+			for _, m := range mats {
+				if _, err := NewSolver().Decompose(m, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,90 +193,78 @@ func BenchmarkStreamingTrace(b *testing.B) {
 }
 
 // TestStreamingDeterminism: two identical streaming runs must produce
-// bit-identical constants, agreement numbers and counters.
+// bit-identical constants and agreement numbers.
 func TestStreamingDeterminism(t *testing.T) {
-	run := func() ([]float64, StreamStats) {
-		seedM, rest := streamTrace(13, 24, 128, 3, 0.05)
-		s, err := NewStreamingSolver(24, StreamOptions{ResolveEvery: 24})
+	run := func() ([]float64, StreamAgreement) {
+		a, remeasured := streamTrace(13, 24, 128, 3, 0.05)
+		s, err := NewStreamingSolver(24, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Seed(seedM); err != nil {
+		if err := s.Seed(a); err != nil {
 			t.Fatal(err)
 		}
-		for _, col := range rest {
-			if err := s.AppendColumn(col); err != nil {
+		for k, col := range remeasured {
+			if err := s.ReplaceColumn(replaceAt(a, k), col); err != nil {
 				t.Fatal(err)
 			}
+			if (k+1)%24 == 0 {
+				if _, err := s.Resolve(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		return s.Constant(), s.Stats()
-	}
-	c1, st1 := run()
-	c2, st2 := run()
-	if st1 != st2 {
-		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
-	}
-	for j := range c1 {
-		if math.Float64bits(c1[j]) != math.Float64bits(c2[j]) {
-			t.Fatalf("constant[%d] differs bitwise across identical runs", j)
+		fast := s.Constant()
+		ag, err := s.Verify()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return append(fast, s.Constant()...), ag
+	}
+	c1, ag1 := run()
+	c2, ag2 := run()
+	if ag1 != ag2 {
+		t.Fatalf("agreement diverged: %+v vs %+v", ag1, ag2)
+	}
+	if !sameBits(c1, c2) {
+		t.Fatal("constant rows differ bitwise across identical runs")
 	}
 }
 
 // TestStreamingFastTierTracksConstant: between resolves the projection
-// estimates for fresh columns must already sit near the planted constant
-// (the raw column medians would too, but the projection must not be worse).
+// estimates for re-measured columns must already sit within 5% of the
+// constant a batch solve of the edited matrix extracts.
 func TestStreamingFastTierTracksConstant(t *testing.T) {
-	seedM, rest := streamTrace(17, 24, 196, 1, 0.03)
+	a, remeasured := streamTrace(17, 24, 196, 1, 0.03)
 	s, err := NewStreamingSolver(24, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Seed(seedM); err != nil {
+	if err := s.Seed(a); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range rest {
-		if err := s.AppendColumn(col); err != nil {
+	edited := a.Clone()
+	for k, col := range remeasured {
+		j := replaceAt(a, k)
+		if err := s.ReplaceColumn(j, col); err != nil {
 			t.Fatal(err)
 		}
+		setColumn(edited, j, col)
 	}
-	// No resolve since seeding: columns past the seed width carry
-	// fast-tier estimates. Batch-decompose the full matrix as the oracle.
-	batch, err := NewSolver().Decompose(s.Matrix(), Options{})
+	// No resolve since seeding: the replaced columns carry fast-tier
+	// estimates. Batch-decompose the edited matrix as the oracle.
+	batch, err := NewSolver().Decompose(edited, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := ConstantRow(batch.D, ExtractMedian)
 	got := s.Constant()
-	tail := RelDiff(got[98:], oracle[98:])
-	if tail > 0.05 {
+	j0 := replaceAt(a, 0)
+	if tail := RelDiff(got[j0:], oracle[j0:]); tail > 0.05 {
 		t.Fatalf("fast-tier constant estimates off by %.3f relative (want <= 0.05)", tail)
 	}
 	if rel := s.RelNormE(); rel < 0 || rel > 1 {
 		t.Fatalf("RelNormE out of range: %v", rel)
-	}
-}
-
-// TestStreamingResolveCadence: ResolveEvery must trigger authoritative
-// resolves at the configured cadence.
-func TestStreamingResolveCadence(t *testing.T) {
-	seedM, rest := streamTrace(19, 12, 64, 2, 0.05)
-	s, err := NewStreamingSolver(12, StreamOptions{ResolveEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Seed(seedM); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range rest {
-		if err := s.AppendColumn(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	want := 1 + len(rest)/8 // seed resolve + one per 8 appended columns
-	if st.Resolves != want {
-		t.Fatalf("resolves = %d, want %d", st.Resolves, want)
 	}
 }
 
@@ -299,8 +297,8 @@ func TestStreamingReplaceColumn(t *testing.T) {
 	}
 }
 
-// TestStreamingCancellation: a cancelled context must abort appends and
-// seeding with the typed cancellation error.
+// TestStreamingCancellation: a cancelled context must abort seeding with
+// the typed cancellation error before any column is ingested.
 func TestStreamingCancellation(t *testing.T) {
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
@@ -308,16 +306,12 @@ func TestStreamingCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := make([]float64, 12)
-	if err := s.AppendColumn(col); !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("AppendColumn err = %v, want cancellation", err)
-	}
-	seedM, _ := streamTrace(29, 12, 32, 2, 0)
-	if err := s.Seed(seedM); !errors.Is(err, cancel.ErrCanceled) {
+	a, _ := streamTrace(29, 12, 32, 2, 0)
+	if err := s.Seed(a); !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("Seed err = %v, want cancellation", err)
 	}
-	if s.Columns() != 0 {
-		t.Fatalf("cancelled appends still ingested %d columns", s.Columns())
+	if s.ncols != 0 {
+		t.Fatalf("cancelled seed still ingested %d columns", s.ncols)
 	}
 }
 
@@ -328,19 +322,29 @@ func TestStreamingRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := make([]float64, 8)
-	bad[3] = math.NaN()
-	if err := s.AppendColumn(bad); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("NaN column err = %v, want ErrNonFinite", err)
-	}
-	if err := s.AppendColumn(make([]float64, 5)); err == nil {
-		t.Fatal("short column did not error")
-	}
-	if s.Columns() != 0 {
-		t.Fatal("rejected columns were ingested")
-	}
 	if _, err := s.Resolve(); err == nil {
 		t.Fatal("empty resolve did not error")
+	}
+	a, _ := streamTrace(31, 8, 32, 2, 0)
+	if err := s.Seed(a); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float64(nil), s.colData...)
+	constBefore := s.Constant()
+	bad := make([]float64, 8)
+	bad[3] = math.NaN()
+	if err := s.ReplaceColumn(2, bad); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("NaN column err = %v, want ErrNonFinite", err)
+	}
+	bad[3] = math.Inf(1)
+	if err := s.ReplaceColumn(2, bad); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("Inf column err = %v, want ErrNonFinite", err)
+	}
+	if err := s.ReplaceColumn(2, make([]float64, 5)); err == nil {
+		t.Fatal("short column did not error")
+	}
+	if !sameBits(s.colData, before) || !sameBits(s.Constant(), constBefore) || s.dirty {
+		t.Fatal("rejected columns touched the solver's state")
 	}
 	if _, err := NewStreamingSolver(0, StreamOptions{}); err == nil {
 		t.Fatal("rows=0 did not error")

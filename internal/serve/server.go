@@ -188,6 +188,8 @@ func (s *Server) Quarantined() []string {
 }
 
 // MemoStats exposes the shared calibration memo's effectiveness.
+//
+//netlint:allow testonly perfbench, a module of its own, reports cloud.memo_hits and cloud.memo_misses from it
 func (s *Server) MemoStats() cloud.MemoStats { return s.memo.Stats() }
 
 // Drain stops admitting requests: handlers and shard submission refuse

@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"netconstant/internal/topo"
@@ -248,10 +250,10 @@ func TestECMPRouting(t *testing.T) {
 			if i == j {
 				continue
 			}
-			want := tr.Route(tsrv[i], tsrv[j])
+			want, werr := tr.RouteE(tsrv[i], tsrv[j])
 			got, multi, err := st.routeFor(tsrv[i], tsrv[j])
-			if err != nil || multi || len(got) != len(want) {
-				t.Fatalf("tree route %d->%d: multi=%v err=%v", tsrv[i], tsrv[j], multi, err)
+			if werr != nil || err != nil || multi || len(got) != len(want) {
+				t.Fatalf("tree route %d->%d: multi=%v err=%v reference err=%v", tsrv[i], tsrv[j], multi, err, werr)
 			}
 			for k := range want {
 				if got[k] != want[k] {
@@ -415,5 +417,66 @@ func TestMaxMinScalesWithCapacity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFillPanicsOnDuplicateListing: a flow listed twice on a shared link
+// leaves that link's unfixed count one above the flows a fix can take
+// off it. When another flow is still unfixed after the link's own, the
+// link keeps winning fill rounds that fix nothing; the fill must panic
+// naming the link instead of hanging. When the link carries every flow
+// the fill ends, and the armed oracle must reject the listing instead.
+// Three flows on a 2×2 tree; every duplication of a flow on a shared
+// link of its path is checked.
+func TestFillPanicsOnDuplicateListing(t *testing.T) {
+	stuck, caught := 0, 0
+	for victim := 0; victim < 3; victim++ {
+		for hop := 0; ; hop++ {
+			tr := topo.NewTree(topo.TreeConfig{Racks: 2, ServersPerRack: 2})
+			srv := tr.Servers()
+			s := New(tr)
+			flows := []*Flow{
+				s.StartFlow(srv[0], srv[2], 1e9, nil),
+				s.StartFlow(srv[1], srv[2], 1e9, nil),
+				s.StartFlow(srv[0], srv[3], 1e9, nil),
+			}
+			for s.ActiveFlows() < len(flows) {
+				if !s.Eng.Step() {
+					t.Fatal("engine drained before every flow arrived")
+				}
+			}
+			f := flows[victim]
+			if hop == len(f.path) {
+				break
+			}
+			l := f.path[hop]
+			n := len(s.linkFlows[l])
+			if n < 2 {
+				continue // a folded single-flow link never enters the fill
+			}
+			s.linkFlows[l] = append(s.linkFlows[l], f)
+			if n == len(flows) {
+				caught++
+				s.SetVerifyGlobal(true)
+				s.RefillAll()
+				if err := s.VerifyError(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("listed twice on link %d", l)) {
+					t.Errorf("flow %d listed twice on link %d: oracle error %v, want the listing named", f.ID, l, err)
+				}
+				continue
+			}
+			stuck++
+			want := fmt.Sprintf("max-min fill stuck on link %d", l)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Errorf("flow %d listed twice on link %d: recovered %q, want a panic naming the link", f.ID, l, msg)
+					}
+				}()
+				s.RefillAll()
+			}()
+		}
+	}
+	if stuck != 4 || caught != 6 {
+		t.Fatalf("checked %d stuck and %d oracle duplications, want 4 and 6", stuck, caught)
 	}
 }

@@ -58,12 +58,6 @@ type Flow struct {
 	visited int64 // collectDirty epoch stamp
 }
 
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.finished }
-
-// Start returns the simulated time the flow was submitted.
-func (f *Flow) Start() float64 { return f.start }
-
 // Sim is a flow-level network simulator over a fixed topology.
 type Sim struct {
 	Topo *topo.Topology
@@ -595,18 +589,25 @@ func (s *Sim) fillSpan(sp compSpan) {
 			// construction, and each link's residual decreases by the same
 			// minShare per crossing flow, so visiting order cannot change a
 			// single bit.
+			fixed := 0
 			for _, f := range s.linkFlows[bestLink] {
 				if f.unfixed {
 					s.fix(f, minShare)
-					remaining--
+					fixed++
 				}
 			}
+			if fixed == 0 {
+				s.stuckFill(bestLink)
+			}
+			remaining -= fixed
 			if !stale && capped >= 0 && !flows[capped].unfixed {
 				floorRate, floorLink, stale = capRate[capped], capLink[capped], true
 			}
 		default:
-			// No finite share left (cannot happen: every flow crosses at
-			// least one link), but guard against an infinite loop.
+			// No shared link has a finite share and no unfixed flow has a
+			// folded link left. That cannot happen while flows are
+			// unfixed, since every flow crosses at least one link; should
+			// it, the round ends the fill rather than loop.
 			for _, f := range flows {
 				if f.unfixed {
 					f.newRate = math.Inf(1)
@@ -616,6 +617,15 @@ func (s *Sim) fillSpan(sp compSpan) {
 			remaining = 0
 		}
 	}
+}
+
+// stuckFill panics on a fill round whose bottleneck link fixes no flow:
+// the link's unfixed count says flows still cross it, yet none listed on
+// it is unfixed — a flow listed twice on the link, whose one fix
+// decrements the count once — so every later round would pick the same
+// link and the fill would never end.
+func (s *Sim) stuckFill(l topo.LinkID) {
+	panic(fmt.Sprintf("simnet: max-min fill stuck on link %d: %d unfixed flows counted, none listed unfixed (a flow listed twice?)", l, s.fillUnfix[s.linkSlot[l]]))
 }
 
 // fix freezes f at rate, takes that rate off the residual of every shared
@@ -785,11 +795,25 @@ func (s *Sim) referenceRates() map[int64]float64 {
 	return rates
 }
 
-// verifyAgainstGlobal compares every active flow's incremental rate with
-// a fresh whole-network fill, bit for bit, and checks the invariant
-// commitDirty tests rates by: a flow's timer is queued exactly when its
-// rate is positive.
+// verifyAgainstGlobal checks that no flow is listed twice on a link,
+// compares every active flow's incremental rate with a fresh
+// whole-network fill, bit for bit, and checks the invariant commitDirty
+// tests rates by: a flow's timer is queued exactly when its rate is
+// positive.
 func (s *Sim) verifyAgainstGlobal() error {
+	type listing struct {
+		l  int
+		id int64
+	}
+	listed := map[listing]bool{}
+	for l, fl := range s.linkFlows {
+		for _, f := range fl {
+			if listed[listing{l, f.ID}] {
+				return fmt.Errorf("simnet: t=%v flow %d is listed twice on link %d", s.Now(), f.ID, l)
+			}
+			listed[listing{l, f.ID}] = true
+		}
+	}
 	ref := s.referenceRates()
 	for id, f := range s.active {
 		//netlint:allow floatsafe this differential check is bit-for-bit by design: incremental and global fills must agree exactly, not within tolerance

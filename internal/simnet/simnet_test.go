@@ -197,10 +197,10 @@ func TestActiveFlowsAccounting(t *testing.T) {
 	if s.ActiveFlows() != 0 {
 		t.Error("flow should be removed after completion")
 	}
-	if !f.Finished() {
+	if !f.finished {
 		t.Error("finished flag")
 	}
-	if f.Start() != 0 {
+	if f.start != 0 {
 		t.Error("start time")
 	}
 }
@@ -237,7 +237,7 @@ func TestPropertyAllFlowsComplete(t *testing.T) {
 			t.Fatalf("seed %d: %d/%d flows completed", seed, completed, len(flows))
 		}
 		for _, f := range flows {
-			if !f.Finished() {
+			if !f.finished {
 				t.Fatalf("seed %d: unfinished flow", seed)
 			}
 		}
@@ -771,9 +771,9 @@ func TestStartFlowHandlesAreNeverReused(t *testing.T) {
 		}
 	}
 	for _, h := range hs {
-		if h.f.ID != h.id || h.f.Start() != h.start || !h.f.Finished() || h.doneRuns != 1 {
+		if h.f.ID != h.id || h.f.start != h.start || !h.f.finished || h.doneRuns != 1 {
 			t.Fatalf("handle of flow %d reads ID %d, start %v (want %v), finished %v, done ran %d times",
-				h.id, h.f.ID, h.f.Start(), h.start, h.f.Finished(), h.doneRuns)
+				h.id, h.f.ID, h.f.start, h.start, h.f.finished, h.doneRuns)
 		}
 	}
 	if err := s.VerifyError(); err != nil {

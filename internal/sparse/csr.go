@@ -6,7 +6,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -23,19 +22,6 @@ func (m *CSR) Dims() (r, c int) { return m.rows, m.cols }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.values) }
-
-// At returns element (i, j) by binary search within row i.
-func (m *CSR) At(i, j int) float64 {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("sparse: index (%d,%d) out of bounds %dx%d", i, j, m.rows, m.cols))
-	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := sort.SearchInts(m.colIdx[lo:hi], j) + lo
-	if k < hi && m.colIdx[k] == j {
-		return m.values[k]
-	}
-	return 0
-}
 
 // MulVec computes y = A·x.
 func (m *CSR) MulVec(x []float64) []float64 {
@@ -60,25 +46,6 @@ func (m *CSR) MulVecTo(y, x []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
-
-// IsSymmetric reports whether the matrix equals its transpose within tol.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			if math.Abs(m.values[k]-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // COO is a coordinate-format builder for CSR matrices. Duplicate entries
@@ -140,32 +107,6 @@ func (b *COO) Build() *CSR {
 		m.rowPtr[i+1] = len(m.values)
 	}
 	return m
-}
-
-// Identity returns the n×n identity in CSR form.
-func Identity(n int) *CSR {
-	b := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 1)
-	}
-	return b.Build()
-}
-
-// Laplacian1D returns the n×n tridiagonal matrix of the 1-D Poisson
-// problem (2 on the diagonal, −1 off-diagonal): symmetric positive
-// definite, the classic CG test matrix.
-func Laplacian1D(n int) *CSR {
-	b := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 2)
-		if i > 0 {
-			b.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			b.Add(i, i+1, -1)
-		}
-	}
-	return b.Build()
 }
 
 // Laplacian2D returns the (nx·ny)×(nx·ny) 5-point stencil matrix of the

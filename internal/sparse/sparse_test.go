@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -369,4 +371,65 @@ func TestCGPropertyConvergence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The helpers below serve only these tests: the CG workload runs on
+// Laplacian2D alone.
+
+// RowNNZ returns the number of stored entries in row i.
+func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
+
+// IsSymmetric reports whether the matrix equals its transpose within tol.
+func (m *CSR) IsSymmetric(tol float64) bool {
+	if m.rows != m.cols {
+		return false
+	}
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			j := m.colIdx[k]
+			if math.Abs(m.values[k]-m.At(j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Identity returns the n×n identity in CSR form.
+func Identity(n int) *CSR {
+	b := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		b.Add(i, i, 1)
+	}
+	return b.Build()
+}
+
+// Laplacian1D returns the n×n tridiagonal matrix of the 1-D Poisson
+// problem (2 on the diagonal, −1 off-diagonal): symmetric positive
+// definite, the classic CG test matrix.
+func Laplacian1D(n int) *CSR {
+	b := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		b.Add(i, i, 2)
+		if i > 0 {
+			b.Add(i, i-1, -1)
+		}
+		if i < n-1 {
+			b.Add(i, i+1, -1)
+		}
+	}
+	return b.Build()
+}
+
+// At returns element (i, j) by binary search within row i.
+func (m *CSR) At(i, j int) float64 {
+	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
+		panic(fmt.Sprintf("sparse: index (%d,%d) out of bounds %dx%d", i, j, m.rows, m.cols))
+	}
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	k := sort.SearchInts(m.colIdx[lo:hi], j) + lo
+	if k < hi && m.colIdx[k] == j {
+		return m.values[k]
+	}
+	return 0
 }

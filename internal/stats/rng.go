@@ -7,10 +7,7 @@
 // this module reads the wall clock or the global rand source.
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRNG returns a deterministic random source for the given seed.
 func NewRNG(seed int64) *rand.Rand {
@@ -30,17 +27,6 @@ func Uniform(r *rand.Rand, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Normal samples from a Gaussian with the given mean and standard deviation.
-func Normal(r *rand.Rand, mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
-}
-
-// LogNormal samples from a log-normal distribution whose underlying normal
-// has parameters mu and sigma.
-func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(Normal(r, mu, sigma))
-}
-
 // Exponential samples an exponential waiting time with the given mean
 // (i.e. rate 1/mean). It is the inter-arrival distribution of a Poisson
 // process, used by the background-traffic generators (paper §V-A).
@@ -49,33 +35,6 @@ func Exponential(r *rand.Rand, mean float64) float64 {
 		return 0
 	}
 	return r.ExpFloat64() * mean
-}
-
-// Poisson samples a Poisson-distributed count with expectation lambda using
-// Knuth's method for small lambda and a normal approximation for large
-// lambda (where the exact method would need thousands of uniforms).
-func Poisson(r *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 500 {
-		// Normal approximation with continuity correction.
-		n := int(math.Round(Normal(r, lambda, math.Sqrt(lambda))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Bernoulli returns true with probability p.

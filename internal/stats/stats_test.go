@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -325,4 +328,201 @@ func TestTrimmedMean(t *testing.T) {
 	if v := TrimmedMean(xs, 0.9); math.IsNaN(v) {
 		t.Error("over-trim should still return a value")
 	}
+}
+
+// The samplers and summaries below have no caller outside these tests:
+// no simulator or figure draws from them, so they stay out of the package.
+
+// Normal samples from a Gaussian with the given mean and standard deviation.
+func Normal(r *rand.Rand, mean, stddev float64) float64 {
+	return mean + stddev*r.NormFloat64()
+}
+
+// LogNormal samples from a log-normal distribution whose underlying normal
+// has parameters mu and sigma.
+func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
+	return math.Exp(Normal(r, mu, sigma))
+}
+
+// Poisson samples a Poisson-distributed count with expectation lambda using
+// Knuth's method for small lambda and a normal approximation for large
+// lambda (where the exact method would need thousands of uniforms).
+func Poisson(r *rand.Rand, lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	if lambda > 500 {
+		// Normal approximation with continuity correction.
+		n := int(math.Round(Normal(r, lambda, math.Sqrt(lambda))))
+		if n < 0 {
+			n = 0
+		}
+		return n
+	}
+	l := math.Exp(-lambda)
+	k := 0
+	p := 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// Summary holds descriptive statistics of a sample.
+type Summary struct {
+	N      int
+	Mean   float64
+	Std    float64 // sample standard deviation (n-1 denominator)
+	Min    float64
+	Max    float64
+	Median float64
+	P5     float64
+	P95    float64
+}
+
+// Summarize computes descriptive statistics for xs. It returns the zero
+// Summary for an empty sample.
+func Summarize(xs []float64) Summary {
+	if len(xs) == 0 {
+		return Summary{}
+	}
+	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.Mean = sum / float64(len(xs))
+	var sq float64
+	for _, x := range xs {
+		d := x - s.Mean
+		sq += d * d
+	}
+	if len(xs) > 1 {
+		s.Std = math.Sqrt(sq / float64(len(xs)-1))
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.Median = Quantile(sorted, 0.5)
+	s.P5 = Quantile(sorted, 0.05)
+	s.P95 = Quantile(sorted, 0.95)
+	return s
+}
+
+// GeoMean returns the geometric mean of strictly positive xs.
+func GeoMean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for _, x := range xs {
+		if x <= 0 {
+			return math.NaN()
+		}
+		sum += math.Log(x)
+	}
+	return math.Exp(sum / float64(len(xs)))
+}
+
+// At returns P(X <= x) under the empirical distribution.
+func (c *CDF) At(x float64) float64 {
+	if len(c.sorted) == 0 {
+		return math.NaN()
+	}
+	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
+	return float64(idx) / float64(len(c.sorted))
+}
+
+// Points returns up to k (x, P(X<=x)) pairs evenly spaced through the
+// sample, convenient for rendering a CDF curve (paper Figs 7b, 11b, 13b).
+func (c *CDF) Points(k int) [][2]float64 {
+	n := len(c.sorted)
+	if n == 0 || k <= 0 {
+		return nil
+	}
+	if k > n {
+		k = n
+	}
+	out := make([][2]float64, 0, k)
+	for i := 0; i < k; i++ {
+		idx := n - 1
+		if k > 1 {
+			idx = i * (n - 1) / (k - 1)
+		}
+		out = append(out, [2]float64{c.sorted[idx], float64(idx+1) / float64(n)})
+	}
+	return out
+}
+
+// Histogram bins a sample into nbins equal-width bins over [min,max].
+type Histogram struct {
+	Min, Max float64
+	Counts   []int
+}
+
+// NewHistogram bins xs into nbins equal-width bins spanning the sample
+// range. A non-positive nbins yields an empty histogram. Non-finite samples
+// (NaN, ±Inf) carry no binnable magnitude and are ignored; if no finite
+// sample remains the histogram is empty.
+func NewHistogram(xs []float64, nbins int) Histogram {
+	if nbins < 0 {
+		nbins = 0
+	}
+	h := Histogram{Counts: make([]int, nbins)}
+	if nbins == 0 {
+		return h
+	}
+	finite := 0
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		if finite == 0 {
+			h.Min, h.Max = x, x
+		} else {
+			if x < h.Min {
+				h.Min = x
+			}
+			if x > h.Max {
+				h.Max = x
+			}
+		}
+		finite++
+	}
+	if finite == 0 {
+		return h
+	}
+	width := (h.Max - h.Min) / float64(nbins)
+	if width == 0 {
+		h.Counts[0] = finite
+		return h
+	}
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		i := int((x - h.Min) / width)
+		if i >= nbins {
+			i = nbins - 1
+		}
+		if i < 0 {
+			i = 0
+		}
+		h.Counts[i]++
+	}
+	return h
+}
+
+// String renders the summary on one line.
+func (s Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
+		s.N, s.Mean, s.Std, s.Min, s.Median, s.P95, s.Max)
 }

@@ -71,16 +71,6 @@ func (c *ClosConfig) applyDefaults() {
 	}
 }
 
-// Machines returns the server count the configuration builds.
-func (c ClosConfig) Machines() int {
-	c.applyDefaults()
-	n := c.Leaves * c.ServersPerLeaf
-	if c.Stages == 3 {
-		n *= c.Pods
-	}
-	return n
-}
-
 // NewClos builds the fabric, panicking on an invalid shape; use NewClosE
 // when the configuration comes from external input.
 func NewClos(cfg ClosConfig) *Topology {

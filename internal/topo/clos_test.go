@@ -145,3 +145,13 @@ func TestIncidentExposesAdjacency(t *testing.T) {
 		t.Errorf("incident(a) = %+v", g.Incident(a))
 	}
 }
+
+// Machines returns the server count the configuration builds.
+func (c ClosConfig) Machines() int {
+	c.applyDefaults()
+	n := c.Leaves * c.ServersPerLeaf
+	if c.Stages == 3 {
+		n *= c.Pods
+	}
+	return n
+}

@@ -131,25 +131,15 @@ func (t *Topology) Servers() []int { return t.servers }
 //netlint:hotpath
 func (t *Topology) Incident(id int) []IncidentLink { return t.adj[id] }
 
-// Route returns the sequence of link IDs of THE shortest (hop-count) path
-// from a to b, found by breadth-first search. It is only defined where
-// that path is unique (trees, and same-switch pairs of richer fabrics);
-// on a pair with several equal-cost shortest paths it panics with
-// ErrMultiPath instead of silently picking one — multi-path fabrics must
-// be routed by an ECMP-aware router (see simnet). It returns nil for
-// a == b and also panics on bad endpoints or a disconnected pair; use
-// RouteE when any of those can come from external input.
-func (t *Topology) Route(a, b int) []LinkID {
-	path, err := t.RouteE(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return path
-}
-
-// RouteE is the fallible variant of Route. Errors wrap ErrNodeRange,
-// ErrNoPath, or — when the pair has more than one equal-cost shortest
-// path, so "the" route is ill-defined — ErrMultiPath.
+// RouteE returns the sequence of link IDs of THE shortest (hop-count)
+// path from a to b, found by breadth-first search, and nil for a == b. It
+// is only defined where that path is unique (trees, and same-switch pairs
+// of richer fabrics): errors wrap ErrNodeRange, ErrNoPath, or — when the
+// pair has more than one equal-cost shortest path, so "the" route is
+// ill-defined — ErrMultiPath instead of silently picking one. Multi-path
+// fabrics must be routed by an ECMP-aware router (see simnet).
+//
+//netlint:allow testonly simnet's TestECMPRouting compares its tree routes against it
 func (t *Topology) RouteE(a, b int) ([]LinkID, error) {
 	if a == b {
 		return nil, nil
@@ -347,6 +337,8 @@ type FatTreeConfig struct {
 // Route/RouteE fail with ErrMultiPath on them; route such fabrics through
 // simnet's ECMP resolver. It panics on an invalid arity; use NewFatTreeE
 // when the shape comes from external input.
+//
+//netlint:allow testonly simnet's tests build their fat-tree fabrics with it
 func NewFatTree(cfg FatTreeConfig) *Topology {
 	t, err := NewFatTreeE(cfg)
 	if err != nil {

@@ -309,3 +309,13 @@ func TestRouteETypedErrors(t *testing.T) {
 		t.Errorf("connected route: %v %v", path, err)
 	}
 }
+
+// Route is RouteE for the tests' well-formed pairs: it panics on any
+// error.
+func (t *Topology) Route(a, b int) []LinkID {
+	path, err := t.RouteE(a, b)
+	if err != nil {
+		panic(err)
+	}
+	return path
+}
