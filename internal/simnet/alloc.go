@@ -26,13 +26,14 @@ func (s *Sim) SetVerifyGlobal(on bool) bool {
 // VerifyError returns the first differential-oracle mismatch, or nil.
 func (s *Sim) VerifyError() error { return s.verifyErr }
 
-// RefillAll recomputes every active flow's allocation from scratch by
-// seeding the recompute with every occupied link. The result bit-equals
-// the standing rates, so unchanged flows keep their completion timers
-// and simulation state is undisturbed — which makes RefillAll repeatable
-// for benchmarking the fill itself. It returns the dirty-subgraph shape
-// of the refill: the number of connected components and of active flows
-// visited.
+// RefillAll recomputes every active flow's allocation from scratch by a
+// breadth-first search seeded with every occupied link, and makes each
+// connected component it finds a kept component of its own. The result
+// bit-equals the standing rates, so unchanged flows keep their completion
+// timers and simulation state is undisturbed — which makes RefillAll
+// repeatable for benchmarking the fill itself. It returns the
+// dirty-subgraph shape of the refill: the number of connected components
+// and of active flows visited.
 func (s *Sim) RefillAll() (components, flows int) {
 	s.allSeeds = s.allSeeds[:0]
 	for i, fl := range s.linkFlows {
@@ -40,7 +41,9 @@ func (s *Sim) RefillAll() (components, flows int) {
 			s.allSeeds = append(s.allSeeds, topo.LinkID(i))
 		}
 	}
-	s.recompute(s.allSeeds)
+	s.epoch++
+	s.refill(s.allSeeds)
+	s.settle()
 	return len(s.comps), len(s.dirtyFlows)
 }
 

@@ -2,14 +2,18 @@
 // repository's substitute for the paper's ns-2 setup (§V-A). Flows are
 // routed over a topo.Topology; concurrently active flows share link
 // capacity by progressive-filling max-min fairness, brought up to date on
-// every flow arrival and departure: by a fill of the changed flow's
+// every flow arrival and departure: by a fill of the changed flow's kept
 // sharing component, or without one when the answer is rates the
 // previous update overwrote (a departure with no update since its own
 // arrival puts back the rates that arrival replaced, and an arrival on
-// the freed links right after takes them again). Poisson
-// background-traffic generators reproduce the paper's interference model
-// (message size + expected waiting time λ), and measurement probes
-// implement SKaMPI-style pingpong calibration on top of the simulator.
+// the freed links right after takes them again). Every active flow keeps
+// its component between updates: an arrival merges the components on its
+// links, a departure only leaves its own, and a component that may have
+// split more times than it has flows is re-derived by breadth-first search
+// at its next fill. Poisson background-traffic generators reproduce the
+// paper's interference model (message size + expected waiting time λ),
+// and measurement probes implement SKaMPI-style pingpong calibration on
+// top of the simulator.
 package simnet
 
 import (
@@ -53,9 +57,38 @@ type Flow struct {
 	// arrival; complete compares it to tell a quiet departure.
 	settled int64
 
+	// comp is the kept sharing component the flow belongs to while it is
+	// active, and compIdx its index in comp.flows.
+	comp    *component
+	compIdx int
+	// capRate and capLink fold the flow's single-flow links into one
+	// bottleneck candidate: the smallest (capacity, link ID) among them,
+	// or (+Inf, -1) when every link on its path is shared. join and leave
+	// refold it when one of its links gains or loses its second flow.
+	capRate float64
+	capLink topo.LinkID
+
 	// Scratch used by the incremental allocator within one recompute.
 	newRate float64
 	visited int64 // collectDirty epoch stamp
+}
+
+// component is a kept sharing component: active flows and the links two
+// or more of them cross, always a union of connected components of the
+// flow↔link sharing graph, since every flow on a shared link is in the
+// component of that link. A per-update fill covers one component. Flows
+// outside it keep their rates, since max-min allocations decompose over
+// connected components, and a fill of a union of connected components
+// makes, per connected component, exactly the operations a fill of that
+// one alone makes.
+type component struct {
+	flows []*Flow
+	links []topo.LinkID // shared links; s.linkSlot[l] is l's index here
+	// splits counts the departures since the component was derived that
+	// left other flows on two or more of their links, each of which may
+	// have split it. A fill re-derives the component once splits exceeds
+	// its flow count.
+	splits int
 }
 
 // Sim is a flow-level network simulator over a fixed topology.
@@ -85,29 +118,32 @@ type Sim struct {
 	verifyGlobal bool
 	verifyErr    error
 
-	// Reusable scratch for the incremental allocator. Marks are epoch
-	// stamps (linkStamp per link, Flow.visited per flow) so no per-event
-	// clearing is needed; linkSlot maps a dirty link to its index in the
-	// fill slices, or to -1 for a link its one flow folded into capRate,
-	// and is always written before it is read.
+	// compFree holds empty components, each with its slices' capacity, for
+	// join and relabel to take before they allocate one.
+	compFree []*component
+
+	// Reusable scratch for the re-deriving breadth-first search and the
+	// fill. Marks are epoch stamps (linkStamp per link, Flow.visited per
+	// flow) so no per-event clearing is needed. linkSlot reads -1 on a link
+	// one flow crosses (join and leave keep it so) and, on a link two or
+	// more cross, its index in its component's links, which is its index
+	// in the fill slices during a component's fill; a breadth-first fill
+	// rewrites it to the link's index in dirtyLinks, and relabel puts the
+	// component index back.
 	dirtyFlows []*Flow
-	// capRate and capLink run parallel to dirtyFlows and fold each flow's
-	// single-flow links into one bottleneck candidate: the smallest
-	// (capacity, link ID) among them, or (+Inf, -1) when every link on its
-	// path is shared.
-	capRate    []float64
-	capLink    []topo.LinkID
 	dirtyLinks []topo.LinkID // dirty links shared by at least two flows
 	changed    []*Flow       // flows the commit reschedules
 	comps      []compSpan    // connected components of the dirty subgraph
 	allSeeds   []topo.LinkID
-	epoch      int64
-	linkCap    []float64 // per-link capacity, copied from the immutable topology
-	linkStamp  []int64   // per-link collectDirty epoch
-	linkSlot   []int32   // dirty link -> index into fill slices
-	fillCap    []float64 // residual capacity per dirty link
-	fillUnfix  []int32   // unfixed-flow count per dirty link
-	// fillShare is fillCap/fillUnfix per dirty link, rewritten whenever
+	// epoch counts fills: it advances once per fill, a kept component's
+	// or a breadth-first one, and stamps the search's marks.
+	epoch     int64
+	linkCap   []float64 // per-link capacity, copied from the immutable topology
+	linkStamp []int64   // per-link collectDirty epoch
+	linkSlot  []int32   // shared link -> fill-slice index; -1 on a single-flow link
+	fillCap   []float64 // residual capacity per filled shared link
+	fillUnfix []int32   // unfixed-flow count per filled shared link
+	// fillShare is fillCap/fillUnfix per filled shared link, rewritten whenever
 	// either changes, or +Inf once the link has no unfixed flow left.
 	fillShare []float64
 
@@ -296,14 +332,11 @@ func (s *Sim) activate(f *Flow) {
 	f.draining = true
 	f.lastUpdate = s.Now()
 	s.active[f.ID] = f
-	for _, l := range f.path {
-		s.ensureLink(l)
-		s.linkFlows[l] = append(s.linkFlows[l], f)
-	}
+	s.join(f)
 	if s.recomputes == s.redoAt && slices.Equal(f.path, s.redoPath) {
 		s.redo(f)
 	} else {
-		s.recompute(f.path)
+		s.recompute(f.comp)
 	}
 	f.settled = s.recomputes
 }
@@ -324,17 +357,7 @@ func (s *Sim) finish(f *Flow) {
 func (s *Sim) complete(f *Flow) {
 	quiet := f.settled == s.recomputes
 	delete(s.active, f.ID)
-	for _, l := range f.path {
-		flows := s.linkFlows[l]
-		for i, g := range flows {
-			if g == f {
-				flows[i] = flows[len(flows)-1]
-				flows[len(flows)-1] = nil
-				s.linkFlows[l] = flows[:len(flows)-1]
-				break
-			}
-		}
-	}
+	c := s.leave(f)
 	rate := f.rate
 	f.rate = 0
 	f.remaining = 0
@@ -343,30 +366,250 @@ func (s *Sim) complete(f *Flow) {
 		s.restore(f)
 		s.redoRate, s.redoPath, s.redoAt = rate, f.path, s.recomputes
 	} else {
-		s.recompute(f.path)
+		s.recompute(c)
 	}
 	if f.recycle {
 		s.free = append(s.free, f)
 	}
 }
 
-// recompute restores the max-min fair allocation after a flow arrived or
-// departed on the given path; a quiet departure and the arrival that
-// redoes it skip it (see complete and redo).
-// The incremental allocator confines the progressive filling to the
-// dirty subgraph — the links of the changed path plus every flow sharing
-// them, expanded transitively — which is the changed flow's whole
-// connected component in the flow↔link sharing graph. Max-min
-// allocations decompose independently per component, and
-// component-restricted filling performs the same floating-point
-// operations as a whole-network fill does on that component, so rates
-// stay byte-identical to a whole-network fill (asserted by the
-// differential tests via verifyGlobal).
-func (s *Sim) recompute(seeds []topo.LinkID) {
+// join lists an arriving flow on its path's links and in a component: the
+// components of the flows already on those links merge into the largest
+// of them, which f joins (an empty one when its links carry no other
+// flow). A link f is alone on folds into f's candidate and reads slot -1.
+// A link f makes shared joins the component's links, and the flow that
+// was alone on it refolds its candidate if that link was it.
+//
+//netlint:hotpath
+func (s *Sim) join(f *Flow) {
+	var c *component
+	for _, l := range f.path {
+		s.ensureLink(l)
+		if fl := s.linkFlows[l]; len(fl) > 0 && (c == nil || len(fl[0].comp.flows) > len(c.flows)) {
+			c = fl[0].comp
+		}
+	}
+	if c == nil {
+		c = s.newComp()
+	}
+	f.capRate, f.capLink = math.Inf(1), -1
+	for _, l := range f.path {
+		//netlint:allow hotalloc a link's flow list grows to its peak once, then swap-removes and reappends in place
+		fl := append(s.linkFlows[l], f)
+		s.linkFlows[l] = fl
+		switch len(fl) {
+		case 1:
+			s.linkSlot[l] = -1
+			if cp := s.linkCap[l]; precedes(cp, l, f.capRate, f.capLink) {
+				f.capRate, f.capLink = cp, l
+			}
+		case 2:
+			g := fl[0]
+			s.merge(c, g.comp)
+			s.linkSlot[l] = int32(len(c.links))
+			//netlint:allow hotalloc a component's slices keep their capacity on the free list, so they grow only to a new peak
+			c.links = append(c.links, l)
+			if g.capLink == l {
+				s.refold(g)
+			}
+		default:
+			s.merge(c, fl[0].comp)
+		}
+	}
+	f.comp, f.compIdx = c, len(c.flows)
+	//netlint:allow hotalloc a component's slices keep their capacity on the free list, so they grow only to a new peak
+	c.flows = append(c.flows, f)
+}
+
+// merge moves d's flows and links into c and adds its splits count: every
+// split d may hold, c now holds. d goes back to the free list.
+//
+//netlint:hotpath
+func (s *Sim) merge(c, d *component) {
+	if d == c {
+		return
+	}
+	for _, g := range d.flows {
+		g.comp, g.compIdx = c, len(c.flows)
+		//netlint:allow hotalloc a component's slices keep their capacity on the free list, so they grow only to a new peak
+		c.flows = append(c.flows, g)
+	}
+	for _, l := range d.links {
+		s.linkSlot[l] = int32(len(c.links))
+		//netlint:allow hotalloc a component's slices keep their capacity on the free list, so they grow only to a new peak
+		c.links = append(c.links, l)
+	}
+	c.splits += d.splits
+	s.release(d)
+}
+
+// refold recomputes g's candidate from the links it is alone on.
+//
+//netlint:hotpath
+func (s *Sim) refold(g *Flow) {
+	g.capRate, g.capLink = math.Inf(1), -1
+	for _, l := range g.path {
+		if cp := s.linkCap[l]; len(s.linkFlows[l]) == 1 && precedes(cp, l, g.capRate, g.capLink) {
+			g.capRate, g.capLink = cp, l
+		}
+	}
+}
+
+// leave takes a departing flow off its path's links and out of its
+// component, and returns that component, or nil when f was its last flow.
+// A link left with one flow leaves the component's links and reads slot
+// -1, and the flow alone on it folds it into its candidate. A departure
+// that leaves other flows on at most one of its links cannot split the
+// component (the flows it touched still share that link); one that
+// leaves them on two or more may have, and counts a split.
+//
+//netlint:hotpath
+func (s *Sim) leave(f *Flow) *component {
+	c := f.comp
+	occupied := 0
+	for _, l := range f.path {
+		fl := s.linkFlows[l]
+		last := len(fl) - 1
+		for i, g := range fl {
+			if g == f {
+				fl[i] = fl[last]
+				break
+			}
+		}
+		fl[last] = nil
+		fl = fl[:last]
+		s.linkFlows[l] = fl
+		switch len(fl) {
+		case 0:
+			continue
+		case 1:
+			k := s.linkSlot[l]
+			moved := c.links[len(c.links)-1]
+			c.links[k] = moved
+			s.linkSlot[moved] = k
+			c.links = c.links[:len(c.links)-1]
+			s.linkSlot[l] = -1
+			if g, cp := fl[0], s.linkCap[l]; precedes(cp, l, g.capRate, g.capLink) {
+				g.capRate, g.capLink = cp, l
+			}
+		}
+		occupied++
+	}
+	last := len(c.flows) - 1
+	moved := c.flows[last]
+	c.flows[f.compIdx] = moved
+	moved.compIdx = f.compIdx
+	c.flows[last] = nil
+	c.flows = c.flows[:last]
+	f.comp = nil
+	if last == 0 {
+		s.release(c)
+		return nil
+	}
+	if occupied >= 2 {
+		c.splits++
+	}
+	return c
+}
+
+// newComp takes an empty component from the free list, or allocates one
+// when the list is empty.
+func (s *Sim) newComp() *component {
+	n := len(s.compFree)
+	if n == 0 {
+		return &component{}
+	}
+	c := s.compFree[n-1]
+	s.compFree = s.compFree[:n-1]
+	return c
+}
+
+// release empties c, keeping its slices' capacity, and puts it on the
+// free list.
+//
+//netlint:hotpath
+func (s *Sim) release(c *component) {
+	clear(c.flows)
+	c.flows, c.links, c.splits = c.flows[:0], c.links[:0], 0
+	//netlint:allow hotalloc the free list grows to the peak number of components once, then is reused
+	s.compFree = append(s.compFree, c)
+}
+
+// recompute restores the max-min fair allocation after a flow arrived in
+// or departed from c, which is nil when the departure emptied it; a quiet
+// departure and the arrival that redoes it skip it (see complete and
+// redo). Max-min allocations decompose independently per connected
+// component of the flow↔link sharing graph, and c is a union of such
+// components that holds the changed flow's, so a fill of c alone brings
+// every rate up to date: component-restricted filling performs the same
+// floating-point operations as a whole-network fill does on each
+// component, so rates stay byte-identical to a whole-network fill
+// (asserted by the differential tests via verifyGlobal). When c may have
+// split more times than it has flows, the fill re-derives it instead.
+// An emptied component fills nothing, and the empty commit still closes
+// the update.
+func (s *Sim) recompute(c *component) {
+	s.epoch++
+	switch {
+	case c == nil:
+		s.commitDirty(nil)
+	case c.splits > len(c.flows):
+		s.rederive(c)
+	default:
+		s.fillComp(c)
+		s.commitDirty(c.flows)
+	}
+	s.settle()
+}
+
+// rederive fills c through a breadth-first search seeded by its flows and
+// makes each connected component the search finds a component of its own
+// with no splits counted. Each flow seeds the search with its first link,
+// which reaches it or a flow sharing that link, so the search covers c
+// and, c being a union of components, nothing else. A component is
+// re-derived after more splits than it has flows, each split followed by
+// the flow's departure, so the search's work is O(1) amortized per
+// departure.
+func (s *Sim) rederive(c *component) {
+	s.allSeeds = s.allSeeds[:0]
+	for _, f := range c.flows {
+		s.allSeeds = append(s.allSeeds, f.path[0])
+	}
+	s.refill(s.allSeeds)
+}
+
+// refill fills the connected components of the seed links by
+// breadth-first search, commits the rates and relabels the components.
+// The caller advances the epoch the search stamps with.
+func (s *Sim) refill(seeds []topo.LinkID) {
 	s.collectDirty(seeds)
 	s.fillDirty()
-	s.commitDirty()
-	s.settle()
+	s.commitDirty(s.dirtyFlows)
+	s.relabel()
+}
+
+// relabel makes each connected component collectDirty found a component
+// of its own with no splits counted, after releasing the components its
+// flows were in, and puts each shared link's component index back in
+// linkSlot. Those components are wholly inside the search's reach, since
+// each is a union of connected components.
+func (s *Sim) relabel() {
+	for _, f := range s.dirtyFlows {
+		if c := f.comp; len(c.flows) > 0 {
+			s.release(c)
+		}
+	}
+	for _, sp := range s.comps {
+		c := s.newComp()
+		for _, f := range s.dirtyFlows[sp.flowLo:sp.flowHi] {
+			f.comp, f.compIdx = c, len(c.flows)
+			c.flows = append(c.flows, f)
+		}
+		for _, l := range s.dirtyLinks[sp.linkLo:sp.linkHi] {
+			s.linkSlot[l] = int32(len(c.links))
+			c.links = append(c.links, l)
+		}
+	}
 }
 
 // restore undoes the arrival of gone, whose quiet departure leaves the
@@ -434,19 +677,16 @@ func (s *Sim) settle() {
 // links, recording each component's index span in s.comps. Expanding one
 // seed to exhaustion before starting the next keeps every component
 // contiguous; a seed already absorbed by an earlier component is skipped
-// because its flows are marked visited. The common case — a background
-// flow arriving on an otherwise quiet leaf path — visits O(path length)
-// state.
+// because its flows are marked visited. It serves the fills that
+// re-derive components, RefillAll's and a kept component's after too
+// many splits; a per-update fill reads its kept component instead. The
+// marks are stamped with the current epoch, which the caller advanced.
 func (s *Sim) collectDirty(seeds []topo.LinkID) {
 	s.dirtyFlows = s.dirtyFlows[:0]
-	s.capRate = s.capRate[:0]
-	s.capLink = s.capLink[:0]
 	s.dirtyLinks = s.dirtyLinks[:0]
 	s.comps = s.comps[:0]
-	s.epoch++
 	ep := s.epoch
 	for _, seed := range seeds {
-		s.ensureLink(seed)
 		flows := s.linkFlows[seed]
 		if len(flows) == 0 || flows[0].visited == ep {
 			continue
@@ -466,30 +706,19 @@ func (s *Sim) collectDirty(seeds []topo.LinkID) {
 	}
 }
 
-// visit adds f to the dirty set and prepares its fill state. A link only
-// f crosses has fair share cap/1 == cap until f is fixed, so it never
-// joins s.dirtyLinks: it folds into f's capRate/capLink candidate and its
-// slot reads -1. A shared link joins s.dirtyLinks the first time it is
-// seen, which queues it for expansion.
+// visit adds f to the dirty set. A link only f crosses never joins
+// s.dirtyLinks: f's candidate already folds it (see Flow.capRate). A
+// shared link joins s.dirtyLinks the first time it is seen, which queues
+// it for expansion.
 func (s *Sim) visit(f *Flow, ep int64) {
 	f.visited = ep
-	f.unfixed = true
-	capRate, capLink := math.Inf(1), topo.LinkID(-1)
 	for _, l := range f.path {
-		switch {
-		case len(s.linkFlows[l]) == 1:
-			s.linkSlot[l] = -1
-			if c := s.linkCap[l]; precedes(c, l, capRate, capLink) {
-				capRate, capLink = c, l
-			}
-		case s.linkStamp[l] != ep:
+		if len(s.linkFlows[l]) > 1 && s.linkStamp[l] != ep {
 			s.linkStamp[l] = ep
 			s.dirtyLinks = append(s.dirtyLinks, l)
 		}
 	}
 	s.dirtyFlows = append(s.dirtyFlows, f)
-	s.capRate = append(s.capRate, capRate)
-	s.capLink = append(s.capLink, capLink)
 }
 
 // precedes orders bottleneck candidates: the smaller fair share first,
@@ -505,87 +734,115 @@ func precedes(share float64, l topo.LinkID, minShare float64, minLink topo.LinkI
 // the worker pool.
 const shardParMinFlows = 64
 
-// fillDirty computes each dirty flow's share into f.newRate. The prepass
-// seeds the fill state (residual capacity, unfixed count, fair share,
-// slot index) for every dirty link globally; the spans in s.comps then
-// address disjoint ranges of that state, so the per-component fills are
-// independent and — when there are enough components and flows to pay
-// for dispatch — run concurrently on the mat worker pool. Per-component
-// filling performs exactly the floating-point operations a whole-network
-// fill performs on that component (its selections restricted to one
-// component occur in that component's local-min order and touch only its
-// state), so the result is byte-identical at any worker count.
+// seedFill sets the fill slices to the fill state (residual capacity,
+// unfixed count, fair share) of each link, in order.
 //
 //netlint:hotpath
-func (s *Sim) fillDirty() {
+func (s *Sim) seedFill(links []topo.LinkID) {
 	s.fillCap = s.fillCap[:0]
 	s.fillUnfix = s.fillUnfix[:0]
 	s.fillShare = s.fillShare[:0]
-	for k, l := range s.dirtyLinks {
-		s.linkSlot[l] = int32(k)
+	for _, l := range links {
 		c, n := s.linkCap[l], int32(len(s.linkFlows[l]))
 		s.fillCap = append(s.fillCap, c)
 		s.fillUnfix = append(s.fillUnfix, n)
 		s.fillShare = append(s.fillShare, c/float64(n))
 	}
+}
+
+// fillComp computes the share of each of c's flows into f.newRate. Each
+// of c's shared links sits at its linkSlot index in c.links, so the fill
+// slices seeded in that order are indexed by linkSlot as fix reads them.
+//
+//netlint:hotpath
+func (s *Sim) fillComp(c *component) {
+	s.seedFill(c.links)
+	s.fillSpan(c.flows, c.links, s.fillShare)
+}
+
+// fillDirty computes each dirty flow's share into f.newRate. The prepass
+// seeds the fill state for every dirty link globally and points each
+// link's linkSlot at it; the spans in s.comps then address disjoint
+// ranges of that state, so the per-component fills are independent and —
+// when there are enough components and flows to pay for dispatch — run
+// concurrently on the mat worker pool. Per-component filling performs
+// exactly the floating-point operations a whole-network fill performs on
+// that component (its selections restricted to one component occur in
+// that component's local-min order and touch only its state), so the
+// result is byte-identical at any worker count.
+//
+//netlint:hotpath
+func (s *Sim) fillDirty() {
+	s.seedFill(s.dirtyLinks)
+	for k, l := range s.dirtyLinks {
+		s.linkSlot[l] = int32(k)
+	}
 	if len(s.comps) >= 2 && len(s.dirtyFlows) >= shardParMinFlows && mat.Parallelism() > 1 {
 		//netlint:allow hotalloc one closure per sharded refill dispatch, amortized over all component fills it fans out
-		mat.ParallelShards(len(s.comps), func(c int) { s.fillSpan(s.comps[c]) })
+		mat.ParallelShards(len(s.comps), func(c int) { s.fillSpanAt(s.comps[c]) })
 		return
 	}
 	for _, sp := range s.comps {
-		s.fillSpan(sp)
+		s.fillSpanAt(sp)
 	}
 }
 
-// fillSpan runs progressive filling restricted to one component span,
-// leaving each flow's share in f.newRate. Each round's bottleneck is the
-// smallest (share, link ID) among the span's shared links that still carry
-// unfixed flows and the unfixed flows' folded single-flow links: the same
-// minimum a scan of every dirty link finds, because a single-flow link's
-// share is exactly its capacity until its flow is fixed. Folded candidates
-// never change and only leave, so once the smallest is fixed it is a floor
-// under the rest, and the flows are rescanned only in a round whose shared
-// minimum does not precede that floor. A shared link's share is kept in
-// fillShare, computed from the same operands the scan would divide, so the
-// scan only compares; a link with no unfixed flow reads +Inf and never
-// wins. Concurrent spans are safe: a component's flows, their paths, and
-// the span's fill slots are disjoint from every other span's by
-// construction.
+// fillSpanAt fills one span of the dirty set.
 //
 //netlint:hotpath
-func (s *Sim) fillSpan(sp compSpan) {
-	flows := s.dirtyFlows[sp.flowLo:sp.flowHi]
-	capRate := s.capRate[sp.flowLo:sp.flowHi]
-	capLink := s.capLink[sp.flowLo:sp.flowHi]
+func (s *Sim) fillSpanAt(sp compSpan) {
+	s.fillSpan(s.dirtyFlows[sp.flowLo:sp.flowHi], s.dirtyLinks[sp.linkLo:sp.linkHi], s.fillShare[sp.linkLo:sp.linkHi])
+}
+
+// fillSpan runs progressive filling restricted to flows, a union of
+// components, and links, the links two or more of them cross, whose fair
+// shares run parallel in shares; it leaves each flow's share in
+// f.newRate. Each round's bottleneck is the smallest (share, link ID)
+// among the shared links that still carry unfixed flows and the unfixed
+// flows' folded single-flow candidates: the same minimum a scan of every
+// occupied link finds, because a single-flow link's share is exactly its
+// capacity until its flow is fixed. Folded candidates never change and
+// only leave, so once the smallest is fixed it is a floor under the rest,
+// and the flows are rescanned only in a round whose shared minimum does
+// not precede that floor. A shared link's share is kept in its fill slot,
+// computed from the same operands the scan would divide, so the scan only
+// compares; a link with no unfixed flow reads +Inf and never wins.
+// Concurrent spans are safe: their flows, the flows' paths and the
+// spans' fill slots are disjoint by construction.
+//
+//netlint:hotpath
+func (s *Sim) fillSpan(flows []*Flow, links []topo.LinkID, shares []float64) {
+	for _, f := range flows {
+		f.unfixed = true
+	}
 	remaining := len(flows)
-	capped := -1 // index of the unfixed flow with the smallest folded candidate, unless stale
+	var capped *Flow // the unfixed flow with the smallest folded candidate, unless stale
 	stale := true
 	floorRate, floorLink := math.Inf(-1), topo.LinkID(-1)
 	for remaining > 0 {
 		bestLink := topo.LinkID(-1)
 		minShare := math.Inf(1)
-		for k := sp.linkLo; k < sp.linkHi; k++ {
-			if share, l := s.fillShare[k], s.dirtyLinks[k]; precedes(share, l, minShare, bestLink) {
+		for k, l := range links {
+			if share := shares[k]; precedes(share, l, minShare, bestLink) {
 				minShare, bestLink = share, l
 			}
 		}
 		if stale && !precedes(minShare, bestLink, floorRate, floorLink) {
-			capped, stale = -1, false
-			for i, f := range flows {
-				if f.unfixed && (capped < 0 || precedes(capRate[i], capLink[i], capRate[capped], capLink[capped])) {
-					capped = i
+			capped, stale = nil, false
+			for _, f := range flows {
+				if f.unfixed && (capped == nil || precedes(f.capRate, f.capLink, capped.capRate, capped.capLink)) {
+					capped = f
 				}
 			}
 		}
 		switch {
-		case !stale && capped >= 0 && precedes(capRate[capped], capLink[capped], minShare, bestLink):
-			// The bottleneck is a link only flows[capped] crosses.
-			s.fix(flows[capped], capRate[capped])
+		case !stale && capped != nil && precedes(capped.capRate, capped.capLink, minShare, bestLink):
+			// The bottleneck is a link only capped crosses.
+			s.fix(capped, capped.capRate)
 			remaining--
-			floorRate, floorLink, stale = capRate[capped], capLink[capped], true
+			floorRate, floorLink, stale = capped.capRate, capped.capLink, true
 		case bestLink >= 0:
-			// Every flow on a dirty link is in the dirty set by
+			// Every flow on a shared link is in the filled set by
 			// construction, and each link's residual decreases by the same
 			// minShare per crossing flow, so visiting order cannot change a
 			// single bit.
@@ -600,8 +857,8 @@ func (s *Sim) fillSpan(sp compSpan) {
 				s.stuckFill(bestLink)
 			}
 			remaining -= fixed
-			if !stale && capped >= 0 && !flows[capped].unfixed {
-				floorRate, floorLink, stale = capRate[capped], capLink[capped], true
+			if !stale && capped != nil && !capped.unfixed {
+				floorRate, floorLink, stale = capped.capRate, capped.capLink, true
 			}
 		default:
 			// No shared link has a finite share and no unfixed flow has a
@@ -655,7 +912,8 @@ func (s *Sim) fix(f *Flow, rate float64) {
 	}
 }
 
-// commitDirty applies the freshly computed shares. Only flows whose rate
+// commitDirty applies the freshly computed shares of the filled flows.
+// Only flows whose rate
 // changed, or whose timer is not queued (the flow just started draining,
 // or its share was zero), need work: they are drained at their old rate
 // up to now and their timer moves to the new completion instant. Between
@@ -668,9 +926,9 @@ func (s *Sim) fix(f *Flow, rate float64) {
 // deterministically.
 //
 //netlint:hotpath
-func (s *Sim) commitDirty() {
+func (s *Sim) commitDirty(flows []*Flow) {
 	s.changed = s.changed[:0]
-	for _, f := range s.dirtyFlows {
+	for _, f := range flows {
 		//netlint:allow floatsafe skip-if-unchanged wants bit-identity: a rate recomputed to the same bits must not reschedule the completion timer
 		if f.newRate != f.rate || f.rate <= 0 {
 			s.changed = append(s.changed, f)
@@ -796,10 +1054,10 @@ func (s *Sim) referenceRates() map[int64]float64 {
 }
 
 // verifyAgainstGlobal checks that no flow is listed twice on a link,
-// compares every active flow's incremental rate with a fresh
-// whole-network fill, bit for bit, and checks the invariant commitDirty
-// tests rates by: a flow's timer is queued exactly when its rate is
-// positive.
+// checks the kept components (verifyComponents), compares every active
+// flow's incremental rate with a fresh whole-network fill, bit for bit,
+// and checks the invariant commitDirty tests rates by: a flow's timer is
+// queued exactly when its rate is positive.
 func (s *Sim) verifyAgainstGlobal() error {
 	type listing struct {
 		l  int
@@ -814,6 +1072,9 @@ func (s *Sim) verifyAgainstGlobal() error {
 			listed[listing{l, f.ID}] = true
 		}
 	}
+	if err := s.verifyComponents(); err != nil {
+		return err
+	}
 	ref := s.referenceRates()
 	for id, f := range s.active {
 		//netlint:allow floatsafe this differential check is bit-for-bit by design: incremental and global fills must agree exactly, not within tolerance
@@ -823,6 +1084,65 @@ func (s *Sim) verifyAgainstGlobal() error {
 		}
 		if f.timer.Queued() != (f.rate > 0) {
 			return fmt.Errorf("simnet: t=%v flow %d: rate %v but timer queued %v", s.Now(), id, f.rate, f.timer.Queued())
+		}
+	}
+	return nil
+}
+
+// verifyComponents checks the state join and leave keep: every active
+// flow sits at its recorded index in its component, and every listed
+// flow is active and records that component and index, so each flow is
+// in exactly one; flows on one link share a component; a component's
+// links are exactly the links two or more of its flows cross, each at
+// its linkSlot index; linkSlot reads -1 on every single-flow link; and
+// each flow's folded candidate equals a fresh fold.
+func (s *Sim) verifyComponents() error {
+	comps := map[*component]bool{}
+	for id, f := range s.active {
+		c := f.comp
+		if c == nil || f.compIdx < 0 || f.compIdx >= len(c.flows) || c.flows[f.compIdx] != f {
+			return fmt.Errorf("simnet: t=%v flow %d is not at its recorded index %d in a component", s.Now(), id, f.compIdx)
+		}
+		comps[c] = true
+		rate, link := math.Inf(1), topo.LinkID(-1)
+		for _, l := range f.path {
+			if cp := s.linkCap[l]; len(s.linkFlows[l]) == 1 && precedes(cp, l, rate, link) {
+				rate, link = cp, l
+			}
+		}
+		if link != f.capLink || math.Float64bits(rate) != math.Float64bits(f.capRate) {
+			return fmt.Errorf("simnet: t=%v flow %d folds candidate (%v, link %d), a fresh fold gives (%v, link %d)",
+				s.Now(), id, f.capRate, f.capLink, rate, link)
+		}
+	}
+	for c := range comps {
+		for i, f := range c.flows {
+			if s.active[f.ID] != f || f.comp != c || f.compIdx != i {
+				return fmt.Errorf("simnet: t=%v a component lists flow %d at index %d, which is not active there", s.Now(), f.ID, i)
+			}
+		}
+		for k, l := range c.links {
+			if fl := s.linkFlows[l]; int(s.linkSlot[l]) != k || len(fl) < 2 || fl[0].comp != c {
+				return fmt.Errorf("simnet: t=%v a component lists link %d at index %d, whose slot reads %d and which %d flows cross",
+					s.Now(), l, k, s.linkSlot[l], len(fl))
+			}
+		}
+	}
+	for l, fl := range s.linkFlows {
+		slot := int(s.linkSlot[l])
+		switch {
+		case len(fl) == 1 && slot != -1:
+			return fmt.Errorf("simnet: t=%v single-flow link %d has slot %d, want -1", s.Now(), l, slot)
+		case len(fl) >= 2:
+			c := fl[0].comp
+			for _, g := range fl[1:] {
+				if g.comp != c {
+					return fmt.Errorf("simnet: t=%v flows %d and %d share link %d but not a component", s.Now(), fl[0].ID, g.ID, l)
+				}
+			}
+			if slot < 0 || slot >= len(c.links) || int(c.links[slot]) != l {
+				return fmt.Errorf("simnet: t=%v shared link %d is not at its slot %d in its component's links", s.Now(), l, slot)
+			}
 		}
 	}
 	return nil
