@@ -4,6 +4,7 @@
 package netconstant_test
 
 import (
+	"context"
 	"testing"
 
 	"netconstant/internal/cloud"
@@ -141,7 +142,11 @@ func BenchmarkAblationPairing(b *testing.B) {
 			var cost float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cost = cloud.CalibrateTP(vc, rng, 1, 0, cloud.CalibrationConfig{Sequential: seq}).TotalCost
+				tc, err := cloud.CalibrateTPCtx(context.Background(), vc, rng, 1, 0, cloud.CalibrationConfig{Sequential: seq})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cost = tc.TotalCost
 			}
 			b.ReportMetric(cost, "cluster-s")
 		})

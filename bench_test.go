@@ -285,7 +285,9 @@ func BenchmarkCalibrate64(b *testing.B) {
 	rng := stats.NewRNG(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloud.CalibrateTP(vc, rng, 1, 0, cloud.CalibrationConfig{})
+		if _, err := cloud.CalibrateTPCtx(context.Background(), vc, rng, 1, 0, cloud.CalibrationConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

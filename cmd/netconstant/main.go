@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -182,7 +183,7 @@ func runAdvise(args []string) int {
 
 	adv := core.NewAdvisor(cluster, rng, cfg)
 	fmt.Printf("calibrating %d x all-link measurements on %d VMs...\n", *steps, *vms)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		return cli.Failf(cmd, "%v", err)
 	}
 	if fc != nil {
@@ -321,7 +322,7 @@ func runReplay(args []string) int {
 	rc := cloud.NewReplay(tr)
 	adv := core.NewAdvisor(rc, stats.NewRNG(*seed), core.AdvisorConfig{TimeStep: *steps})
 	tc := cloud.SnapshotTP(rc, *steps, 0)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(context.Background(), tc); err != nil {
 		return cli.Failf(cmd, "%v", err)
 	}
 	fmt.Printf("replaying %s: %d snapshots, %d VMs\n", *in, tr.Len(), tr.N)

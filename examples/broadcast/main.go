@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 	}
 	rng := stats.NewRNG(5)
 	adv := core.NewAdvisor(cluster, rng, core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("64-VM cluster over %d racks, Norm(N_E)=%.3f\n\n", cluster.RackSpread(), adv.NormE())

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adv := core.NewAdvisor(cluster, stats.NewRNG(33), core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	overhead := adv.CalibrationCost()

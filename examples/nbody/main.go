@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adv := core.NewAdvisor(cluster, stats.NewRNG(23), core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	overhead := adv.CalibrationCost()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	// 3. The Advisor implements the paper's Algorithm 1: calibrate a
 	//    TP-matrix (time step 10), run RPCA, keep the constant component.
 	adv := core.NewAdvisor(cluster, stats.NewRNG(1), core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("calibration consumed %.0f s of cluster time\n", adv.CalibrationCost())
@@ -62,7 +63,7 @@ func main() {
 	// 6. Algorithm 1's maintenance loop: compare actual vs expected and
 	//    re-calibrate when the network changed significantly.
 	expected := adv.ExpectedTime(rpcaTree, mpi.Broadcast, msg)
-	if recal, err := adv.Observe(expected, rpca); err != nil {
+	if recal, err := adv.ObserveCtx(context.Background(), expected, rpca); err != nil {
 		log.Fatal(err)
 	} else if recal {
 		fmt.Println("significant change detected -> recalibrated")

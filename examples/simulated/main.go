@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{})
 	fmt.Println("measuring 10 all-link snapshots on the live simulator...")
 	tc := cloud.SnapshotTP(sc, 10, 5)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(context.Background(), tc); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Norm(N_E) = %.3f -> optimizations are %s\n\n", adv.NormE(), adv.Effectiveness())

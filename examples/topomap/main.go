@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	}
 	rng := stats.NewRNG(13)
 	adv := core.NewAdvisor(cluster, rng, core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 

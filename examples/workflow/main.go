@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adv := core.NewAdvisor(cluster, stats.NewRNG(43), core.AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cluster calibrated: Norm(N_E) = %.3f (%s)\n\n", adv.NormE(), adv.Effectiveness())

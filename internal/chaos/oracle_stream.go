@@ -1,7 +1,7 @@
 package chaos
 
 // Oracle 4: streaming decomposition vs batch differential oracle. The
-// streaming RPCA path (core.Advisor.BeginStreaming + rpca.StreamingSolver)
+// streaming RPCA path (core.Advisor.BeginStreamingCtx + rpca.StreamingSolver)
 // promises that its resolved state equals a cold batch IALM run over the
 // identical matrices exactly — first on the very trace the batch path
 // analyzed, then again after re-measured pair columns and a
@@ -10,6 +10,7 @@ package chaos
 // identical runs.
 
 import (
+	"context"
 	"math"
 
 	"netconstant/internal/cloud"
@@ -69,10 +70,10 @@ func streamedCalibration(p Plan) (streamObs, []Failure) {
 	adv := core.NewAdvisor(vc, stats.NewRNG(p.Seed+11002), core.AdvisorConfig{
 		TimeStep: cfg.TimeStep,
 	})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		return streamObs{Err: err.Error()}, []Failure{failf(oracle, "calibrate: %v", err)}
 	}
-	if err := adv.BeginStreaming(); err != nil {
+	if err := adv.BeginStreamingCtx(context.Background()); err != nil {
 		return streamObs{Err: err.Error()}, []Failure{failf(oracle, "begin streaming: %v", err)}
 	}
 
@@ -135,7 +136,7 @@ func streamedCalibration(p Plan) (streamObs, []Failure) {
 	calsBefore := adv.Calibrations()
 	triggered := false
 	for i := 0; i < 12 && !triggered; i++ {
-		triggered, err = adv.Observe(1.0, 1.8)
+		triggered, err = adv.ObserveCtx(context.Background(), 1.0, 1.8)
 		if err != nil {
 			fails = append(fails, failf(oracle, "observe: %v", err))
 			return streamObs{Err: err.Error()}, fails

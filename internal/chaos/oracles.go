@@ -389,7 +389,7 @@ func faultedCalibration(p Plan) (healthObs, []Failure) {
 		return healthObs{Err: err.Error()}, []Failure{failf(oracle, "provision: %v", err)}
 	}
 	adv0 := core.NewAdvisor(vc0, stats.NewRNG(p.Seed+9002), advCfg)
-	if err := adv0.Calibrate(); err != nil {
+	if err := adv0.CalibrateCtx(context.Background()); err != nil {
 		return healthObs{Err: err.Error()}, []Failure{failf(oracle, "fault-free calibration failed: %v", err)}
 	}
 	baseCost := adv0.CalibrationCost()
@@ -401,7 +401,7 @@ func faultedCalibration(p Plan) (healthObs, []Failure) {
 	}
 	fc := faults.Wrap(vc, p.Scenario(baseCost, n))
 	adv := core.NewAdvisor(fc, stats.NewRNG(p.Seed+9002), advCfg)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		// A typed, deterministic refusal under extreme faults is within
 		// contract; the determinism comparison below still applies to it
 		// via the error string.

@@ -494,16 +494,9 @@ func (tc *TemporalCalibration) Coverage() float64 {
 	return float64(observed) / float64(rows*n*(n-1))
 }
 
-// CalibrateTP performs `steps` calibrations separated by `gap` seconds of
-// idle time and stacks them into TP-matrices. steps is the paper's "time
-// step" tuning parameter (default 10).
-func CalibrateTP(c Cluster, rng *rand.Rand, steps int, gap float64, cfg CalibrationConfig) *TemporalCalibration {
-	//netlint:allow cancelflow CalibrateTP is the documented no-cancellation compat shim over CalibrateTPCtx
-	tc, _ := CalibrateTPCtx(context.Background(), c, rng, steps, gap, cfg)
-	return tc
-}
-
-// CalibrateTPCtx is CalibrateTP with cancellation: the context is
+// CalibrateTPCtx performs `steps` calibrations separated by `gap`
+// seconds of idle time and stacks them into TP-matrices. steps is the
+// paper's "time step" tuning parameter (default 10). The context is
 // checked before every calibration step (and per round inside each
 // step); a cancelled context aborts with a *cancel.Error and no trace.
 func CalibrateTPCtx(ctx context.Context, c Cluster, rng *rand.Rand, steps int, gap float64, cfg CalibrationConfig) (*TemporalCalibration, error) {

@@ -54,13 +54,13 @@ func TestCalibrateTPCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCalibrateBackgroundUnchanged: the ctx-less wrapper must still
-// return complete traces (byte-compatible with the pre-context code).
+// TestCalibrateBackgroundUnchanged: a calibration under a context that
+// is never cancelled must return a complete trace and no error.
 func TestCalibrateBackgroundUnchanged(t *testing.T) {
 	vc := cancelTestCluster(t)
-	tc := CalibrateTP(vc, stats.NewRNG(1), 2, 60, CalibrationConfig{})
-	if tc == nil || len(tc.Steps) != 2 {
-		t.Fatal("CalibrateTP returned no trace")
+	tc, err := CalibrateTPCtx(context.Background(), vc, stats.NewRNG(1), 2, 60, CalibrationConfig{})
+	if err != nil || tc == nil || len(tc.Steps) != 2 {
+		t.Fatalf("CalibrateTPCtx returned no complete trace (err %v)", err)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return CalibrateTP(vc, stats.NewRNG(7), 2, 1, CalibrationConfig{}), nil
+		return CalibrateTPCtx(context.Background(), vc, stats.NewRNG(7), 2, 1, CalibrationConfig{})
 	}
 
 	ownerDone := make(chan error, 1)
@@ -136,7 +136,7 @@ func TestMemoSingleflightStillShared(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return CalibrateTP(vc, stats.NewRNG(7), 1, 0, CalibrationConfig{}), nil
+				return CalibrateTPCtx(context.Background(), vc, stats.NewRNG(7), 1, 0, CalibrationConfig{})
 			})
 			if err != nil {
 				t.Error(err)

@@ -232,11 +232,22 @@ func TestCalibrationCostScalesLinearly(t *testing.T) {
 	}
 }
 
+// calibrateTP is CalibrateTPCtx under a context that is never cancelled,
+// failing t on error.
+func calibrateTP(t testing.TB, c Cluster, rng *rand.Rand, steps int, gap float64, cfg CalibrationConfig) *TemporalCalibration {
+	t.Helper()
+	tc, err := CalibrateTPCtx(context.Background(), c, rng, steps, gap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tc
+}
+
 func TestCalibrateTP(t *testing.T) {
 	p := smallProvider(10)
 	vc, _ := p.Provision(5, 19)
 	rng := stats.NewRNG(2)
-	tc := CalibrateTP(vc, rng, 4, 60, CalibrationConfig{})
+	tc := calibrateTP(t, vc, rng, 4, 60, CalibrationConfig{})
 	if tc.Latency.Steps() != 4 || tc.Bandwidth.Steps() != 4 {
 		t.Fatal("TP steps")
 	}
@@ -251,7 +262,7 @@ func TestCalibrateTP(t *testing.T) {
 	}
 	// Default step count.
 	vc2, _ := p.Provision(3, 23)
-	tc2 := CalibrateTP(vc2, rng, 0, 0, CalibrationConfig{})
+	tc2 := calibrateTP(t, vc2, rng, 0, 0, CalibrationConfig{})
 	if tc2.Latency.Steps() != 10 {
 		t.Errorf("default steps %d", tc2.Latency.Steps())
 	}
@@ -474,7 +485,7 @@ func TestAdvisorPipelineSurvivesDropouts(t *testing.T) {
 	p := smallProvider(32)
 	vc, _ := p.Provision(8, 33)
 	rng := stats.NewRNG(8)
-	tc := CalibrateTP(vc, rng, 10, 0, CalibrationConfig{DropProb: 0.2})
+	tc := calibrateTP(t, vc, rng, 10, 0, CalibrationConfig{DropProb: 0.2})
 	if tc.Latency.Steps() != 10 {
 		t.Fatal("steps")
 	}

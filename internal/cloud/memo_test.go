@@ -25,7 +25,7 @@ func measureFor(t *testing.T, key CalibrationKey) *TemporalCalibration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return CalibrateTP(vc, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
+	return calibrateTP(t, vc, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
 }
 
 // TestMemoHitReturnsEqualTrace: a hit replays the same trace (equal

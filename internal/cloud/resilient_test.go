@@ -83,7 +83,7 @@ func TestCalibrationDeterminism(t *testing.T) {
 	} {
 		enc := func() []byte {
 			vc := provisionTest(t, 6, 90)
-			tc := CalibrateTP(vc, stats.NewRNG(91), 4, 10, cfg)
+			tc := calibrateTP(t, vc, stats.NewRNG(91), 4, 10, cfg)
 			var buf bytes.Buffer
 			if err := tc.Latency.Encode(&buf); err != nil {
 				t.Fatal(err)

@@ -33,7 +33,7 @@ type AdvisorConfig struct {
 	Heuristic HeuristicKind
 	// RegimeThreshold is the divergence EWMA level that counts an
 	// observation toward a regime change — persistent sub-threshold drift
-	// that Observe's spike check would never catch. Defaults to
+	// that ObserveCtx's spike check would never catch. Defaults to
 	// Threshold/2.
 	RegimeThreshold float64
 	// RegimeWindow is how many consecutive over-RegimeThreshold
@@ -75,7 +75,7 @@ type Advisor struct {
 	recalibraions int
 	recalibrator  func(ctx context.Context) error // optional maintenance hook (SetRecalibrator)
 
-	// Divergence regime tracking (Observe): EWMA of the relative
+	// Divergence regime tracking (ObserveCtx): EWMA of the relative
 	// actual-vs-expected difference and the current run length of
 	// observations whose EWMA sits above RegimeThreshold.
 	divEWMA   float64
@@ -88,25 +88,20 @@ type Advisor struct {
 	partialResolves int
 }
 
-// NewAdvisor creates an advisor; call Calibrate before asking for
+// NewAdvisor creates an advisor; call CalibrateCtx before asking for
 // guidance.
 func NewAdvisor(c cloud.Cluster, rng *rand.Rand, cfg AdvisorConfig) *Advisor {
 	cfg.applyDefaults()
 	return &Advisor{cluster: c, cfg: cfg, rng: rng}
 }
 
-// Calibrate measures the TP-matrix and runs the RPCA analysis (Algorithm 1
-// lines 1–2). It returns the error of the RPCA solver, if any.
-func (a *Advisor) Calibrate() error {
-	//netlint:allow cancelflow Calibrate is the documented no-cancellation compat shim over CalibrateCtx
-	return a.CalibrateCtx(context.Background())
-}
-
-// CalibrateCtx is Calibrate with cancellation: the context threads
-// through the measurement loop (cloud.CalibrateTPCtx) and into the
-// solver iterations, so a cancelled context aborts with a *cancel.Error
-// (matching cancel.ErrCanceled) and leaves the previous guidance in
-// place — a half-measured calibration is never installed.
+// CalibrateCtx measures the TP-matrix and runs the RPCA analysis
+// (Algorithm 1 lines 1–2). It returns the error of the measurement or the
+// RPCA solver, if any. The context threads through the measurement loop
+// (cloud.CalibrateTPCtx) and into the solver iterations, so a cancelled
+// context aborts with a *cancel.Error (matching cancel.ErrCanceled) and
+// leaves the previous guidance in place — a half-measured calibration is
+// never installed.
 func (a *Advisor) CalibrateCtx(ctx context.Context) error {
 	tc, err := cloud.CalibrateTPCtx(ctx, a.cluster, a.rng, a.cfg.TimeStep, a.cfg.Gap, a.cfg.Calibration)
 	if err != nil {
@@ -118,15 +113,9 @@ func (a *Advisor) CalibrateCtx(ctx context.Context) error {
 	return a.analyze(ctx, tc)
 }
 
-// AnalyzeCalibration installs a pre-recorded temporal calibration (e.g.
-// from a replayed trace) instead of measuring a fresh one.
-func (a *Advisor) AnalyzeCalibration(tc *cloud.TemporalCalibration) error {
-	//netlint:allow cancelflow AnalyzeCalibration is the documented no-cancellation compat shim over AnalyzeCalibrationCtx
-	return a.AnalyzeCalibrationCtx(context.Background(), tc)
-}
-
-// AnalyzeCalibrationCtx is AnalyzeCalibration with cancellation
-// threaded into the solver iteration loops.
+// AnalyzeCalibrationCtx installs a pre-recorded temporal calibration
+// (e.g. from a replayed trace) instead of measuring a fresh one, with
+// cancellation threaded into the solver iteration loops.
 func (a *Advisor) AnalyzeCalibrationCtx(ctx context.Context, tc *cloud.TemporalCalibration) error {
 	a.lastCal = tc
 	a.calibrations++
@@ -173,7 +162,7 @@ func (a *Advisor) analyze(ctx context.Context, tc *cloud.TemporalCalibration) er
 		HeuristicRow(tc.Bandwidth, a.cfg.Heuristic, true))
 	// Fresh guidance resets the divergence regime tracker, and supersedes
 	// any open streaming session: its matrices no longer describe the
-	// installed guidance, so the caller must BeginStreaming again.
+	// installed guidance, so the caller must BeginStreamingCtx again.
 	a.divEWMA = 0
 	a.regimeRun = 0
 	a.stream = nil
@@ -270,7 +259,7 @@ func (a *Advisor) ExpectedTime(t *mpi.Tree, op mpi.Collective, msgBytes float64)
 	return mpi.RunCollective(mpi.NewAnalyticNet(a.constant), t, op, msgBytes)
 }
 
-// Observe implements the maintenance check of Algorithm 1 lines 4–9:
+// ObserveCtx implements the maintenance check of Algorithm 1 lines 4–9:
 // compare the measured performance t against the expected t′ and
 // re-calibrate when the relative difference reaches the threshold. A
 // second, slower trigger catches regime changes the spike check misses:
@@ -279,18 +268,12 @@ func (a *Advisor) ExpectedTime(t *mpi.Tree, op mpi.Collective, msgBytes float64)
 // one-off outlier — also triggers maintenance. It reports whether
 // maintenance was triggered.
 //
-// With a streaming session open (BeginStreaming), the regime trigger is
-// served by a partial re-solve over the streaming matrices
-// instead of a full re-calibration; a hard spike past Threshold still
-// forces the full calibrate (which closes the session).
-func (a *Advisor) Observe(expected, actual float64) (bool, error) {
-	//netlint:allow cancelflow Observe is the documented no-cancellation compat shim over ObserveCtx
-	return a.ObserveCtx(context.Background(), expected, actual)
-}
-
-// ObserveCtx is Observe with cancellation threaded into whichever
-// maintenance action the divergence triggers — the full re-calibration's
-// measurement loop and solver, or the streaming partial re-solve.
+// With a streaming session open (BeginStreamingCtx), the regime trigger
+// is served by a partial re-solve over the streaming matrices instead of
+// a full re-calibration; a hard spike past Threshold still forces the
+// full calibrate (which closes the session). The context cancels the full
+// re-calibration's measurement loop and solver; a partial re-solve runs
+// under the context its session was opened with.
 func (a *Advisor) ObserveCtx(ctx context.Context, expected, actual float64) (bool, error) {
 	if expected <= 0 || math.IsNaN(expected) {
 		return false, nil
@@ -316,7 +299,7 @@ func (a *Advisor) ObserveCtx(ctx context.Context, expected, actual float64) (boo
 	return false, nil
 }
 
-// SetRecalibrator routes Observe-triggered full re-calibrations through f
+// SetRecalibrator routes ObserveCtx-triggered full re-calibrations through f
 // instead of the advisor's own CalibrateCtx. Long-lived hosts (the
 // advisor daemon) install a hook that goes through their memoized,
 // journaled calibration path, so maintenance the regime detector fires

@@ -29,7 +29,7 @@ func TestAdvisorCalibrateCtxCancelled(t *testing.T) {
 		t.Error("cancelled calibration left partial advisor state installed")
 	}
 	// The advisor must still calibrate fine afterwards.
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatalf("post-cancel Calibrate: %v", err)
 	}
 	if adv.Constant() == nil {
@@ -44,7 +44,10 @@ func TestAdvisorAnalyzeCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := cloud.CalibrateTP(vc, stats.NewRNG(5), 3, 1, cloud.CalibrationConfig{})
+	tc, err := cloud.CalibrateTPCtx(context.Background(), vc, stats.NewRNG(5), 3, 1, cloud.CalibrationConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	adv := NewAdvisor(vc, stats.NewRNG(6), AdvisorConfig{TimeStep: 3})
 	ctx, stop := context.WithCancel(context.Background())
 	stop()

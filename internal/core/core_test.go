@@ -83,7 +83,7 @@ func TestAdvisorCalibrateAndRecover(t *testing.T) {
 	if adv.Constant() != nil {
 		t.Error("constant before calibration")
 	}
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if adv.Calibrations() != 1 {
@@ -132,7 +132,7 @@ func TestAdvisorGuidanceAndTrees(t *testing.T) {
 	p, vc := testCluster(t, 8, 20)
 	rng := stats.NewRNG(2)
 	adv := NewAdvisor(vc, rng, AdvisorConfig{})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if adv.GuidancePerf(RPCA) == nil || adv.GuidancePerf(Heuristics) == nil {
@@ -166,7 +166,7 @@ func TestAdvisorExpectedTimeAndObserve(t *testing.T) {
 	if !math.IsNaN(adv.ExpectedTime(mpi.BinomialTree(6, 0), mpi.Broadcast, 100)) {
 		t.Error("expected time before calibration should be NaN")
 	}
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tr := adv.PlanTree(RPCA, 0, 1<<20, nil, nil)
@@ -175,12 +175,12 @@ func TestAdvisorExpectedTimeAndObserve(t *testing.T) {
 		t.Fatalf("expected time %v", exp)
 	}
 	// Within threshold: no recalibration.
-	trig, err := adv.Observe(exp, exp*1.2)
+	trig, err := adv.ObserveCtx(context.Background(), exp, exp*1.2)
 	if err != nil || trig {
 		t.Error("should not trigger at 20% difference")
 	}
 	// Beyond threshold: recalibrates.
-	trig, err = adv.Observe(exp, exp*2)
+	trig, err = adv.ObserveCtx(context.Background(), exp, exp*2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +188,10 @@ func TestAdvisorExpectedTimeAndObserve(t *testing.T) {
 		t.Errorf("trigger=%v recal=%d cal=%d", trig, adv.Recalibrations(), adv.Calibrations())
 	}
 	// Degenerate expected values are ignored.
-	if trig, _ := adv.Observe(0, 5); trig {
+	if trig, _ := adv.ObserveCtx(context.Background(), 0, 5); trig {
 		t.Error("zero expected should not trigger")
 	}
-	if trig, _ := adv.Observe(math.NaN(), 5); trig {
+	if trig, _ := adv.ObserveCtx(context.Background(), math.NaN(), 5); trig {
 		t.Error("NaN expected should not trigger")
 	}
 }
@@ -208,7 +208,7 @@ func TestAdvisorRPCABeatsHeuristicsOnSpikyData(t *testing.T) {
 	rc := cloud.NewReplay(tr)
 	tc := cloud.SnapshotTP(rc, 10, 60)
 	adv := NewAdvisor(rc, stats.NewRNG(5), AdvisorConfig{})
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(context.Background(), tc); err != nil {
 		t.Fatal(err)
 	}
 	errOf := func(pm *netmodel.PerfMatrix) float64 {
@@ -286,7 +286,7 @@ func TestAdvisorSeedRobustness(t *testing.T) {
 	for _, seed := range []int64{100, 200, 300} {
 		_, vc := testCluster(t, 8, seed)
 		adv := NewAdvisor(vc, stats.NewRNG(seed+1), AdvisorConfig{})
-		if err := adv.Calibrate(); err != nil {
+		if err := adv.CalibrateCtx(context.Background()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		truth := vc.TruePerf()
@@ -318,7 +318,7 @@ func TestAdvisorAnalysesConverge(t *testing.T) {
 				t.Fatal(err)
 			}
 			adv := NewAdvisor(vc, stats.NewRNG(seed+2), AdvisorConfig{TimeStep: 10, Gap: 5})
-			if err := adv.Calibrate(); err != nil {
+			if err := adv.CalibrateCtx(context.Background()); err != nil {
 				t.Fatalf("%d VMs, seed %d: %v", vms, seed, err)
 			}
 			if !adv.Health().Converged {
@@ -334,7 +334,7 @@ func TestAdvisorAnalysesConverge(t *testing.T) {
 func TestAdvisorRecalibratorHook(t *testing.T) {
 	_, vc := testCluster(t, 6, 31)
 	adv := NewAdvisor(vc, stats.NewRNG(4), AdvisorConfig{Threshold: 0.5})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	calsBefore := adv.Calibrations()
@@ -356,7 +356,7 @@ func TestAdvisorRecalibratorHook(t *testing.T) {
 		t.Fatalf("hooked maintenance must not run the direct calibration path (%d -> %d)", calsBefore, adv.Calibrations())
 	}
 	adv.SetRecalibrator(nil)
-	if trig, err = adv.Observe(exp, exp*3); err != nil || !trig {
+	if trig, err = adv.ObserveCtx(context.Background(), exp, exp*3); err != nil || !trig {
 		t.Fatalf("direct path after clearing hook (trig=%v err=%v)", trig, err)
 	}
 	if adv.Calibrations() != calsBefore+1 {

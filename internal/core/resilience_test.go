@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 	// Fault-free resilient baseline.
 	_, vc := testCluster(t, n, 40)
 	adv0 := NewAdvisor(vc, stats.NewRNG(41), cfg)
-	if err := adv0.Calibrate(); err != nil {
+	if err := adv0.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	truth := vc.TruePerf()
@@ -115,7 +116,7 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 		},
 	})
 	adv := NewAdvisor(fc, stats.NewRNG(41), cfg)
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,13 +159,13 @@ func TestGracefulDegradationUnderFaults(t *testing.T) {
 func TestObserveRegimeChange(t *testing.T) {
 	_, vc := testCluster(t, 6, 50)
 	adv := NewAdvisor(vc, stats.NewRNG(51), AdvisorConfig{Threshold: 1.0})
-	if err := adv.Calibrate(); err != nil {
+	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// rel = 0.2: EWMA tops out at 0.2 < RegimeThreshold (0.5) — never fires.
 	for k := 0; k < 20; k++ {
-		trig, err := adv.Observe(1, 1.2)
+		trig, err := adv.ObserveCtx(context.Background(), 1, 1.2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestObserveRegimeChange(t *testing.T) {
 	// and holds, so the regime detector must fire within a few observations.
 	fired := false
 	for k := 0; k < 15 && !fired; k++ {
-		trig, err := adv.Observe(1, 1.8)
+		trig, err := adv.ObserveCtx(context.Background(), 1, 1.8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,13 +173,9 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 		return nil, err
 	}
 	row := rpca.ConstantRow(res.D, extract)
-	normE := relNormE(a, row, nil)
-	if normE > 1 {
-		normE = 1 // clamped like rpca.RelNorm; the masked route is not
-	}
 	return &Decomposition{
 		ConstantRow: row,
-		NormE:       normE,
+		NormE:       normE(a, row),
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		RankD:       res.RankD,
@@ -210,6 +206,15 @@ func DecomposeTPMaskedWith(s *rpca.Solver, tp *netmodel.TPMatrix, mask *mat.Dens
 		Converged:   res.Converged,
 		RankD:       res.RankD,
 	}, nil
+}
+
+// normE is the Norm(N_E) of a fully observed TP-matrix a against its
+// constant row: relNormE clamped to 1 like rpca.RelNorm (the masked route
+// is not). DecomposeTPWith and a streaming partial re-solve both use it,
+// so a resolve of an unedited calibration reports the batch value bit for
+// bit.
+func normE(a *mat.Dense, row []float64) float64 {
+	return min(relNormE(a, row, nil), 1)
 }
 
 // relNormE is the paper's Norm(N_E) in L1, ‖N_A − N_D‖₁ / ‖N_A‖₁ with

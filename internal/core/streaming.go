@@ -30,15 +30,11 @@ type streamState struct {
 // open.
 var ErrNotStreaming = errors.New("core: no streaming session — call BeginStreaming after a calibration")
 
-// BeginStreaming opens a streaming session from the last full calibration.
-//
-//netlint:allow cancelflow BeginStreaming is the documented no-cancellation compat shim over BeginStreamingCtx
-func (a *Advisor) BeginStreaming() error { return a.BeginStreamingCtx(context.Background()) }
-
-// BeginStreamingCtx is BeginStreaming with cancellation. The context is
-// retained for the session: it bounds every subsequent column ingestion
-// and partial re-solve, mirroring how long-lived pipelines thread one
-// cancellation scope through their update loops.
+// BeginStreamingCtx opens a streaming session from the last full
+// calibration. The context is retained for the session: it bounds the
+// seeding resolves and every subsequent partial re-solve, mirroring how
+// long-lived pipelines thread one cancellation scope through their update
+// loops.
 func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if a.lastCal == nil {
 		return errors.New("core: BeginStreaming before any calibration")
@@ -53,19 +49,13 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for the
 	// fat TP-matrix, not the generic 1/√max-dim default.
 	solve := rpca.Options{Lambda: 1 / math.Sqrt(float64(rows)), Ctx: ctx}
-	opts := rpca.StreamOptions{Extract: a.cfg.Extract, Solve: solve, Ctx: ctx}
-	lat, err := rpca.NewStreamingSolver(rows, opts)
+	opts := rpca.StreamOptions{Extract: a.cfg.Extract, Solve: solve}
+	lat, err := rpca.NewStreamingSolver(a.lastCal.Latency.Matrix(), opts)
 	if err != nil {
 		return err
 	}
-	bw, err := rpca.NewStreamingSolver(rows, opts)
+	bw, err := rpca.NewStreamingSolver(a.lastCal.Bandwidth.Matrix(), opts)
 	if err != nil {
-		return err
-	}
-	if err := lat.Seed(a.lastCal.Latency.Matrix()); err != nil {
-		return err
-	}
-	if err := bw.Seed(a.lastCal.Bandwidth.Matrix()); err != nil {
 		return err
 	}
 	a.stream = &streamState{lat: lat, bw: bw, n: a.lastCal.Latency.N}
@@ -76,9 +66,9 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 func (a *Advisor) StreamingActive() bool { return a.stream != nil }
 
 // StreamPair ingests a re-measured pair: the latency and bandwidth time
-// series (length TimeStep) for the src→dst column of the TP-matrices. The
-// fast tier refreshes that pair's constant estimate immediately; the
-// authoritative constant updates at the next partial re-solve.
+// series (length TimeStep) replace the src→dst column (src·n + dst) of
+// the session's TP-matrices. The installed guidance changes at the next
+// partial re-solve.
 func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 	if a.stream == nil {
 		return ErrNotStreaming
@@ -87,14 +77,7 @@ func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return fmt.Errorf("core: StreamPair (%d,%d) outside %d-VM cluster", src, dst, n)
 	}
-	return a.StreamColumn(src*n+dst, lat, bw)
-}
-
-// StreamColumn is StreamPair addressed by raw TP-matrix column index.
-func (a *Advisor) StreamColumn(j int, lat, bw []float64) error {
-	if a.stream == nil {
-		return ErrNotStreaming
-	}
+	j := src*n + dst
 	if err := a.stream.lat.ReplaceColumn(j, lat); err != nil {
 		return err
 	}
@@ -105,10 +88,11 @@ func (a *Advisor) StreamColumn(j int, lat, bw []float64) error {
 // partial re-solves the streaming session(s) have run.
 func (a *Advisor) PartialResolves() int { return a.partialResolves }
 
-// PartialResolve runs the authoritative re-solve over both streaming
-// matrices and installs the refreshed constant component and NormE as the
-// advisor's guidance — the alternative to a full re-calibration, which
-// would probe the cluster again.
+// PartialResolve re-solves both streaming matrices and installs the
+// refreshed constant component and NormE as the advisor's guidance — the
+// alternative to a full re-calibration, which would probe the cluster
+// again. NormE is computed as a batch analysis computes it, so a resolve
+// of an unedited calibration installs exactly what the analysis did.
 func (a *Advisor) PartialResolve() error {
 	if a.stream == nil {
 		return ErrNotStreaming
@@ -119,8 +103,9 @@ func (a *Advisor) PartialResolve() error {
 	if _, err := a.stream.bw.Resolve(); err != nil {
 		return err
 	}
-	a.constant = PerfFromRows(a.stream.n, a.stream.lat.Constant(), a.stream.bw.Constant())
-	a.normE = a.stream.bw.RelNormE()
+	bwRow := a.stream.bw.Constant()
+	a.constant = PerfFromRows(a.stream.n, a.stream.lat.Constant(), bwRow)
+	a.normE = normE(a.stream.bw.Matrix(), bwRow)
 	a.partialResolves++
 	// Refreshed guidance resets the divergence regime tracker, exactly as
 	// a full analyze() does.

@@ -168,11 +168,12 @@ func newEnvAdv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, adv
 // against a throwaway replica provisioned from the same provider config
 // and seeds, so every requester (hit or miss) sees the identical trace
 // and leaves its own rng/cluster streams untouched — then installed via
-// AnalyzeCalibration, with the cluster clock advanced by the measurement
-// cost it would have paid. Maintenance re-calibrations (Advisor.Calibrate
-// from Observe/Maintain) still measure the live, evolved cluster and
-// never consult the memo; an experiment that mutated the substrate under
-// a previously memoized key would replay the pre-fault trace.
+// AnalyzeCalibrationCtx, with the cluster clock advanced by the
+// measurement cost it would have paid. Maintenance re-calibrations
+// (Advisor.CalibrateCtx from ObserveCtx) still measure the live, evolved
+// cluster and never consult the memo; an experiment that mutated the
+// substrate under a previously memoized key would replay the pre-fault
+// trace.
 func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, advCfg core.AdvisorConfig, vc *cloud.VirtualCluster, adv *core.Advisor) error {
 	ctx := cfg.context()
 	if cfg.Memo == nil {

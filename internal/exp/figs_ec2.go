@@ -55,7 +55,10 @@ func Fig4Calibration(cfg Config, sizes []int) (*Fig4Result, error) {
 		if n <= cfg.VMs*2 { // actually run the small sizes
 			e, err := newEnv(cfg, n, int64(n))
 			if err == nil {
-				cal := cloud.CalibrateTP(e.cluster, e.rng, cfg.TimeStep, 0, cloud.CalibrationConfig{})
+				cal, err := cloud.CalibrateTPCtx(cfg.context(), e.cluster, e.rng, cfg.TimeStep, 0, cloud.CalibrationConfig{})
+				if err != nil {
+					return err
+				}
 				pts[i].Measured = f(cal.TotalCost / 60)
 			}
 		}
@@ -185,7 +188,7 @@ func Fig6Threshold(cfg Config, thresholds []float64, days float64) (*Fig6Result,
 			expected := e.advisor.ExpectedTime(tree, mpi.Broadcast, cfg.MsgBytes)
 			actual := mpi.RunCollective(mpi.NewAnalyticNet(snap), tree, mpi.Broadcast, cfg.MsgBytes)
 			bcastSum += actual
-			if _, err := e.advisor.Observe(expected, actual); err != nil {
+			if _, err := e.advisor.ObserveCtx(cfg.context(), expected, actual); err != nil {
 				return err
 			}
 		}

@@ -345,7 +345,7 @@ func AccuracyStudy(cfg Config) (*AccuracyResult, error) {
 	rng := stats.NewRNG(cfg.Seed + 2501)
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{TimeStep: cfg.TimeStep})
 	tc := cloudSnapshotTP(sc, cfg.TimeStep)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 

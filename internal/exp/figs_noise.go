@@ -105,7 +105,7 @@ func runReplay(cfg Config, tr *cloud.Trace, rng *rand.Rand) (*replayStudy, error
 	if err != nil {
 		return nil, err
 	}
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 	st := &replayStudy{NormE: adv.NormE(), Elapsd: map[core.Strategy]map[string][]float64{}}

@@ -51,7 +51,7 @@ func ExtResilience(cfg Config) (*ExtResilienceResult, error) {
 		Calibration: cloud.CalibrationConfig{Resilient: true},
 	}
 	adv0 := core.NewAdvisor(vc0, stats.NewRNG(cfg.Seed+seedOffset+2), advCfg)
-	if err := adv0.Calibrate(); err != nil {
+	if err := adv0.CalibrateCtx(cfg.context()); err != nil {
 		return nil, err
 	}
 	truth := vc0.TruePerf()
@@ -124,7 +124,7 @@ func ExtResilience(cfg Config) (*ExtResilienceResult, error) {
 		}
 		fc := faults.Wrap(vc, sc)
 		adv := core.NewAdvisor(fc, stats.NewRNG(cfg.Seed+seedOffset+2), advCfg)
-		if err := adv.Calibrate(); err != nil {
+		if err := adv.CalibrateCtx(cfg.context()); err != nil {
 			return err
 		}
 		h := adv.Health()

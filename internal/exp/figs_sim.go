@@ -144,7 +144,7 @@ func Fig13Simulation(cfg Config, bgLambda, bgBytes float64) (*Fig13Result, error
 
 	adv := core.NewAdvisor(sc, rng, core.AdvisorConfig{TimeStep: cfg.TimeStep})
 	tc := cloud.SnapshotTP(sc, cfg.TimeStep, 5)
-	if err := adv.AnalyzeCalibration(tc); err != nil {
+	if err := adv.AnalyzeCalibrationCtx(cfg.context(), tc); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,6 @@
 package exp
 
-// Streaming extension study: the incremental constant-subspace tracker
+// Streaming extension study: the streaming session's partial re-solve
 // against its batch differential oracle. A calibrated advisor opens a
 // streaming session, re-measures a seeded set of pairs from the evolved
 // cluster (per-pair time series sampled from instantaneous snapshots),
@@ -72,7 +72,7 @@ func ExtStreaming(cfg Config) (*Table, error) {
 	// spike threshold — must resolve via the partial re-solve.
 	triggered := false
 	for i := 0; i < extStreamMaxObserve && !triggered; i++ {
-		if triggered, err = adv.Observe(1.0, 1.8); err != nil {
+		if triggered, err = adv.ObserveCtx(cfg.context(), 1.0, 1.8); err != nil {
 			return nil, err
 		}
 	}

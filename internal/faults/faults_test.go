@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -230,8 +231,11 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			Blackouts:     []Blackout{RackBlackout(p.Topo, vc.Hosts, rack, 50, 200)},
 			ChurnRate:     200,
 		})
-		tc := cloud.CalibrateTP(fc, stats.NewRNG(13), 5, 10,
+		tc, err := cloud.CalibrateTPCtx(context.Background(), fc, stats.NewRNG(13), 5, 10,
 			cloud.CalibrationConfig{Resilient: true, Repeats: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return fc, tc
 	}
 	fc1, tc1 := build()
@@ -272,8 +276,11 @@ func TestResilientCalibrationUnderFaults(t *testing.T) {
 		ProbeLoss: 0.25,
 		Blackouts: []Blackout{RackBlackout(p.Topo, vc.Hosts, rack, 0, 1e12)},
 	})
-	tc := cloud.CalibrateTP(fc, stats.NewRNG(22), 4, 0,
+	tc, err := cloud.CalibrateTPCtx(context.Background(), fc, stats.NewRNG(22), 4, 0,
 		cloud.CalibrationConfig{Resilient: true, MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsInf(tc.TotalCost, 0) || math.IsNaN(tc.TotalCost) || tc.TotalCost <= 0 {
 		t.Fatalf("cost %v", tc.TotalCost)
 	}

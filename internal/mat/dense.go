@@ -29,15 +29,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps the given row-major backing slice (not copied) as an
-// r×c matrix. It panics if len(data) != r*c.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
 // FromRows builds a matrix from a slice of equal-length rows (copied).
 //
 //netlint:allow testonly netmodel's, mpi's, core's and rpca's tests build their fixtures with it

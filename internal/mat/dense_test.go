@@ -22,7 +22,6 @@ func TestNewDenseAndAccess(t *testing.T) {
 
 func TestNewDensePanics(t *testing.T) {
 	mustPanic(t, func() { NewDense(-1, 2) })
-	mustPanic(t, func() { NewDenseData(2, 2, []float64{1}) })
 	m := NewDense(2, 2)
 	mustPanic(t, func() { m.At(2, 0) })
 	mustPanic(t, func() { m.At(0, -1) })

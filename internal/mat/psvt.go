@@ -18,22 +18,12 @@ package mat
 
 import "math"
 
-// svtSlack is how many left singular vectors beyond the thresholded rank
-// the Gram route records for LeadingSubspace.
-const svtSlack = 4
-
 // SVTWorkspace owns every buffer the repeated SVT of same-shaped matrices
-// needs, plus the leading left singular vectors of the last call. The
-// zero value is an empty workspace, as NewSVTWorkspace returns. Every
-// buffer is sized per call from the current shape, so no stale-capacity
-// reuse can under-allocate or alias a mis-shaped view.
+// needs. The zero value is an empty workspace, as NewSVTWorkspace
+// returns. Every buffer is sized per call from the current shape, so no
+// stale-capacity reuse can under-allocate or alias a mis-shaped view.
 type SVTWorkspace struct {
 	calls int // SVTInto calls served (diagnostics)
-
-	// The last call's leading uk left singular vectors in its fat
-	// orientation (ur×uk, row-major); uk = 0 after a square-ish call.
-	ur, uk int
-	uLead  []float64
 
 	// scratch storage, grown on demand.
 	tIn, tOut   []float64 // transposed input/output for tall shapes
@@ -54,19 +44,6 @@ func NewSVTWorkspace() *SVTWorkspace {
 
 // Calls reports how many non-empty SVTInto calls the workspace served.
 func (ws *SVTWorkspace) Calls() int { return ws.calls }
-
-// LeadingSubspace returns the leading k left singular vectors (rank +
-// svtSlack, capped at the small side) of the last SVTInto input in its
-// fat orientation, as a row-major rows×k block (rows = the small-side
-// dimension). The returned slice aliases workspace storage — callers must
-// treat it as read-only and must not hold it across SVTInto calls. It
-// returns (nil, 0, 0) before the first call and after a square-ish one.
-func (ws *SVTWorkspace) LeadingSubspace() (u []float64, rows, k int) {
-	if ws.uk == 0 {
-		return nil, 0, 0
-	}
-	return ws.uLead[:ws.ur*ws.uk], ws.ur, ws.uk
-}
 
 func growSlice(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
@@ -105,7 +82,6 @@ func (ws *SVTWorkspace) SVTInto(out, m *Dense, tau float64) int {
 		// Square-ish: keep the exact Dense.SVT arithmetic (Jacobi SVD
 		// route). These shapes are small in this codebase; the allocation
 		// guarantee targets the fat TP-matrix hot path below.
-		ws.uk = 0
 		d, rank := m.SVT(tau)
 		out.CopyFrom(d)
 		return rank
@@ -160,17 +136,12 @@ func (ws *SVTWorkspace) svtGram(out, wm *Dense, tau float64) int {
 		}
 	}
 
-	// The leading rank+slack left vectors, for LeadingSubspace.
-	uk := minInt(rank+svtSlack, r)
-	copyLeadingColumns(growSlice(&ws.uLead, r*uk), uk, ev, uk)
-	ws.ur, ws.uk = r, uk
-
 	if rank == 0 {
 		out.Zero()
 		return 0
 	}
 	u := view(&ws.hU, r, rank, growSlice(&ws.ubuf, r*rank))
-	copyLeadingColumns(u.data, rank, ev, rank)
+	copyLeadingColumns(u.data, ev, rank)
 	vt := view(&ws.hVT, rank, c, growSlice(&ws.vtbuf, rank*c))
 	mulATBInto(vt, u, wm)
 	shat := growSlice(&ws.shat, rank)
@@ -189,13 +160,11 @@ func (ws *SVTWorkspace) svtGram(out, wm *Dense, tau float64) int {
 	return rank
 }
 
-// copyLeadingColumns copies the first n columns of src (any stride) into
-// dst laid out with stride dstK.
-func copyLeadingColumns(dst []float64, dstK int, src *Dense, n int) {
+// copyLeadingColumns copies the first n columns of src into dst as a
+// row-major src.rows×n block.
+func copyLeadingColumns(dst []float64, src *Dense, n int) {
 	for i := 0; i < src.rows; i++ {
-		for l := 0; l < n; l++ {
-			dst[i*dstK+l] = src.data[i*src.cols+l]
-		}
+		copy(dst[i*n:(i+1)*n], src.data[i*src.cols:i*src.cols+n])
 	}
 }
 

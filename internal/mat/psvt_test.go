@@ -86,46 +86,6 @@ func TestSVTWorkspaceRankGrowth(t *testing.T) {
 	}
 }
 
-// TestSVTWorkspaceLeadingSubspace: after a fat or tall call the workspace
-// records rank+slack orthonormal left vectors of the fat orientation whose
-// leading rank columns span the thresholded output's columns; a
-// square-ish call clears them.
-func TestSVTWorkspaceLeadingSubspace(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	ws := NewSVTWorkspace()
-	if u, _, _ := ws.LeadingSubspace(); u != nil {
-		t.Fatal("fresh workspace reports a subspace")
-	}
-	for _, sh := range [][2]int{{24, 300}, {300, 24}} {
-		r, c := sh[0], sh[1]
-		m := lowRankPlusNoise(rng, r, c, 3, 40, 0.05)
-		got := NewDense(r, c)
-		rank := ws.SVTInto(got, m, 3.0)
-		u, rows, k := ws.LeadingSubspace()
-		if rank == 0 || rows != min(r, c) || k != rank+svtSlack || len(u) != rows*k {
-			t.Fatalf("%dx%d: rank %d, subspace %dx%d over %d values", r, c, rank, rows, k, len(u))
-		}
-		q := NewDenseData(rows, k, append([]float64(nil), u...))
-		checkOrthonormalCols(t, q, 1e-10)
-		ur := NewDense(rows, rank)
-		for i := 0; i < rows; i++ {
-			copy(ur.Row(i), q.Row(i)[:rank])
-		}
-		fat := got
-		if r > c {
-			fat = got.T()
-		}
-		proj := ur.Mul(ur.T().Mul(fat))
-		if diff := NormFroDiff(proj, fat); diff > 1e-10*math.Max(1, fat.NormFrobenius()) {
-			t.Fatalf("%dx%d: output leaves the leading subspace by %g", r, c, diff)
-		}
-	}
-	ws.SVTInto(NewDense(40, 50), lowRankPlusNoise(rng, 40, 50, 3, 30, 0.1), 2.0)
-	if u, _, _ := ws.LeadingSubspace(); u != nil {
-		t.Fatal("square-ish call left a subspace")
-	}
-}
-
 // TestSVTWorkspaceZeroResult thresholds everything away: result must be
 // the zero matrix with rank 0 on every repeated call.
 func TestSVTWorkspaceZeroResult(t *testing.T) {

@@ -6,6 +6,7 @@ package rpca_test
 // cluster's ground truth than APG's.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -89,7 +90,10 @@ func TestOracleAPGAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := cloud.CalibrateTP(vc, stats.NewRNG(cfg.Seed+2302), cfg.TimeStep, 0, cloud.CalibrationConfig{})
+	tc, err := cloud.CalibrateTPCtx(context.Background(), vc, stats.NewRNG(cfg.Seed+2302), cfg.TimeStep, 0, cloud.CalibrationConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	check("calibration bandwidth", tc.Bandwidth.Matrix())
 	check("calibration latency", tc.Latency.Matrix())
 }

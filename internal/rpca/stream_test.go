@@ -67,7 +67,7 @@ func sameBits(x, y []float64) bool {
 // checkEvery-th replacement and at the end. Each Verify resolves, and the
 // streaming state must equal a cold batch IALM solve bit for bit — D, E
 // and the constant row. The batch solve runs on the test's own edited
-// copy of the trace, not on the solver's column store, so the store is
+// copy of the trace, not on the solver's matrix, so the matrix is
 // checked too, and Verify must report zero disagreement. The gate case is
 // CI's stream-oracle-gate. The rows10 case has the advisor's shape (ten
 // time steps per pair column).
@@ -86,11 +86,8 @@ func TestStreamingAgreesWithBatch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, remeasured := streamTrace(tc.seed, tc.rows, tc.cols, tc.rank, 0.05)
-			s, err := NewStreamingSolver(tc.rows, StreamOptions{})
+			s, err := NewStreamingSolver(a, StreamOptions{})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Seed(a); err != nil {
 				t.Fatal(err)
 			}
 			edited := a.Clone()
@@ -138,8 +135,8 @@ func TestStreamingAgreesWithBatch(t *testing.T) {
 			if checks != tc.wantChecks {
 				t.Fatalf("ran %d oracle checks, want %d", checks, tc.wantChecks)
 			}
-			if s.ncols != tc.cols {
-				t.Fatalf("columns = %d, want %d", s.ncols, tc.cols)
+			if r, c := s.a.Dims(); r != tc.rows || c != tc.cols {
+				t.Fatalf("matrix is %dx%d, want %dx%d", r, c, tc.rows, tc.cols)
 			}
 		})
 	}
@@ -155,11 +152,8 @@ func BenchmarkStreamingTrace(b *testing.B) {
 	a, remeasured := streamTrace(1, 24, 196, 3, 0.05)
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := NewStreamingSolver(24, StreamOptions{})
+			s, err := NewStreamingSolver(a, StreamOptions{})
 			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Seed(a); err != nil {
 				b.Fatal(err)
 			}
 			for k, col := range remeasured {
@@ -197,11 +191,8 @@ func BenchmarkStreamingTrace(b *testing.B) {
 func TestStreamingDeterminism(t *testing.T) {
 	run := func() ([]float64, StreamAgreement) {
 		a, remeasured := streamTrace(13, 24, 128, 3, 0.05)
-		s, err := NewStreamingSolver(24, StreamOptions{})
+		s, err := NewStreamingSolver(a, StreamOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Seed(a); err != nil {
 			t.Fatal(err)
 		}
 		for k, col := range remeasured {
@@ -214,12 +205,12 @@ func TestStreamingDeterminism(t *testing.T) {
 				}
 			}
 		}
-		fast := s.Constant()
+		before := s.Constant()
 		ag, err := s.Verify()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(fast, s.Constant()...), ag
+		return append(before, s.Constant()...), ag
 	}
 	c1, ag1 := run()
 	c2, ag2 := run()
@@ -231,54 +222,15 @@ func TestStreamingDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingFastTierTracksConstant: between resolves the projection
-// estimates for re-measured columns must already sit within 5% of the
-// constant a batch solve of the edited matrix extracts.
-func TestStreamingFastTierTracksConstant(t *testing.T) {
-	a, remeasured := streamTrace(17, 24, 196, 1, 0.03)
-	s, err := NewStreamingSolver(24, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Seed(a); err != nil {
-		t.Fatal(err)
-	}
-	edited := a.Clone()
-	for k, col := range remeasured {
-		j := replaceAt(a, k)
-		if err := s.ReplaceColumn(j, col); err != nil {
-			t.Fatal(err)
-		}
-		setColumn(edited, j, col)
-	}
-	// No resolve since seeding: the replaced columns carry fast-tier
-	// estimates. Batch-decompose the edited matrix as the oracle.
-	batch, err := NewSolver().Decompose(edited, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := ConstantRow(batch.D, ExtractMedian)
-	got := s.Constant()
-	j0 := replaceAt(a, 0)
-	if tail := RelDiff(got[j0:], oracle[j0:]); tail > 0.05 {
-		t.Fatalf("fast-tier constant estimates off by %.3f relative (want <= 0.05)", tail)
-	}
-	if rel := s.RelNormE(); rel < 0 || rel > 1 {
-		t.Fatalf("RelNormE out of range: %v", rel)
-	}
-}
-
-// TestStreamingReplaceColumn: a re-measured pair must refresh both the
-// stored column and its constant estimate.
+// TestStreamingReplaceColumn: a re-measured pair overwrites its stored
+// column in place; the constant row moves only at the next resolve.
 func TestStreamingReplaceColumn(t *testing.T) {
 	seedM, _ := streamTrace(23, 12, 64, 2, 0)
-	s, err := NewStreamingSolver(12, StreamOptions{})
+	s, err := NewStreamingSolver(seedM, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Seed(seedM); err != nil {
-		t.Fatal(err)
-	}
+	constBefore := s.Constant()
 	col := make([]float64, 12)
 	for i := range col {
 		col[i] = 42
@@ -286,8 +238,21 @@ func TestStreamingReplaceColumn(t *testing.T) {
 	if err := s.ReplaceColumn(3, col); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Constant()[3]; math.Abs(got-42) > 1 {
-		t.Fatalf("replaced column constant = %v, want ~42", got)
+	for i := 0; i < 12; i++ {
+		if got := s.a.At(i, 3); got != 42 {
+			t.Fatalf("stored column 3 row %d = %v, want 42", i, got)
+		}
+	}
+	if !s.dirty || !sameBits(s.Constant(), constBefore) {
+		t.Fatal("a replacement must mark the solver dirty and leave the constant row to the next resolve")
+	}
+	if _, err := s.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	// The resolve pulls the all-42 column toward the trace's low-rank
+	// structure: it reads 38.6, not 42.
+	if got := s.Constant()[3]; !(math.Abs(got-38.6) <= 0.05) {
+		t.Fatalf("resolved constant of the replaced column = %v, want 38.6", got)
 	}
 	if err := s.ReplaceColumn(99, col); err == nil {
 		t.Fatal("out-of-range replace did not error")
@@ -297,39 +262,35 @@ func TestStreamingReplaceColumn(t *testing.T) {
 	}
 }
 
-// TestStreamingCancellation: a cancelled context must abort seeding with
-// the typed cancellation error before any column is ingested.
+// TestStreamingCancellation: a cancelled solve context must make the
+// seeding resolve, and so NewStreamingSolver, fail with the typed
+// cancellation error.
 func TestStreamingCancellation(t *testing.T) {
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	s, err := NewStreamingSolver(12, StreamOptions{Ctx: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, _ := streamTrace(29, 12, 32, 2, 0)
-	if err := s.Seed(a); !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("Seed err = %v, want cancellation", err)
-	}
-	if s.ncols != 0 {
-		t.Fatalf("cancelled seed still ingested %d columns", s.ncols)
+	s, err := NewStreamingSolver(a, StreamOptions{Solve: Options{Ctx: ctx}})
+	if !errors.Is(err, cancel.ErrCanceled) || s != nil {
+		t.Fatalf("NewStreamingSolver = %v, %v, want nil and cancellation", s, err)
 	}
 }
 
-// TestStreamingRejectsBadInput: NaN/Inf measurement columns and shape
-// mismatches must be rejected before touching state.
+// TestStreamingRejectsBadInput: an empty seed must be refused, and
+// NaN/Inf measurement columns and shape mismatches must be rejected
+// before touching state.
 func TestStreamingRejectsBadInput(t *testing.T) {
-	s, err := NewStreamingSolver(8, StreamOptions{})
+	for _, m := range []*mat.Dense{mat.NewDense(0, 0), mat.NewDense(8, 0), mat.NewDense(0, 8)} {
+		if _, err := NewStreamingSolver(m, StreamOptions{}); err == nil {
+			r, c := m.Dims()
+			t.Fatalf("empty %dx%d seed did not error", r, c)
+		}
+	}
+	a, _ := streamTrace(31, 8, 32, 2, 0)
+	s, err := NewStreamingSolver(a, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resolve(); err == nil {
-		t.Fatal("empty resolve did not error")
-	}
-	a, _ := streamTrace(31, 8, 32, 2, 0)
-	if err := s.Seed(a); err != nil {
-		t.Fatal(err)
-	}
-	before := append([]float64(nil), s.colData...)
+	before := append([]float64(nil), s.a.Data()...)
 	constBefore := s.Constant()
 	bad := make([]float64, 8)
 	bad[3] = math.NaN()
@@ -343,10 +304,7 @@ func TestStreamingRejectsBadInput(t *testing.T) {
 	if err := s.ReplaceColumn(2, make([]float64, 5)); err == nil {
 		t.Fatal("short column did not error")
 	}
-	if !sameBits(s.colData, before) || !sameBits(s.Constant(), constBefore) || s.dirty {
+	if !sameBits(s.a.Data(), before) || !sameBits(s.Constant(), constBefore) || s.dirty {
 		t.Fatal("rejected columns touched the solver's state")
-	}
-	if _, err := NewStreamingSolver(0, StreamOptions{}); err == nil {
-		t.Fatal("rows=0 did not error")
 	}
 }
