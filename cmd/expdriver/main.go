@@ -5,7 +5,7 @@
 // Usage:
 //
 //	expdriver [-full] [-only fig7,fig13] [-md EXPERIMENTS.md] [-seed N]
-//	          [-workers N] [-nomemo] [-ckpt dir] [-resume dir]
+//	          [-workers N] [-ckpt dir] [-resume dir]
 //	          [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // The default "quick" profile runs every experiment at reduced scale in
@@ -14,8 +14,8 @@
 //
 // Sweep points fan out over -workers goroutines (default GOMAXPROCS);
 // tables are byte-identical at any worker count. Calibration traces are
-// memoized across figures (disable with -nomemo to reproduce the
-// pre-memoization numbers).
+// memoized across figures: each is measured once on a seeded replica and
+// replayed, so the memo saves time without changing a table.
 //
 // Crash safety: with -ckpt dir every completed sweep point and finished
 // figure is journaled (fsynced, CRC-framed) into dir, so the process can
@@ -69,7 +69,6 @@ func run() int {
 	jsonOut := flag.String("json", "", "also write machine-readable results (JSON lines) to this path (atomically)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	workers := flag.Int("workers", 0, "concurrent sweep points per figure (0 = GOMAXPROCS); results are byte-identical at any setting")
-	nomemo := flag.Bool("nomemo", false, "disable the calibration-trace memo (each figure measures its own calibration)")
 	ckptDir := flag.String("ckpt", "", "journal completed sweep points and figures into this directory (crash-safe; resume with -resume)")
 	resume := flag.String("resume", "", "resume from this checkpoint directory (must hold a journal from a matching run)")
 	crashAfter := flag.Int("crashafter", 0, "testing aid: SIGKILL the process after N journaled sweep points (requires -ckpt or -resume)")
@@ -113,9 +112,7 @@ func run() int {
 	// The driver is where wall-clock readings belong: inject the real
 	// clock for the figures that report elapsed real time (Fig 4).
 	cfg.Clock = time.Now
-	if !*nomemo {
-		cfg.Memo = cloud.NewCalibrationMemo(0)
-	}
+	cfg.Memo = cloud.NewCalibrationMemo(0)
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the run context
 	// (workers drain, in-flight points journal, partial outputs flush); a

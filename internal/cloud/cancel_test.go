@@ -88,7 +88,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := m.GetOrComputeCtx(context.Background(), key, compute)
+		_, err := m.getOrCompute(context.Background(), "", key, compute)
 		ownerDone <- err
 	}()
 	<-computeStarted
@@ -97,7 +97,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 	waiterCtx, stopWaiter := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := m.GetOrComputeCtx(waiterCtx, key, compute)
+		_, err := m.getOrCompute(waiterCtx, "", key, compute)
 		waiterDone <- err
 	}()
 	stopWaiter()
@@ -128,7 +128,7 @@ func TestMemoSingleflightStillShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+			_, err := m.getOrCompute(context.Background(), "", key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()

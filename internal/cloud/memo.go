@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"netconstant/internal/cancel"
+	"netconstant/internal/stats"
 )
 
 // CalibrationKey identifies a calibration trace by its measurement
@@ -28,16 +29,13 @@ type CalibrationKey struct {
 }
 
 // CalibrationMemo is a size-bounded, thread-safe LRU cache of calibration
-// traces. Identical (provider, size, seeds, procedure) tuples are measured
-// once per driver run; later requests replay the cached trace. Get and
-// GetOrComputeCtx return deep clones, so callers can hand the trace to an
-// advisor (which keeps and may inspect it) without sharing state.
-//
-// A cached trace stands for its key's provenance, so a caller that
-// mutates the substrate between calibrations must not reuse the key, or
-// it would replay the pre-fault trace. No production caller does; the
-// memo's tests drop keys through Invalidate and InvalidateAll (in
-// memo_test.go) to exercise the fence below.
+// traces. Calibrate measures a key's trace on a replica provisioned from
+// the key alone, so equal keys are replicas of one trace and a cached
+// trace can stand in for every later request: identical (provider, size,
+// seeds, procedure) tuples are measured once per driver run, and whether
+// a request hits or misses never shows in its result. Get and Calibrate
+// return deep clones, so callers can hand the trace to an advisor (which
+// keeps and may inspect it) without sharing state.
 type CalibrationMemo struct {
 	mu  sync.Mutex
 	cap int
@@ -58,17 +56,6 @@ type CalibrationMemo struct {
 	// cancellable: a waiter whose context ends abandons the wait (the
 	// computation itself keeps running on the goroutine that started it).
 	inflight map[CalibrationKey]*memoCall
-
-	// gens and allGen stamp computations against invalidations: every
-	// Invalidate(key) bumps gens[key] and every InvalidateAll bumps allGen.
-	// A computation records both at start and its result is cached only if
-	// neither moved — otherwise a compute that was racing an invalidation
-	// would re-insert the pre-fault trace, exactly the replay hazard the
-	// type doc warns about. The stale result is still returned to the
-	// waiters of that round (they asked before the fault); it just never
-	// outlives them in the cache.
-	gens   map[CalibrationKey]uint64
-	allGen uint64
 }
 
 type memoEntry struct {
@@ -89,13 +76,11 @@ func entryCost(tc *TemporalCalibration) float64 {
 }
 
 // memoCall is one in-flight computation; tc/err are written exactly
-// once, before done is closed. gen/allGen are the invalidation stamps the
-// computation started under.
+// once, before done is closed.
 type memoCall struct {
-	done        chan struct{}
-	tc          *TemporalCalibration
-	err         error
-	gen, allGen uint64
+	done chan struct{}
+	tc   *TemporalCalibration
+	err  error
 }
 
 // MemoStats reports cache effectiveness. Every successful request counts
@@ -117,7 +102,6 @@ func NewCalibrationMemo(capacity int) *CalibrationMemo {
 		byK:       map[CalibrationKey]*list.Element{},
 		ownerCost: map[string]float64{},
 		inflight:  map[CalibrationKey]*memoCall{},
-		gens:      map[CalibrationKey]uint64{},
 	}
 }
 
@@ -137,15 +121,9 @@ func (m *CalibrationMemo) Get(key CalibrationKey) *TemporalCalibration {
 	return nil
 }
 
+// put caches tc under key, which is absent: a key is measured only when
+// it is neither cached nor in flight, and only its measurement inserts it.
 func (m *CalibrationMemo) put(owner string, key CalibrationKey, tc *TemporalCalibration) {
-	if el, ok := m.byK[key]; ok {
-		e := el.Value.(*memoEntry)
-		m.ownerCost[e.owner] -= e.cost
-		e.tc, e.owner, e.cost = tc, owner, entryCost(tc)
-		m.ownerCost[owner] += e.cost
-		m.lru.MoveToFront(el)
-		return
-	}
 	e := &memoEntry{key: key, tc: tc, owner: owner, cost: entryCost(tc)}
 	m.byK[key] = m.lru.PushFront(e)
 	m.ownerCost[owner] += e.cost
@@ -186,30 +164,36 @@ func (m *CalibrationMemo) removeElement(el *list.Element) {
 	}
 }
 
-// GetOrComputeCtx returns a deep clone of the trace for key, calling
-// compute (and caching its result) on the first request. Concurrent
-// requests for the same key block on a single computation; distinct keys
-// compute concurrently. A compute error is returned to every waiter and
-// nothing is cached, so the next request retries. Waiting is
-// cancellable: a request that finds the key's computation already in
-// flight blocks until either the computation finishes or ctx ends, in
+// Calibrate returns a deep clone of key's calibration trace, measuring
+// it on the first request: a replica provisioned from the key's provider
+// config, size and seed, calibrated with the key's rng seed and
+// procedure. A nil memo measures every request. The cached entry is
+// charged to owner (a tenant ID, figure name, or any stable identity),
+// and eviction under pressure always falls on the owner holding the
+// greatest total cached cost, so one tenant's calibration burst cannot
+// flush everyone else's traces.
+//
+// Concurrent requests for the same key block on a single measurement;
+// distinct keys measure concurrently. A measurement error is returned to
+// every waiter and nothing is cached, so the next request retries.
+// Waiting is cancellable: a request that finds the key's measurement
+// already in flight blocks until either it finishes or ctx ends, in
 // which case it abandons the wait with a *cancel.Error (matching
-// cancel.ErrCanceled).
-// The computation itself is never interrupted by a *waiter's* context —
-// it belongs to the request that started it, which typically passes the
-// same ctx into its compute closure (so cancelling the whole sweep
-// still cancels the measurement).
-func (m *CalibrationMemo) GetOrComputeCtx(ctx context.Context, key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
-	return m.GetOrComputeOwned(ctx, "", key, compute)
+// cancel.ErrCanceled). The measurement itself runs under the context of
+// the request that started it, never a waiter's.
+func (m *CalibrationMemo) Calibrate(ctx context.Context, owner string, key CalibrationKey) (*TemporalCalibration, error) {
+	return m.getOrCompute(ctx, owner, key, func() (*TemporalCalibration, error) {
+		replica, err := NewProvider(key.Provider).Provision(key.N, key.ProvSeed)
+		if err != nil {
+			return nil, err
+		}
+		return CalibrateTPCtx(ctx, replica, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
+	})
 }
 
-// GetOrComputeOwned is GetOrComputeCtx with fairness accounting: the
-// cached entry is charged to owner (a tenant ID, figure name, or any
-// stable identity), and eviction under pressure always falls on the
-// owner holding the greatest total cached cost. Multi-tenant callers
-// (the advisor daemon) pass their tenant ID here so one tenant's
-// calibration burst cannot flush everyone else's traces.
-func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
+// getOrCompute is Calibrate's cache around compute, which must measure
+// key's trace.
+func (m *CalibrationMemo) getOrCompute(ctx context.Context, owner string, key CalibrationKey, compute func() (*TemporalCalibration, error)) (*TemporalCalibration, error) {
 	if m == nil {
 		return compute()
 	}
@@ -241,7 +225,7 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 			return nil, cancel.Wrap("cloud.CalibrationMemo", 0, 0, context.Cause(ctx))
 		}
 	}
-	call := &memoCall{done: make(chan struct{}), gen: m.gens[key], allGen: m.allGen}
+	call := &memoCall{done: make(chan struct{})}
 	m.inflight[key] = call
 	m.mu.Unlock()
 
@@ -249,18 +233,11 @@ func (m *CalibrationMemo) GetOrComputeOwned(ctx context.Context, owner string, k
 
 	m.mu.Lock()
 	m.misses++
-	// Cache only if no invalidation raced the computation: the key's and
-	// the global generation must be unchanged and this call must still be
-	// the registered one (Invalidate detaches stale calls so a fresh
-	// computation can start while the old one is still running).
-	current := m.inflight[key] == call && m.gens[key] == call.gen && m.allGen == call.allGen
-	if err == nil && current {
+	if err == nil {
 		m.put(owner, key, tc.Clone())
 	}
 	call.tc, call.err = tc, err
-	if m.inflight[key] == call {
-		delete(m.inflight, key)
-	}
+	delete(m.inflight, key)
 	m.mu.Unlock()
 	close(call.done)
 

@@ -1,12 +1,13 @@
 package cloud
 
 import (
-	"container/list"
 	"context"
 	"errors"
+	"hash/fnv"
 	"sync"
 	"testing"
 
+	"netconstant/internal/netmodel"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
@@ -28,6 +29,55 @@ func measureFor(t *testing.T, key CalibrationKey) *TemporalCalibration {
 	return calibrateTP(t, vc, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
 }
 
+// traceHash hashes every value of a trace bit for bit: both TP-matrices
+// with their row times, the total cost, the mask, and each step's cost
+// and matrix.
+func traceHash(tc *TemporalCalibration) uint64 {
+	h := fnv.New64a()
+	for _, tp := range []*netmodel.TPMatrix{tc.Latency, tc.Bandwidth} {
+		hashFloats(h, tp.Times...)
+		hashFloats(h, tp.Matrix().Data()...)
+	}
+	hashFloats(h, tc.TotalCost)
+	if tc.Mask != nil {
+		hashFloats(h, tc.Mask.Data()...)
+	}
+	for _, st := range tc.Steps {
+		hashFloats(h, st.Cost)
+		hashFloats(h, st.Perf.Latency.Data()...)
+		hashFloats(h, st.Perf.Bandwth.Data()...)
+	}
+	return h.Sum64()
+}
+
+// TestCalibrateMeasuresTheKey: a Calibrate miss and a nil memo's
+// Calibrate each return exactly the trace measured on a replica
+// provisioned from the key, and a hit replays it.
+func TestCalibrateMeasuresTheKey(t *testing.T) {
+	for _, cal := range []CalibrationConfig{{}, {Resilient: true, DropProb: 0.3}} {
+		key := memoKey(6, 700)
+		key.Cal = cal
+		want := traceHash(measureFor(t, key))
+		m := NewCalibrationMemo(4)
+		var nilMemo *CalibrationMemo
+		for _, c := range []struct {
+			name string
+			m    *CalibrationMemo
+		}{{"miss", m}, {"hit", m}, {"nil memo", nilMemo}} {
+			tc, err := c.m.Calibrate(context.Background(), "", key)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := traceHash(tc); got != want {
+				t.Fatalf("resilient=%v %s: trace hash %#x, want the replica's %#x", cal.Resilient, c.name, got, want)
+			}
+		}
+		if st := m.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Fatalf("stats %+v, want one miss and one hit", st)
+		}
+	}
+}
+
 // TestMemoHitReturnsEqualTrace: a hit replays the same trace (equal
 // matrices and cost) through an independent deep copy.
 func TestMemoHitReturnsEqualTrace(t *testing.T) {
@@ -38,11 +88,11 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 		computes++
 		return measureFor(t, key), nil
 	}
-	a, err := m.GetOrComputeCtx(context.Background(), key, compute)
+	a, err := m.getOrCompute(context.Background(), "", key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.GetOrComputeCtx(context.Background(), key, compute)
+	b, err := m.getOrCompute(context.Background(), "", key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +144,7 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			issued.Done()
-			_, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
+			_, err := m.getOrCompute(context.Background(), "", key, func() (*TemporalCalibration, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -115,44 +165,23 @@ func TestMemoConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidate: invalidation forces a fresh computation; errors are
-// not cached.
-func TestMemoInvalidate(t *testing.T) {
+// TestMemoErrorsNotCached: a failed measurement is returned to its
+// request and not cached, so the next request for the key measures again.
+func TestMemoErrorsNotCached(t *testing.T) {
 	m := NewCalibrationMemo(4)
-	key := memoKey(6, 300)
-	computes := 0
-	compute := func() (*TemporalCalibration, error) {
-		computes++
-		return measureFor(t, key), nil
-	}
-	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Invalidate(key) {
-		t.Fatal("Invalidate should report an existing entry")
-	}
-	if m.Invalidate(key) {
-		t.Fatal("second Invalidate should find nothing")
-	}
-	if _, err := m.GetOrComputeCtx(context.Background(), key, compute); err != nil {
-		t.Fatal(err)
-	}
-	if computes != 2 {
-		t.Fatalf("computed %d times, want 2 after invalidation", computes)
-	}
-
+	key := memoKey(6, 301)
 	boom := errors.New("probe storm")
-	k2 := memoKey(6, 301)
-	if _, err := m.GetOrComputeCtx(context.Background(), k2, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := m.getOrCompute(context.Background(), "", key, func() (*TemporalCalibration, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want compute error", err)
 	}
-	if _, err := m.GetOrComputeCtx(context.Background(), k2, compute); err != nil {
+	if st := m.Stats(); st.Entries != 0 {
+		t.Fatalf("entries after a failed measurement: %d", st.Entries)
+	}
+	if _, err := m.getOrCompute(context.Background(), "", key, func() (*TemporalCalibration, error) { return measureFor(t, key), nil }); err != nil {
 		t.Fatalf("error must not be cached: %v", err)
 	}
-
-	m.InvalidateAll()
-	if st := m.Stats(); st.Entries != 0 {
-		t.Fatalf("entries after InvalidateAll: %d", st.Entries)
+	if m.Get(key) == nil {
+		t.Fatal("the retried measurement was not cached")
 	}
 }
 
@@ -164,7 +193,7 @@ func TestMemoLRUBound(t *testing.T) {
 	k1, k2, k3 := memoKey(4, 401), memoKey(4, 402), memoKey(4, 403)
 	put := func(k CalibrationKey) {
 		t.Helper()
-		if _, err := m.GetOrComputeCtx(context.Background(), k, func() (*TemporalCalibration, error) { return tc, nil }); err != nil {
+		if _, err := m.getOrCompute(context.Background(), "", k, func() (*TemporalCalibration, error) { return tc, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,179 +236,6 @@ func TestTemporalCalibrationClone(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidateDropsInflightInsert is the regression test for the
-// invalidate-vs-inflight race: a computation that started before an
-// Invalidate must not populate the cache when it finishes after it — the
-// post-fault request would replay the pre-fault trace.
-func TestMemoInvalidateDropsInflightInsert(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 200)
-	pre := measureFor(t, key)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release // hold the computation while Invalidate lands
-			return pre, nil
-		})
-		if err != nil || tc == nil {
-			t.Errorf("computing request: tc=%v err=%v", tc, err)
-		}
-	}()
-	<-started
-	m.Invalidate(key)
-	close(release)
-	<-done
-
-	if got := m.Get(key); got != nil {
-		t.Fatal("pre-invalidation compute repopulated the cache")
-	}
-}
-
-// TestMemoInvalidateAllDropsInflightInsert: same fence through the global
-// invalidation.
-func TestMemoInvalidateAllDropsInflightInsert(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 210)
-	pre := measureFor(t, key)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release
-			return pre, nil
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	m.InvalidateAll()
-	close(release)
-	<-done
-
-	if got := m.Get(key); got != nil {
-		t.Fatal("pre-InvalidateAll compute repopulated the cache")
-	}
-}
-
-// TestMemoInvalidateDetachesInflight: a request arriving after an
-// Invalidate must start a fresh computation instead of joining (and
-// receiving the result of) the stale in-flight one, and the fresh result
-// is the one that ends up cached.
-func TestMemoInvalidateDetachesInflight(t *testing.T) {
-	m := NewCalibrationMemo(4)
-	key := memoKey(6, 220)
-	pre := measureFor(t, key)
-	post := measureFor(t, key)
-	post.TotalCost = pre.TotalCost + 1000 // distinguishable post-fault trace
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	staleDone := make(chan struct{})
-	go func() {
-		defer close(staleDone)
-		if _, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-			close(started)
-			<-release
-			return pre, nil
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	m.Invalidate(key)
-
-	freshRan := false
-	got, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-		freshRan = true
-		return post, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !freshRan {
-		t.Fatal("post-invalidation request joined the stale in-flight computation")
-	}
-	if got.TotalCost != post.TotalCost {
-		t.Fatalf("post-invalidation request got cost %v, want the fresh trace's %v", got.TotalCost, post.TotalCost)
-	}
-	close(release)
-	<-staleDone
-
-	cached := m.Get(key)
-	if cached == nil {
-		t.Fatal("fresh trace not cached")
-	}
-	if cached.TotalCost != post.TotalCost {
-		t.Fatalf("cache holds cost %v, want the post-fault %v — stale insert won", cached.TotalCost, post.TotalCost)
-	}
-}
-
-// TestMemoInvalidateRaceStress hammers GetOrCompute against Invalidate
-// under the race detector: after every invalidation the cache must never
-// serve a trace computed before it (cost stamps are monotonic per round).
-func TestMemoInvalidateRaceStress(t *testing.T) {
-	m := NewCalibrationMemo(8)
-	key := memoKey(6, 230)
-	base := measureFor(t, key)
-
-	var mu sync.Mutex
-	round := 0
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tc, err := m.GetOrComputeCtx(context.Background(), key, func() (*TemporalCalibration, error) {
-					mu.Lock()
-					r := round
-					mu.Unlock()
-					c := base.Clone()
-					c.TotalCost = float64(r)
-					return c, nil
-				})
-				if err != nil || tc == nil {
-					t.Errorf("GetOrCompute: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 25; i++ {
-			mu.Lock()
-			round++
-			mu.Unlock()
-			m.Invalidate(key)
-		}
-	}()
-	wg.Wait()
-
-	// After the dust settles the cached round stamp must be from after the
-	// final invalidation (or the key absent entirely).
-	mu.Lock()
-	final := round
-	mu.Unlock()
-	if tc := m.Get(key); tc != nil && int(tc.TotalCost) < final {
-		// A cached trace older than the last invalidation is exactly the
-		// replay hazard the generation stamps exist to prevent. (Equal is
-		// fine: a compute that started after the final Invalidate.)
-		t.Fatalf("cache serves round %d, last invalidation was %d", int(tc.TotalCost), final)
-	}
-}
-
 // TestMemoOwnerFairness is the cross-tenant fairness regression: under a
 // shared memo, a hot tenant's burst must evict the hot tenant's own older
 // traces, never a cold tenant's lone entry.
@@ -389,7 +245,7 @@ func TestMemoOwnerFairness(t *testing.T) {
 
 	coldKey := memoKey(4, 501)
 	coldComputes := 0
-	if _, err := m.GetOrComputeOwned(context.Background(), "cold", coldKey, func() (*TemporalCalibration, error) {
+	if _, err := m.getOrCompute(context.Background(), "cold", coldKey, func() (*TemporalCalibration, error) {
 		coldComputes++
 		return tc.Clone(), nil
 	}); err != nil {
@@ -399,7 +255,7 @@ func TestMemoOwnerFairness(t *testing.T) {
 	// The hot tenant bursts well past the whole capacity.
 	for i := 0; i < 10; i++ {
 		key := memoKey(4, 600+int64(i))
-		if _, err := m.GetOrComputeOwned(context.Background(), "hot", key, func() (*TemporalCalibration, error) {
+		if _, err := m.getOrCompute(context.Background(), "hot", key, func() (*TemporalCalibration, error) {
 			return tc.Clone(), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -410,7 +266,7 @@ func TestMemoOwnerFairness(t *testing.T) {
 	}
 
 	// The cold tenant's entry must still be a hit.
-	if _, err := m.GetOrComputeOwned(context.Background(), "cold", coldKey, func() (*TemporalCalibration, error) {
+	if _, err := m.getOrCompute(context.Background(), "cold", coldKey, func() (*TemporalCalibration, error) {
 		coldComputes++
 		return tc.Clone(), nil
 	}); err != nil {
@@ -424,44 +280,4 @@ func TestMemoOwnerFairness(t *testing.T) {
 	if m.Get(memoKey(4, 609)) == nil {
 		t.Fatal("hot tenant's most recent trace should survive its own burst")
 	}
-}
-
-// Invalidate and InvalidateAll exercise the memo's invalidation fence;
-// no production caller mutates a substrate under a memoized key.
-
-// Invalidate drops the entry for key (e.g. after injecting a fault into
-// the substrate the key describes) and fences any computation of that key
-// currently in flight: its eventual result is handed to the waiters that
-// already joined it but is not cached, and a request arriving after the
-// invalidation starts a fresh computation instead of joining the stale
-// one. It reports whether a cached entry existed.
-func (m *CalibrationMemo) Invalidate(key CalibrationKey) bool {
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gens[key]++
-	delete(m.inflight, key)
-	el, ok := m.byK[key]
-	if !ok {
-		return false
-	}
-	m.removeElement(el)
-	return true
-}
-
-// InvalidateAll empties the memo and fences every in-flight computation,
-// with the same semantics per key as Invalidate.
-func (m *CalibrationMemo) InvalidateAll() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.allGen++
-	m.inflight = map[CalibrationKey]*memoCall{}
-	m.lru.Init()
-	m.byK = map[CalibrationKey]*list.Element{}
-	m.ownerCost = map[string]float64{}
 }

@@ -27,8 +27,15 @@ type streamState struct {
 }
 
 // ErrNotStreaming is returned by streaming entry points when no session is
-// open.
-var ErrNotStreaming = errors.New("core: no streaming session — call BeginStreaming after a calibration")
+// open, and wrapped by BeginStreamingCtx when it cannot open one.
+var ErrNotStreaming = errors.New("core: no streaming session; BeginStreamingCtx (stream/begin) opens one after a calibration")
+
+// errCannotStream says why BeginStreamingCtx cannot open a session. It
+// matches ErrNotStreaming: the caller is left without a session.
+type errCannotStream string
+
+func (e errCannotStream) Error() string { return "core: BeginStreamingCtx (stream/begin) " + string(e) }
+func (e errCannotStream) Unwrap() error { return ErrNotStreaming }
 
 // BeginStreamingCtx opens a streaming session from the last full
 // calibration. The context is retained for the session: it bounds the
@@ -37,14 +44,14 @@ var ErrNotStreaming = errors.New("core: no streaming session — call BeginStrea
 // loops.
 func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if a.lastCal == nil {
-		return errors.New("core: BeginStreaming before any calibration")
+		return errCannotStream("before any calibration")
 	}
 	if a.lastCal.Mask != nil {
-		return errors.New("core: streaming requires a completely observed calibration")
+		return errCannotStream("needs a completely observed calibration")
 	}
 	rows := a.lastCal.Latency.Steps()
 	if rows == 0 {
-		return errors.New("core: BeginStreaming with an empty calibration")
+		return errCannotStream("with an empty calibration")
 	}
 	// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for the
 	// fat TP-matrix, not the generic 1/√max-dim default.
@@ -67,8 +74,9 @@ func (a *Advisor) StreamingActive() bool { return a.stream != nil }
 
 // StreamPair ingests a re-measured pair: the latency and bandwidth time
 // series (length TimeStep) replace the src→dst column (src·n + dst) of
-// the session's TP-matrices. The installed guidance changes at the next
-// partial re-solve.
+// the session's TP-matrices. Both series are checked before either is
+// written, so a rejected pair leaves the session as it was. The installed
+// guidance changes at the next partial re-solve.
 func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 	if a.stream == nil {
 		return ErrNotStreaming
@@ -78,6 +86,11 @@ func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 		return fmt.Errorf("core: StreamPair (%d,%d) outside %d-VM cluster", src, dst, n)
 	}
 	j := src*n + dst
+	// ReplaceColumn checks its column before writing it, so checking bw
+	// first means a rejected pair writes neither column.
+	if err := a.stream.bw.CheckColumn(j, bw); err != nil {
+		return err
+	}
 	if err := a.stream.lat.ReplaceColumn(j, lat); err != nil {
 		return err
 	}

@@ -92,6 +92,59 @@ func TestAdvisorStreamPairAndPartialResolve(t *testing.T) {
 	}
 }
 
+// TestStreamPairRejectedLeavesSession: a pair whose bandwidth series is
+// rejected (a NaN, or one sample short), or whose latency series is,
+// returns an error and leaves both session matrices bit-identical, so the
+// next partial re-solve installs exactly what it would have without the
+// call.
+func TestStreamPairRejectedLeavesSession(t *testing.T) {
+	sameBits := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	ref := streamAdvisor(t, 6, AdvisorConfig{})
+	if err := ref.PartialResolve(); err != nil {
+		t.Fatal(err)
+	}
+	rows := ref.LastCalibration().Latency.Steps()
+	lat := make([]float64, rows)
+	bw := make([]float64, rows)
+	for i := range lat {
+		lat[i], bw[i] = 5e-3, 1e6
+	}
+	nanLat := append([]float64(nil), lat...)
+	nanLat[rows/2] = math.NaN()
+	nanBW := append([]float64(nil), bw...)
+	nanBW[rows/2] = math.NaN()
+	for _, c := range []struct {
+		name    string
+		lat, bw []float64
+	}{{"NaN bw", lat, nanBW}, {"short bw", lat, bw[:rows-1]}, {"NaN lat", nanLat, bw}} {
+		t.Run(c.name, func(t *testing.T) {
+			adv := streamAdvisor(t, 6, AdvisorConfig{})
+			latBefore := adv.stream.lat.Matrix().Clone()
+			bwBefore := adv.stream.bw.Matrix().Clone()
+			if err := adv.StreamPair(0, 1, c.lat, c.bw); err == nil {
+				t.Fatal("rejected series accepted")
+			}
+			sameBits(t, "latency matrix", adv.stream.lat.Matrix().Data(), latBefore.Data())
+			sameBits(t, "bandwidth matrix", adv.stream.bw.Matrix().Data(), bwBefore.Data())
+			if err := adv.PartialResolve(); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "latency constant", adv.Constant().Latency.Data(), ref.Constant().Latency.Data())
+			sameBits(t, "bandwidth constant", adv.Constant().Bandwth.Data(), ref.Constant().Bandwth.Data())
+			if math.Float64bits(adv.NormE()) != math.Float64bits(ref.NormE()) {
+				t.Fatalf("NormE %v, want %v", adv.NormE(), ref.NormE())
+			}
+		})
+	}
+}
+
 // TestAdvisorObserveRegimeUsesPartialResolve: sustained sub-threshold
 // drift with a session open must trigger a partial re-solve, not a full
 // re-calibration.
@@ -171,8 +224,8 @@ func TestAdvisorVerifyStreaming(t *testing.T) {
 func TestAdvisorBeginStreamingErrors(t *testing.T) {
 	_, vc := testCluster(t, 4, 41)
 	adv := NewAdvisor(vc, stats.NewRNG(5), AdvisorConfig{})
-	if err := adv.BeginStreamingCtx(context.Background()); err == nil {
-		t.Fatal("BeginStreaming before calibration did not error")
+	if err := adv.BeginStreamingCtx(context.Background()); !errors.Is(err, ErrNotStreaming) {
+		t.Fatalf("BeginStreamingCtx before calibration: err = %v, want ErrNotStreaming", err)
 	}
 	if err := adv.CalibrateCtx(context.Background()); err != nil {
 		t.Fatal(err)

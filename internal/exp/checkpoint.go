@@ -44,7 +44,9 @@ var ErrManifestMismatch = errors.New("exp: checkpoint manifest does not match th
 // journaled points and rendered the journaled tables. It is bumped
 // whenever a change moves results, so a resume never splices tables from
 // an older build into a newer run. Version 2: every RPCA solve runs IALM
-// (Version 1 journals hold APG results).
+// (Version 1 journals hold APG results). Version 3: every initial
+// calibration is measured on a seeded replica; a Version 2 manifest may
+// record a memo-less run, whose calibrations measured the live cluster.
 type manifest struct {
 	Version           int
 	Seed              int64
@@ -59,12 +61,11 @@ type manifest struct {
 	SimServersPerRack int
 	SimVMs            int
 	MigrationRate     float64
-	Memo              bool
 }
 
 func manifestOf(cfg Config) manifest {
 	return manifest{
-		Version:           2,
+		Version:           3,
 		Seed:              cfg.Seed,
 		VMs:               cfg.VMs,
 		SmallVMs:          cfg.SmallVMs,
@@ -77,7 +78,6 @@ func manifestOf(cfg Config) manifest {
 		SimServersPerRack: cfg.SimServersPerRack,
 		SimVMs:            cfg.SimVMs,
 		MigrationRate:     cfg.MigrationRate,
-		Memo:              cfg.Memo != nil,
 	}
 }
 

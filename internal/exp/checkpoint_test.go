@@ -125,21 +125,35 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 
 // TestCheckpointOldVersionRefused: a journal written under an older
 // manifest version holds results of older code, so resuming it with the
-// same configuration must be refused too.
+// same configuration must be refused too. A Version 2 manifest may carry
+// "Memo":false, a run whose calibrations measured the live cluster;
+// decoding ignores that dropped key, so only the version refuses it.
 func TestCheckpointOldVersionRefused(t *testing.T) {
-	dir := t.TempDir()
 	cfg := Quick()
-	old := manifestOf(cfg)
-	old.Version = 1
-	payload, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkpoint.SaveSnapshot(filepath.Join(dir, ManifestName), payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(dir, cfg); !errors.Is(err, ErrManifestMismatch) {
-		t.Fatalf("err = %v, want ErrManifestMismatch", err)
+	v1 := manifestOf(cfg)
+	v1.Version = 1
+	v2 := struct {
+		manifest
+		Memo bool
+	}{manifestOf(cfg), false}
+	v2.Version = 2
+	for _, c := range []struct {
+		name string
+		old  any
+	}{{"version 1", v1}, {"version 2 memo-less", v2}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			payload, err := json.Marshal(c.old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkpoint.SaveSnapshot(filepath.Join(dir, ManifestName), payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenCheckpoint(dir, cfg); !errors.Is(err, ErrManifestMismatch) {
+				t.Fatalf("err = %v, want ErrManifestMismatch", err)
+			}
+		})
 	}
 }
 

@@ -53,11 +53,9 @@ type Config struct {
 	// Memo, when non-nil, caches calibration traces across figures:
 	// identical (provider config, cluster size, seeds, calibration
 	// procedure) tuples are measured once per driver run and replayed.
-	// With a memo the calibration is always measured on a throwaway
-	// identically seeded replica — cache hits and misses are
-	// indistinguishable, so results stay deterministic at any worker
-	// count (they differ from Memo=nil runs, whose calibration consumes
-	// the environment's own rng and cluster streams).
+	// Every initial calibration is measured on a throwaway, identically
+	// seeded replica, so results are the same with or without a memo and
+	// at any worker count; a memo only saves the repeated measurements.
 	Memo *cloud.CalibrationMemo
 	// Ctx, when non-nil, cancels the sweep: workers stop claiming new
 	// points once it is done (in-flight points drain to completion and
@@ -139,9 +137,7 @@ func newEnvWith(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig) (*
 // newEnvAdv is the general entry point: provider overrides plus an
 // advisor configuration (so figures sweeping advisor parameters pay for
 // a single calibration instead of calibrating a throwaway advisor
-// first). When cfg.Memo is set, the initial calibration goes through the
-// calibration-trace memo: identical (provider config, size, seeds,
-// calibration config) tuples are measured once per driver run.
+// first).
 func newEnvAdv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, advCfg core.AdvisorConfig) (*env, error) {
 	pc.Tree = topo.TreeConfig{Racks: cfg.Racks, ServersPerRack: cfg.ServersPerRack}
 	pc.Seed = cfg.Seed + seedOffset
@@ -162,23 +158,16 @@ func newEnvAdv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, adv
 	return &env{cfg: cfg, provider: p, cluster: vc, advisor: adv, rng: rng}, nil
 }
 
-// calibrateEnv runs the advisor's initial calibration. Without a memo it
-// measures the environment's own cluster (the advisor's normal path).
-// With one, the trace is fetched from the memo — measured on first use
-// against a throwaway replica provisioned from the same provider config
-// and seeds, so every requester (hit or miss) sees the identical trace
-// and leaves its own rng/cluster streams untouched — then installed via
-// AnalyzeCalibrationCtx, with the cluster clock advanced by the
-// measurement cost it would have paid. Maintenance re-calibrations
-// (Advisor.CalibrateCtx from ObserveCtx) still measure the live, evolved
-// cluster and never consult the memo; an experiment that mutated the
-// substrate under a previously memoized key would replay the pre-fault
-// trace.
+// calibrateEnv runs the advisor's initial calibration through
+// cfg.Memo.Calibrate, which measures a replica provisioned from the same
+// provider config and seeds (or replays that measurement), so the
+// environment's own rng and cluster streams are untouched. The trace is
+// installed via AnalyzeCalibrationCtx, with the cluster clock advanced
+// by the measurement cost it would have paid. Maintenance
+// re-calibrations (Advisor.CalibrateCtx from ObserveCtx) measure the
+// live, evolved cluster and never consult the memo.
 func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, advCfg core.AdvisorConfig, vc *cloud.VirtualCluster, adv *core.Advisor) error {
 	ctx := cfg.context()
-	if cfg.Memo == nil {
-		return adv.CalibrateCtx(ctx)
-	}
 	key := cloud.CalibrationKey{
 		Provider: pc,
 		N:        n,
@@ -188,13 +177,7 @@ func calibrateEnv(cfg Config, n int, seedOffset int64, pc cloud.ProviderConfig, 
 		Gap:      advCfg.Gap,
 		Cal:      advCfg.Calibration,
 	}
-	tc, err := cfg.Memo.GetOrComputeCtx(ctx, key, func() (*cloud.TemporalCalibration, error) {
-		replica, err := cloud.NewProvider(pc).Provision(n, key.ProvSeed)
-		if err != nil {
-			return nil, err
-		}
-		return cloud.CalibrateTPCtx(ctx, replica, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, advCfg.Calibration)
-	})
+	tc, err := cfg.Memo.Calibrate(ctx, "", key)
 	if err != nil {
 		return err
 	}

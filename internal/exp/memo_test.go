@@ -24,15 +24,15 @@ func TestMemoSharedAcrossFig6Thresholds(t *testing.T) {
 	}
 }
 
-// TestMemoDeterministicAcrossWorkers: with a memo installed, results are
-// still byte-identical at any worker count — hits and misses are
-// indistinguishable because even the first requester replays a trace
+// TestMemoDeterministicAcrossWorkers: results are byte-identical at any
+// worker count and with or without a memo — hits and misses are
+// indistinguishable because every calibration, memoized or not, is
 // measured on a throwaway replica.
 func TestMemoDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
+	run := func(workers int, memo *cloud.CalibrationMemo) string {
 		cfg := Quick()
 		cfg.Workers = workers
-		cfg.Memo = cloud.NewCalibrationMemo(0)
+		cfg.Memo = memo
 		r6, err := Fig6Threshold(cfg, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -43,10 +43,13 @@ func TestMemoDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return r6.Table.String() + r8.Table.String()
 	}
-	serial := run(1)
-	parallel := run(4)
+	serial := run(1, cloud.NewCalibrationMemo(0))
+	parallel := run(4, cloud.NewCalibrationMemo(0))
 	if serial != parallel {
 		t.Fatalf("memoized tables differ between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", serial, parallel)
+	}
+	if memoless := run(4, nil); memoless != serial {
+		t.Fatalf("tables differ without a memo:\n--- memoized ---\n%s\n--- no memo ---\n%s", serial, memoless)
 	}
 }
 

@@ -87,8 +87,8 @@ type Task struct {
 	// Workers is the child's sweep-point fan-out; 0 lets the child
 	// default to GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// Extra holds additional expdriver flags (e.g. -nomemo,
-	// -cpuprofile, or the -failafter testing aid). Flags the supervisor
+	// Extra holds additional expdriver flags (e.g. -cpuprofile or the
+	// -failafter testing aid). Flags the supervisor
 	// owns (-only, -seed, -ckpt, -resume, -json, -md, -full) are
 	// rejected at validation.
 	Extra []string `json:"extra,omitempty"`

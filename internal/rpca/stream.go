@@ -84,9 +84,11 @@ func (s *StreamingSolver) Constant() []float64 {
 // ReplaceColumn changes it.
 func (s *StreamingSolver) Matrix() *mat.Dense { return s.a }
 
-// ReplaceColumn overwrites column j (a re-measured pair) in place. The
-// constant row changes at the next resolve.
-func (s *StreamingSolver) ReplaceColumn(j int, col []float64) error {
+// CheckColumn returns the error ReplaceColumn(j, col) would: j out of
+// range, a column of the wrong length, or a non-finite entry. A caller
+// replacing columns of several solvers checks them all first, so a
+// rejected update writes none.
+func (s *StreamingSolver) CheckColumn(j int, col []float64) error {
 	r, c := s.a.Dims()
 	if j < 0 || j >= c {
 		return fmt.Errorf("rpca: replace column %d of %d", j, c)
@@ -94,9 +96,16 @@ func (s *StreamingSolver) ReplaceColumn(j int, col []float64) error {
 	if len(col) != r {
 		return fmt.Errorf("rpca: column length %d, want %d", len(col), r)
 	}
-	if err := checkFiniteSlice(col); err != nil {
+	return checkFiniteSlice(col)
+}
+
+// ReplaceColumn overwrites column j (a re-measured pair) in place unless
+// CheckColumn rejects it. The constant row changes at the next resolve.
+func (s *StreamingSolver) ReplaceColumn(j int, col []float64) error {
+	if err := s.CheckColumn(j, col); err != nil {
 		return err
 	}
+	c := s.a.Cols()
 	d := s.a.Data()
 	for i, v := range col {
 		d[i*c+j] = v

@@ -482,6 +482,36 @@ func TestServerTenantValidation(t *testing.T) {
 	}
 }
 
+// TestStreamBeginWithoutCalibrationIs409: stream/begin on a tenant that
+// has not calibrated, or whose calibration is not completely observed (a
+// resilient tenant's masked trace), is a well-formed request the tenant's
+// state refuses: a typed 409 not-streaming, never a 5xx.
+func TestStreamBeginWithoutCalibrationIs409(t *testing.T) {
+	ctx, done := context.WithCancel(context.Background())
+	defer done()
+	s, hs := newTestServer(t, ctx, t.TempDir(), Config{})
+	defer s.Close()
+	defer hs.Close()
+	resilient := strings.Replace(testTenantBody(2), `"vms":6,`, `"vms":6,"resilient":true,`, 1)
+	for _, c := range []struct {
+		id, body  string
+		calibrate bool
+	}{{"fresh", testTenantBody(1), false}, {"masked", resilient, true}} {
+		code, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/"+c.id, c.body)
+		mustStatus(t, http.StatusCreated, code, body)
+		if c.calibrate {
+			code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/"+c.id+"/calibrate", "")
+			mustStatus(t, http.StatusOK, code, body)
+		}
+		code, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/"+c.id+"/stream/begin", "")
+		mustStatus(t, http.StatusConflict, code, body)
+		var eb errorBody
+		if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "not-streaming" {
+			t.Fatalf("%s: stream/begin refusal not typed not-streaming: %s", c.id, body)
+		}
+	}
+}
+
 // TestServerOverCapJournalQuarantines: a create record over the shape
 // caps, found in the journal at startup, fails the same validation on
 // replay, so that tenant is quarantined (typed 410) and the rest load.

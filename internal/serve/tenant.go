@@ -141,12 +141,12 @@ func newTenant(srv *Server, id string, cfg TenantConfig, store *checkpoint.Store
 
 // runCalibration measures (or replays from the shared memo) the
 // tenant's next calibration trace on a throwaway replica cluster, then
-// installs it. The replica is provisioned fresh from the key's seeds
-// inside the compute closure, so whether the memo hits or misses leaves
-// the tenant's live cluster and rng streams untouched — the property
-// that keeps replay byte-identical regardless of cache state. The
-// returned bool reports whether tenant state was mutated (the caller
-// rebuilds from the journal when a mutation failed partway).
+// installs it. The memo provisions the replica from the key's seeds, so
+// whether it hits or misses leaves the tenant's live cluster and rng
+// streams untouched — the property that keeps replay byte-identical
+// regardless of cache state. The returned bool reports whether tenant
+// state was mutated (the caller rebuilds from the journal when a
+// mutation failed partway).
 func (t *tenant) runCalibration(ctx context.Context) (mutated bool, err error) {
 	key := cloud.CalibrationKey{
 		Provider: t.pc,
@@ -157,13 +157,7 @@ func (t *tenant) runCalibration(ctx context.Context) (mutated bool, err error) {
 		Gap:      t.cfg.Gap,
 		Cal:      t.calCfg,
 	}
-	tc, err := t.srv.memo.GetOrComputeOwned(ctx, t.id, key, func() (*cloud.TemporalCalibration, error) {
-		replica, err := cloud.NewProvider(key.Provider).Provision(key.N, key.ProvSeed)
-		if err != nil {
-			return nil, err
-		}
-		return cloud.CalibrateTPCtx(ctx, replica, stats.NewRNG(key.RNGSeed), key.Steps, key.Gap, key.Cal)
-	})
+	tc, err := t.srv.memo.Calibrate(ctx, t.id, key)
 	if err != nil {
 		// Nothing installed: a failed measurement (typically a deadline)
 		// leaves the tenant exactly as it was.
@@ -215,8 +209,9 @@ func (t *tenant) applyOp(ctx context.Context, o op) (res opResult, mutated bool,
 		if len(o.Lat) != t.cfg.Steps || len(o.Bw) != t.cfg.Steps {
 			return res, false, errf("stream series must have %d samples, got lat=%d bw=%d", t.cfg.Steps, len(o.Lat), len(o.Bw))
 		}
-		err := t.adv.StreamPair(o.Src, o.Dst, o.Lat, o.Bw)
-		return res, err != nil, err
+		// StreamPair checks both series before writing either, so a
+		// rejected pair mutated nothing.
+		return res, false, t.adv.StreamPair(o.Src, o.Dst, o.Lat, o.Bw)
 	case opResolve:
 		err := t.adv.PartialResolve()
 		return res, err != nil, err
