@@ -7,13 +7,13 @@
 // Usage:
 //
 //	netconstantd -dir STATE [-addr 127.0.0.1:8321] [-shards N]
-//	             [-queue N] [-snapshot-every N] [-memo N] [-timeout D]
+//	             [-queue N] [-memo N] [-timeout D]
 //
 // The daemon prints "netconstantd: listening on <addr>" once the socket
 // is bound — with -addr 127.0.0.1:0 that line is how a supervisor (or
 // the chaos oracle) discovers the chosen port. First SIGINT/SIGTERM
 // starts the two-stage drain: new requests are refused with a typed 503,
-// in-flight requests finish, every tenant's snapshot is sealed, and the
+// in-flight requests finish, every tenant's journal is closed, and the
 // process exits 130. A second signal force-quits.
 package main
 
@@ -35,10 +35,9 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port, reported on stdout)")
-	dir := flag.String("dir", "", "journal directory, one <tenant>.nclog/.ncsnap pair per tenant (required)")
+	dir := flag.String("dir", "", "journal directory, one <tenant>.nclog per tenant (required)")
 	shards := flag.Int("shards", 4, "single-writer shard goroutines")
 	queue := flag.Int("queue", 64, "admission-queue depth per shard (full queue sheds with 429)")
-	snapEvery := flag.Int("snapshot-every", 64, "seal a tenant snapshot every N journaled mutations")
 	memoCap := flag.Int("memo", 64, "cross-tenant calibration-memo capacity (entries)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none; ?timeout_ms= overrides)")
 	flag.Parse()
@@ -48,8 +47,8 @@ func run() int {
 	if *dir == "" {
 		return cli.Usagef("netconstantd", "-dir is required")
 	}
-	if *shards < 1 || *queue < 1 || *snapEvery < 1 || *memoCap < 1 {
-		return cli.Usagef("netconstantd", "-shards, -queue, -snapshot-every and -memo must be ≥ 1")
+	if *shards < 1 || *queue < 1 || *memoCap < 1 {
+		return cli.Usagef("netconstantd", "-shards, -queue and -memo must be ≥ 1")
 	}
 	if *timeout < 0 {
 		return cli.Usagef("netconstantd", "-timeout must be ≥ 0")
@@ -62,7 +61,6 @@ func run() int {
 		Dir:            *dir,
 		Shards:         *shards,
 		QueueDepth:     *queue,
-		SnapshotEvery:  *snapEvery,
 		MemoCapacity:   *memoCap,
 		DefaultTimeout: *timeout,
 	})
@@ -82,9 +80,9 @@ func run() int {
 
 	hs := &http.Server{Handler: s}
 	// First signal: stop admitting (typed 503), let in-flight requests
-	// finish, then close the listener so Serve returns. Snapshot sealing
-	// happens below in s.Close, on the main goroutine.
-	defer cli.SignalDrain("netconstantd", "draining — refusing new requests, sealing snapshots", func() {
+	// finish, then close the listener so Serve returns. The journals
+	// close below in s.Close, on the main goroutine.
+	defer cli.SignalDrain("netconstantd", "draining — refusing new requests, closing journals", func() {
 		s.Drain()
 		shutdownCtx, done := context.WithTimeout(context.Background(), 30*time.Second)
 		defer done()
@@ -97,8 +95,8 @@ func run() int {
 		return cli.Failf("netconstantd", "serve: %v", serveErr)
 	}
 	if closeErr != nil {
-		return cli.Failf("netconstantd", "drain: sealing snapshots: %v", closeErr)
+		return cli.Failf("netconstantd", "drain: closing journals: %v", closeErr)
 	}
-	fmt.Fprintln(os.Stderr, "netconstantd: drained — snapshots sealed")
+	fmt.Fprintln(os.Stderr, "netconstantd: drained — journals closed")
 	return cli.ExitInterrupted
 }

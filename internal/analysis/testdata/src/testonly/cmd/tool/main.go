@@ -5,6 +5,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 
 	"testonly/internal/def"
@@ -14,7 +15,9 @@ import (
 type area interface{ Area() float64 }
 
 func main() {
+	var level def.Level
+	flag.Var(&level, "level", "verbosity")
 	var a area = def.NewShape(float64(def.Used()))
 	def.Revived()
-	fmt.Println(a.Area(), errors.Is(errors.New("x"), nil))
+	fmt.Println(a.Area(), errors.Is(errors.New("x"), nil), def.NewMemo())
 }

@@ -45,6 +45,30 @@ type square struct{ side float64 } // want `type square is referenced by no non-
 // Area satisfies the tool's Area interface.
 func (q square) Area() float64 { return q.side * q.side }
 
+// Memo has a Get, a name flag.Getter declares (the tool imports flag),
+// but Memo implements no interface that declares it, so the name alone
+// does not exempt the method.
+type Memo struct{ n int }
+
+// NewMemo is the tool's constructor.
+func NewMemo() *Memo { return &Memo{} }
+
+// Get is a method nothing calls.
+func (m *Memo) Get() any { return m.n } // want `method Get is referenced by no non-test file`
+
+// Level is a flag the tool registers with flag.Var, so a pointer to it
+// implements flag.Getter: its methods are exempt.
+type Level int
+
+// String satisfies flag.Value.
+func (l *Level) String() string { return "" }
+
+// Set satisfies flag.Value.
+func (l *Level) Set(string) error { return nil }
+
+// Get satisfies flag.Getter.
+func (l *Level) Get() any { return int(*l) }
+
 // Kept has no user in the loaded program; the allow names its user.
 //
 //netlint:allow testonly fixture: a module of its own calls it

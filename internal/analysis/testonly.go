@@ -17,11 +17,14 @@ import (
 //
 // The reference index is built once per Session over every package the
 // run loaded, which is why LoadDeps loads the whole main module. A
-// method is exempt when an interface type in a loaded package, or in a
-// package one of them imports, declares its name (a call through the
-// interface never names the concrete method), and so are Is, As and
-// Unwrap, which errors.Is and errors.As assert through anonymous
-// interfaces. A method's receiver does not count as a use of its type.
+// method is exempt when its receiver type, or a pointer to it,
+// implements an interface type that a loaded package, or a package one
+// of them imports, declares with the method's name (a call through the
+// interface never names the concrete method); a method that merely
+// shares a name with such an interface is not. Error, Is, As and Unwrap
+// are exempt by name: fmt and errors assert them through the universe's
+// error and anonymous interfaces. A method's receiver does not count as
+// a use of its type.
 // An object that another module (perfbench), the fixture harness or
 // another package's tests need carries `//netlint:allow testonly
 // <reason>` naming that user.
@@ -32,12 +35,15 @@ var Testonly = &Analyzer{
 }
 
 // refIndex is the whole-program half of testonly: every object some
-// loaded file references outside the object's own declaration, and
-// every method name an interface declares.
+// loaded file references outside the object's own declaration, and the
+// interfaces that declare each method name.
 type refIndex struct {
-	used       map[types.Object]bool
-	ifaceNames map[string]bool
+	used   map[types.Object]bool
+	ifaces map[string][]*types.Interface
 }
+
+// errorProtocol names the methods exempt by name alone.
+var errorProtocol = map[string]bool{"Error": true, "Is": true, "As": true, "Unwrap": true}
 
 // references returns the program's reference index, building it on
 // first use.
@@ -45,18 +51,13 @@ func (p *program) references() *refIndex {
 	if p.refs != nil {
 		return p.refs
 	}
-	// Error is the universe's error interface; Is, As and Unwrap are the
-	// errors package's anonymous ones.
-	idx := &refIndex{
-		used:       map[types.Object]bool{},
-		ifaceNames: map[string]bool{"Error": true, "Is": true, "As": true, "Unwrap": true},
-	}
+	idx := &refIndex{used: map[types.Object]bool{}, ifaces: map[string][]*types.Interface{}}
 	scanned := map[*types.Package]bool{}
 	for _, pkg := range p.pkgs {
 		for _, tp := range append([]*types.Package{pkg.Types}, pkg.Types.Imports()...) {
 			if !scanned[tp] {
 				scanned[tp] = true
-				idx.addInterfaceNames(tp)
+				idx.addInterfaces(tp)
 			}
 		}
 		for _, f := range pkg.Files {
@@ -69,19 +70,50 @@ func (p *program) references() *refIndex {
 	return idx
 }
 
-func (idx *refIndex) addInterfaceNames(tp *types.Package) {
+// addInterfaces indexes tp's package-level interface types by the
+// method names they declare. Generic interfaces are left out: nothing
+// in the module implements one, and Implements leaves uninstantiated
+// generics unspecified.
+func (idx *refIndex) addInterfaces(tp *types.Package) {
 	scope := tp.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok {
 			continue
 		}
+		if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+			continue
+		}
 		if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				idx.ifaceNames[it.Method(i).Name()] = true
+				m := it.Method(i).Name()
+				idx.ifaces[m] = append(idx.ifaces[m], it)
 			}
 		}
 	}
+}
+
+// viaInterface reports whether the method obj is exempt: its name is in
+// errorProtocol, or its receiver type or a pointer to it implements an
+// indexed interface that declares its name.
+func (idx *refIndex) viaInterface(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	if errorProtocol[fn.Name()] {
+		return true
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range idx.ifaces[fn.Name()] {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // addUses records the objects decl references, leaving out the objects
@@ -160,7 +192,7 @@ func runTestonly(pass *Pass) error {
 				case d.Recv == nil && d.Name.Name == "init":
 				case d.Recv == nil:
 					report(d.Name, "func")
-				case !idx.ifaceNames[d.Name.Name]:
+				case !idx.viaInterface(pass.TypesInfo.Defs[d.Name]):
 					report(d.Name, "method")
 				}
 			case *ast.GenDecl:

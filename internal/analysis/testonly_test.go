@@ -8,9 +8,10 @@ import (
 )
 
 // def defines objects that the tool command uses, uses only through an
-// interface, or does not use at all (one referenced only from a
-// _test.go); an allow with a reason suppresses, and an allow whose object
-// gained a user is reported as decorative.
+// interface its type implements, or does not use at all (one referenced
+// only from a _test.go, and a Get that shares only its name with
+// flag.Getter); an allow with a reason suppresses, and an allow whose
+// object gained a user is reported as decorative.
 func TestTestonly(t *testing.T) {
 	analysistest.RunDeps(t, "testdata", []string{
 		"testonly/internal/def",

@@ -12,8 +12,8 @@ package chaos
 //   - a damaged tenant journal must quarantine that tenant alone: the
 //     tenant answers with the typed "quarantined" refusal, /healthz
 //     names exactly it, and every neighbor's probes stay byte-identical;
-//   - a SIGTERM drain must exit 130 with snapshots sealed (the repo's
-//     two-stage drain contract).
+//   - a SIGTERM drain must exit 130 with the journals closed (the
+//     repo's two-stage drain contract).
 //
 // The oracle never reads the clock: startup is synchronized on the
 // daemon's "listening on <addr>" stdout line, and every trace request is
@@ -23,6 +23,7 @@ package chaos
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -281,18 +282,19 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 			return
 		}
 
-		// Quarantine containment: damage t0's sealed snapshot, restart, and
-		// require a typed per-tenant refusal with untouched neighbors.
-		target := filepath.Join(dir, tenants[0]+".ncsnap")
+		// Quarantine containment: damage t0's journal, restart, and
+		// require a typed per-tenant refusal with untouched neighbors. The
+		// flipped byte sits halfway into the first frame's payload (past
+		// the 8-byte magic and the frame's 8-byte length and checksum), the
+		// create record: t0 has journaled mutations after it, so the damage
+		// cannot pass as a torn tail, as a flip in a final frame would.
+		target := filepath.Join(dir, tenants[0]+".nclog")
 		img, err := os.ReadFile(target)
-		if err != nil || len(img) == 0 {
-			target = filepath.Join(dir, tenants[0]+".nclog")
-			if img, err = os.ReadFile(target); err != nil {
-				fails = append(fails, failf(oracle, "read %s journal for damage: %v", tenants[0], err))
-				return
-			}
+		if err != nil || len(img) < 16 {
+			fails = append(fails, failf(oracle, "read %s journal for damage: %d bytes, %v", tenants[0], len(img), err))
+			return
 		}
-		img[len(img)/2] ^= 0x40
+		img[16+int(binary.LittleEndian.Uint32(img[8:12]))/2] ^= 0x40
 		if err := os.WriteFile(target, img, 0o644); err != nil {
 			fails = append(fails, failf(oracle, "write damaged %s: %v", target, err))
 			return

@@ -1,124 +1,85 @@
 package checkpoint
 
-// Store layers snapshot compaction on top of the journal: a sequence of
-// records, each stamped with a monotonically increasing sequence number,
-// whose durable form is (CRC-sealed snapshot of records 1..k) + (journal
-// of records framed with their sequence numbers). Snapshot() seals the
-// full record history atomically and then truncates the journal, so a
-// long-lived writer's on-disk footprint stays bounded by one snapshot
-// plus the records appended since.
+// Store is a journal whose records carry their own sequence numbers:
+// every frame's payload is an 8-byte little-endian sequence number
+// followed by the record, numbered 1, 2, 3, … in append order. The
+// journal is the store's only durable file, and OpenStore replays it
+// whole.
 //
-// The sequence numbers are what make snapshot+truncate crash-safe: a
-// crash after the snapshot rename but before the journal truncation
-// leaves records 1..k both in the snapshot and in the journal, and
-// recovery deduplicates by applying only journal frames whose sequence
-// exceeds the snapshot's high-water mark. Every crash window therefore
-// recovers to a prefix of the appended records, never to a reordering,
-// a gap, or a double-application.
+// The stamp is what lets recovery refuse damage the frame checksums
+// cannot see. A frame duplicated in the file (a double write, a botched
+// copy) is a valid frame, so Replay returns it verbatim; the store
+// requires each frame to carry the next sequence number and refuses a
+// duplicate, a gap or a reordering with a typed *CorruptError, so
+// recovery yields exactly the appended records, each once, or an error.
 //
-// Store is safe for concurrent use; one mutex serializes Append,
-// Snapshot and Close, so a snapshot taken under concurrent appends seals
-// a consistent prefix.
+// Store is safe for concurrent use; one mutex serializes Append and
+// Close.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
 )
 
-// Store is a seq-stamped journal with snapshot compaction.
+// Store is a seq-stamped journal.
 type Store struct {
 	mu          sync.Mutex
 	j           *Journal
 	journalPath string
-	snapPath    string
 
 	seq     uint64   // last assigned sequence number
-	snapSeq uint64   // highest sequence sealed in the on-disk snapshot
-	records [][]byte // full live history, records[i] has seq i+1
+	records [][]byte // full history, records[i] has seq i+1
 }
 
-// OpenStore opens (or creates) a store backed by journalPath and
-// snapPath, recovering its record history: the snapshot's sealed
-// records followed by journal frames with later sequence numbers. Torn
-// journal tails are tolerated exactly as in Open; damage anywhere else
-// — including inside the snapshot — surfaces as a typed *CorruptError.
-func OpenStore(journalPath, snapPath string) (*Store, error) {
-	s := &Store{journalPath: journalPath, snapPath: snapPath}
-	sealed, err := LoadSnapshot(snapPath)
-	switch {
-	case err == nil:
-		if err := s.loadSnapshotPayload(sealed); err != nil {
-			return nil, err
-		}
-	case os.IsNotExist(err):
-		// No snapshot yet: the journal alone is the history.
-	default:
+// OpenStore opens (or creates) the store journaled at journalPath and
+// recovers its record history. Torn journal tails are tolerated exactly
+// as in Open; damage anywhere else surfaces as a typed *CorruptError.
+//
+// legacySnapPath is where older builds sealed a copy of the history and
+// then truncated the journal, so a journal they drained holds none of
+// the records its snapshot does. Any file there is refused with a
+// *CorruptError naming it, before the journal is opened or created,
+// rather than replaying a journal that is missing its head.
+func OpenStore(journalPath, legacySnapPath string) (*Store, error) {
+	if _, err := os.Lstat(legacySnapPath); err == nil {
+		return nil, &CorruptError{Path: legacySnapPath, Offset: 0, Reason: "snapshot left by an older build; this build keeps every record in the journal and cannot replay it"}
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	j, rec, err := Open(journalPath)
 	if err != nil {
 		return nil, err
 	}
+	s := &Store{j: j, journalPath: journalPath}
 	for _, frame := range rec.Records {
 		if len(frame) < 8 {
 			j.Close()
 			return nil, &CorruptError{Path: journalPath, Offset: 0, Reason: fmt.Sprintf("store frame of %d bytes lacks a sequence header", len(frame))}
 		}
 		seq := binary.LittleEndian.Uint64(frame[:8])
-		if seq <= s.snapSeq {
-			// Already sealed into the snapshot (the crash-between-
-			// snapshot-and-truncate window); skip the duplicate.
-			continue
-		}
 		if seq != s.seq+1 {
 			j.Close()
 			return nil, &CorruptError{Path: journalPath, Offset: 0, Reason: fmt.Sprintf("store sequence gap: journal frame %d after %d", seq, s.seq)}
 		}
-		cp := make([]byte, len(frame)-8)
-		copy(cp, frame[8:])
-		s.records = append(s.records, cp)
+		// Open hands back a fresh copy of every frame, so the record can
+		// share it.
+		s.records = append(s.records, frame[8:])
 		s.seq = seq
 	}
-	s.j = j
 	return s, nil
 }
 
-// loadSnapshotPayload parses the sealed record history: an 8-byte
-// little-endian high-water sequence followed by length-prefixed records.
-func (s *Store) loadSnapshotPayload(payload []byte) error {
-	if len(payload) < 8 {
-		return &CorruptError{Path: s.snapPath, Offset: 0, Reason: "store snapshot shorter than its header"}
-	}
-	last := binary.LittleEndian.Uint64(payload[:8])
-	off := 8
-	var records [][]byte
-	for off < len(payload) {
-		if len(payload)-off < 4 {
-			return &CorruptError{Path: s.snapPath, Offset: int64(off), Reason: "store snapshot record header truncated"}
-		}
-		n := binary.LittleEndian.Uint32(payload[off : off+4])
-		off += 4
-		if n > maxRecord || len(payload)-off < int(n) {
-			return &CorruptError{Path: s.snapPath, Offset: int64(off), Reason: fmt.Sprintf("store snapshot record of %d bytes overruns the payload", n)}
-		}
-		cp := make([]byte, n)
-		copy(cp, payload[off:off+int(n)])
-		records = append(records, cp)
-		off += int(n)
-	}
-	if uint64(len(records)) != last {
-		return &CorruptError{Path: s.snapPath, Offset: 0, Reason: fmt.Sprintf("store snapshot seals %d records but claims sequence %d", len(records), last)}
-	}
-	s.records = records
-	s.seq = last
-	s.snapSeq = last
-	return nil
-}
-
 // Append stamps payload with the next sequence number and journals it
-// durably. It returns the record's sequence number.
+// durably. It returns the record's sequence number. On an error the
+// sequence does not advance and the record is not in the history. The
+// failed write may still have left some or all of its frame in the
+// file: the next OpenStore drops a partial frame as a torn tail and
+// recovers a whole one as this record, and refuses either once later
+// appends follow it.
 func (s *Store) Append(payload []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,55 +93,11 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	s.seq++
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	s.records = append(s.records, cp)
+	s.records = append(s.records, frame[8:])
 	return s.seq, nil
 }
 
-// Snapshot seals the full record history into the snapshot file
-// (atomically, CRC-sealed) and truncates the journal. A crash at any
-// point leaves a recoverable state: before the snapshot rename the old
-// snapshot + full journal still hold everything; after it, journal
-// frames the new snapshot already seals are deduplicated by sequence.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.j == nil {
-		return fmt.Errorf("checkpoint: snapshot of closed store %s", s.journalPath)
-	}
-	size := 8
-	for _, r := range s.records {
-		size += 4 + len(r)
-	}
-	payload := make([]byte, size)
-	binary.LittleEndian.PutUint64(payload[:8], s.seq)
-	off := 8
-	for _, r := range s.records {
-		binary.LittleEndian.PutUint32(payload[off:off+4], uint32(len(r)))
-		off += 4
-		copy(payload[off:], r)
-		off += len(r)
-	}
-	if err := SaveSnapshot(s.snapPath, payload); err != nil {
-		return err
-	}
-	s.snapSeq = s.seq
-	// Truncate the journal: every sealed frame is now redundant. Create
-	// truncates and re-stamps the magic durably.
-	if err := s.j.Close(); err != nil {
-		return err
-	}
-	j, err := Create(s.journalPath)
-	if err != nil {
-		s.j = nil
-		return err
-	}
-	s.j = j
-	return nil
-}
-
-// Records returns the live record history in append order. The slice and
+// Records returns the record history in append order. The slice and
 // its elements are shared — callers must not mutate them.
 func (s *Store) Records() [][]byte {
 	s.mu.Lock()
@@ -196,17 +113,8 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// TailRecords returns how many records the journal holds beyond the last
-// snapshot — the growth a supervisor watches to confirm progress and to
-// decide when the next Snapshot is due.
-func (s *Store) TailRecords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.seq - s.snapSeq)
-}
-
-// Close closes the underlying journal. Further Appends and Snapshots
-// fail; the record history remains readable.
+// Close closes the underlying journal. Further Appends fail; the record
+// history remains readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

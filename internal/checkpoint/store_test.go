@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,54 +12,11 @@ import (
 	"netconstant/internal/stats"
 )
 
-// storeState captures the durable bytes of a store at one moment.
-type storeState struct {
-	journal []byte
-	snap    []byte // nil when no snapshot exists
-}
-
-func captureStore(t *testing.T, dir string) storeState {
+// requireRecords fails unless got equals want record for record.
+func requireRecords(t *testing.T, got, want [][]byte, label string) {
 	t.Helper()
-	j, err := os.ReadFile(filepath.Join(dir, "ops.nclog"))
-	if err != nil {
-		t.Fatalf("capture journal: %v", err)
-	}
-	st := storeState{journal: j}
-	if snap, err := os.ReadFile(filepath.Join(dir, "state.ncsnap")); err == nil {
-		st.snap = snap
-	} else if !os.IsNotExist(err) {
-		t.Fatalf("capture snapshot: %v", err)
-	}
-	return st
-}
-
-// restoreStore materializes a captured state (with the journal cut at
-// prefixLen bytes) into a fresh directory and opens it.
-func restoreStore(t *testing.T, st storeState, prefixLen int, dir string) (*Store, error) {
-	t.Helper()
-	jp := filepath.Join(dir, "ops.nclog")
-	sp := filepath.Join(dir, "state.ncsnap")
-	if err := os.WriteFile(jp, st.journal[:prefixLen], 0o644); err != nil {
-		t.Fatalf("restore journal: %v", err)
-	}
-	os.Remove(sp)
-	if st.snap != nil {
-		if err := os.WriteFile(sp, st.snap, 0o644); err != nil {
-			t.Fatalf("restore snapshot: %v", err)
-		}
-	}
-	return OpenStore(jp, sp)
-}
-
-// requireRecordPrefix fails unless got is a prefix of want of length at
-// least min.
-func requireRecordPrefix(t *testing.T, got, want [][]byte, min int, label string) {
-	t.Helper()
-	if len(got) > len(want) {
-		t.Fatalf("%s: recovered %d records, only %d were appended", label, len(got), len(want))
-	}
-	if len(got) < min {
-		t.Fatalf("%s: recovered %d records, durable floor is %d", label, len(got), min)
+	if len(got) != len(want) {
+		t.Fatalf("%s: recovered %d records, want %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
@@ -68,137 +25,79 @@ func requireRecordPrefix(t *testing.T, got, want [][]byte, min int, label string
 	}
 }
 
-// TestStoreSnapshotEqualsFullReplayEveryPrefix is the satellite property
-// test: for states captured after every append/snapshot, and for every
-// journal prefix length (torn-tail simulation), Replay(snapshot)+tail
-// recovers exactly a prefix of the appended records — never reordered,
-// duplicated, or beyond what was written — and the floor of that prefix
-// is the snapshot's high-water mark.
-func TestStoreSnapshotEqualsFullReplayEveryPrefix(t *testing.T) {
+// TestStoreRecoversPrefixEveryCut: the journal only grows, so the file
+// after every append is a prefix of the final one, and a crash can leave
+// any byte prefix of it. OpenStore on every prefix must recover exactly
+// the records whose frames the prefix holds whole — never reordered,
+// duplicated, or beyond what was written — and keep accepting appends
+// that extend the sequence.
+func TestStoreRecoversPrefixEveryCut(t *testing.T) {
 	rng := stats.NewRNG(41)
 	dir := t.TempDir()
-	s, err := OpenStore(filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap"))
+	jp := filepath.Join(dir, "ops.nclog")
+	s, err := OpenStore(jp, filepath.Join(dir, "state.ncsnap"))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 
 	const n = 24
-	var appended [][]byte
-	type capture struct {
-		st      storeState
-		records int // appended records at capture time
-		snapSeq int // records sealed in the snapshot at capture time
-	}
-	var captures []capture
-	snapAt := map[int]bool{5: true, 11: true, 17: true}
-	snapSeq := 0
+	var appended, files [][]byte // files[i] is the journal after append i
 	for i := 0; i < n; i++ {
 		rec := make([]byte, 1+rng.Intn(120))
 		rng.Read(rec)
 		rec[0] = byte(i) // make records distinguishable even when short
 		appended = append(appended, rec)
-		if _, err := s.Append(rec); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+		if seq, err := s.Append(rec); err != nil || seq != uint64(i+1) {
+			t.Fatalf("append %d: seq %d, err %v", i, seq, err)
 		}
-		if snapAt[i] {
-			if err := s.Snapshot(); err != nil {
-				t.Fatalf("snapshot after %d: %v", i, err)
-			}
-			snapSeq = i + 1
+		buf, err := os.ReadFile(jp)
+		if err != nil {
+			t.Fatalf("read journal: %v", err)
 		}
-		captures = append(captures, capture{captureStore(t, dir), i + 1, snapSeq})
+		files = append(files, buf)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	full := files[n-1]
+	for i, f := range files {
+		if !bytes.Equal(f, full[:len(f)]) {
+			t.Fatalf("journal after append %d is not a prefix of the final journal", i)
+		}
+	}
 
 	scratch := t.TempDir()
-	for ci, c := range captures {
-		// Every frame boundary plus seeded intra-frame cuts: a prefix cut
-		// mid-frame is the torn-tail case and must recover to the frames
-		// before it.
-		lengths := map[int]bool{0: true, len(c.st.journal): true}
-		for k := 0; k < 6; k++ {
-			lengths[rng.Intn(len(c.st.journal)+1)] = true
+	rp, rsp := filepath.Join(scratch, "ops.nclog"), filepath.Join(scratch, "state.ncsnap")
+	whole := 0 // records whose frames end at or before the cut
+	for l := 0; l <= len(full); l++ {
+		for whole < n && len(files[whole]) <= l {
+			whole++
 		}
-		for l := range lengths {
-			rs, err := restoreStore(t, c.st, l, scratch)
-			if err != nil {
-				t.Fatalf("capture %d prefix %d: open: %v", ci, l, err)
-			}
-			requireRecordPrefix(t, rs.Records(), appended, c.snapSeq,
-				fmt.Sprintf("capture %d prefix %d/%d", ci, l, len(c.st.journal)))
-			// A recovered store must keep accepting appends.
-			got := len(rs.Records())
-			if _, err := rs.Append([]byte("post-recovery")); err != nil {
-				t.Fatalf("capture %d prefix %d: append after recovery: %v", ci, l, err)
-			}
-			if rs.Seq() != uint64(got+1) {
-				t.Fatalf("capture %d prefix %d: append did not extend the sequence: %d after %d records", ci, l, rs.Seq(), got)
-			}
-			if err := rs.Close(); err != nil {
-				t.Fatalf("close recovered: %v", err)
-			}
+		if err := os.WriteFile(rp, full[:l], 0o644); err != nil {
+			t.Fatalf("write prefix: %v", err)
+		}
+		rs, err := OpenStore(rp, rsp)
+		if err != nil {
+			t.Fatalf("prefix %d/%d: open: %v", l, len(full), err)
+		}
+		requireRecords(t, rs.Records(), appended[:whole], "prefix")
+		if _, err := rs.Append([]byte("post-recovery")); err != nil {
+			t.Fatalf("prefix %d: append after recovery: %v", l, err)
+		}
+		if rs.Seq() != uint64(whole+1) {
+			t.Fatalf("prefix %d: append did not extend the sequence: %d after %d records", l, rs.Seq(), whole)
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatalf("close recovered: %v", err)
 		}
 	}
 }
 
-// TestStoreTornMidTruncation simulates the crash window between the
-// snapshot rename and the journal truncation: the snapshot seals every
-// record while the journal still holds all of them. Recovery must apply
-// each record exactly once.
-func TestStoreTornMidTruncation(t *testing.T) {
-	rng := stats.NewRNG(43)
-	dir := t.TempDir()
-	jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
-	s, err := OpenStore(jp, sp)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	var appended [][]byte
-	for i := 0; i < 9; i++ {
-		rec := make([]byte, 1+rng.Intn(60))
-		rng.Read(rec)
-		appended = append(appended, rec)
-		if _, err := s.Append(rec); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	preTrunc := captureStore(t, dir) // journal holds 1..9, no snapshot
-	if err := s.Snapshot(); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	postTrunc := captureStore(t, dir) // snapshot holds 1..9, journal empty
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// The torn state: the new snapshot paired with the pre-truncation
-	// journal.
-	torn := storeState{journal: preTrunc.journal, snap: postTrunc.snap}
-	scratch := t.TempDir()
-	rs, err := restoreStore(t, torn, len(torn.journal), scratch)
-	if err != nil {
-		t.Fatalf("open torn state: %v", err)
-	}
-	got := rs.Records()
-	if len(got) != len(appended) {
-		t.Fatalf("torn mid-truncation recovered %d records, want %d (double-application or loss)", len(got), len(appended))
-	}
-	requireRecordPrefix(t, got, appended, len(appended), "torn mid-truncation")
-	if _, err := rs.Append([]byte("tail")); err != nil {
-		t.Fatalf("append after torn recovery: %v", err)
-	}
-	if err := rs.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-// TestStoreConcurrentAppendsWithSnapshots hammers Append from several
-// goroutines while another snapshots, then verifies the recovered
-// history: contiguous sequence, every record exactly once, and each
-// goroutine's records in its own program order.
-func TestStoreConcurrentAppendsWithSnapshots(t *testing.T) {
+// TestStoreConcurrentAppends hammers Append from several goroutines,
+// then verifies the recovered history: contiguous sequence, every
+// record exactly once, and each goroutine's records in its own program
+// order.
+func TestStoreConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
 	s, err := OpenStore(jp, sp)
@@ -219,16 +118,6 @@ func TestStoreConcurrentAppendsWithSnapshots(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := 0; k < 5; k++ {
-			if err := s.Snapshot(); err != nil {
-				t.Errorf("snapshot %d: %v", k, err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -256,44 +145,108 @@ func TestStoreConcurrentAppendsWithSnapshots(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptSnapshotTyped pins the refusal path: mid-snapshot
-// damage must surface as a *CorruptError matching ErrCorrupt, never as
-// silently shortened history.
-func TestStoreCorruptSnapshotTyped(t *testing.T) {
+// TestStoreDuplicateFrameRefused: a journal frame written twice carries
+// a valid checksum, so Replay returns the duplicate verbatim, and only
+// the sequence stamp tells it apart. The store must refuse it typed,
+// wherever it sits, rather than hand a consumer the record twice.
+func TestStoreDuplicateFrameRefused(t *testing.T) {
 	dir := t.TempDir()
 	jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
 	s, err := OpenStore(jp, sp)
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := s.Append([]byte{byte(i), 1, 2, 3}); err != nil {
-			t.Fatalf("append: %v", err)
+	var ends []int // journal length after each append: frame i is [ends[i-1], ends[i])
+	for i := 0; i < 4; i++ {
+		if _, err := s.Append([]byte{byte('a' + i), 1, 2, 3}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatalf("snapshot: %v", err)
+		fi, err := os.Stat(jp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(fi.Size()))
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+		t.Fatal(err)
 	}
-	buf, err := os.ReadFile(sp)
+	clean, err := os.ReadFile(jp)
 	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
+		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(sp, buf, 0o644); err != nil {
-		t.Fatalf("write damaged snapshot: %v", err)
+	for _, c := range []struct {
+		name string
+		dup  int // frame written twice in a row
+	}{{"tail", 3}, {"mid-file", 1}} {
+		frame := clean[ends[c.dup-1]:ends[c.dup]]
+		damaged := bytes.Clone(clean[:ends[c.dup]])
+		damaged = append(damaged, frame...)
+		damaged = append(damaged, clean[ends[c.dup]:]...)
+		if err := os.WriteFile(jp, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Replay(jp)
+		if err != nil {
+			t.Fatalf("%s: Replay: %v", c.name, err)
+		}
+		if len(rec.Records) != 5 || !bytes.Equal(rec.Records[c.dup], rec.Records[c.dup+1]) {
+			t.Fatalf("%s: Replay returned %d records, want 5 with frame %d twice", c.name, len(rec.Records), c.dup)
+		}
+		rs, err := OpenStore(jp, sp)
+		if err == nil {
+			rs.Close()
+			t.Fatalf("%s: store opened a duplicated frame and recovered %d records", c.name, len(rs.Records()))
+		}
+		var ce *CorruptError
+		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Path != jp {
+			t.Fatalf("%s: duplicated frame refused with %v, want a *CorruptError on %s", c.name, err, jp)
+		}
 	}
-	_, err = OpenStore(jp, sp)
-	if err == nil {
-		t.Fatalf("damaged snapshot opened without error")
+}
+
+// TestStoreLegacySnapshotRefused: an older build sealed a store's
+// records into a snapshot file and truncated the journal, so its drained
+// journal holds none of them. Any file at the snapshot path must be
+// refused typed, naming it, without creating or touching the journal.
+func TestStoreLegacySnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	jp, sp := filepath.Join(dir, "ops.nclog"), filepath.Join(dir, "state.ncsnap")
+	// The older build's snapshot payload: the high-water sequence, then
+	// each record behind its 4-byte length.
+	records := [][]byte{[]byte(`{"kind":"create"}`), []byte(`{"kind":"calibrate"}`)}
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(records)))
+	for _, r := range records {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r)))
+		payload = append(payload, r...)
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("damaged snapshot error %v does not match ErrCorrupt", err)
+	if err := SaveSnapshot(sp, payload); err != nil {
+		t.Fatal(err)
 	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("damaged snapshot error %T is not *CorruptError", err)
+	for _, c := range []struct {
+		name    string
+		journal []byte // nil: no journal file
+	}{{"no journal", nil}, {"drained journal", journalMagic}} {
+		os.Remove(jp)
+		if c.journal != nil {
+			if err := os.WriteFile(jp, c.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenStore(jp, sp)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: store opened beside a legacy snapshot with %d records", c.name, len(s.Records()))
+		}
+		var ce *CorruptError
+		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Path != sp {
+			t.Fatalf("%s: legacy snapshot refused with %v, want a *CorruptError on %s", c.name, err, sp)
+		}
+		buf, err := os.ReadFile(jp)
+		if c.journal == nil && !os.IsNotExist(err) {
+			t.Fatalf("%s: refusal created the journal (err %v)", c.name, err)
+		}
+		if c.journal != nil && !bytes.Equal(buf, c.journal) {
+			t.Fatalf("%s: refusal changed the journal to %q", c.name, buf)
+		}
 	}
 }

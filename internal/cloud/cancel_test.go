@@ -111,7 +111,7 @@ func TestMemoWaiterCancellable(t *testing.T) {
 	if err := <-ownerDone; err != nil {
 		t.Fatalf("owner err: %v", err)
 	}
-	if got := m.Get(key); got == nil {
+	if cached(m, key) == nil {
 		t.Error("computation was not cached after waiter abandonment")
 	}
 }

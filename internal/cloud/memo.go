@@ -33,9 +33,9 @@ type CalibrationKey struct {
 // the key alone, so equal keys are replicas of one trace and a cached
 // trace can stand in for every later request: identical (provider, size,
 // seeds, procedure) tuples are measured once per driver run, and whether
-// a request hits or misses never shows in its result. Get and Calibrate
-// return deep clones, so callers can hand the trace to an advisor (which
-// keeps and may inspect it) without sharing state.
+// a request hits or misses never shows in its result. Calibrate returns
+// deep clones, so callers can hand the trace to an advisor (which keeps
+// and may inspect it) without sharing state.
 type CalibrationMemo struct {
 	mu  sync.Mutex
 	cap int
@@ -103,22 +103,6 @@ func NewCalibrationMemo(capacity int) *CalibrationMemo {
 		ownerCost: map[string]float64{},
 		inflight:  map[CalibrationKey]*memoCall{},
 	}
-}
-
-// Get returns a deep clone of the cached trace for key, or nil.
-func (m *CalibrationMemo) Get(key CalibrationKey) *TemporalCalibration {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byK[key]; ok {
-		m.lru.MoveToFront(el)
-		m.hits++
-		return el.Value.(*memoEntry).tc.Clone()
-	}
-	m.misses++
-	return nil
 }
 
 // put caches tc under key, which is absent: a key is measured only when

@@ -19,6 +19,18 @@ func memoKey(n int, seed int64) CalibrationKey {
 	}
 }
 
+// cached returns the trace m holds for key, or nil. It reads the cache
+// as it stands: no hit or miss is counted and the LRU order stays put,
+// so a test's reads never move MemoStats or the next eviction.
+func cached(m *CalibrationMemo, key CalibrationKey) *TemporalCalibration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.byK[key]; ok {
+		return el.Value.(*memoEntry).tc
+	}
+	return nil
+}
+
 func measureFor(t *testing.T, key CalibrationKey) *TemporalCalibration {
 	t.Helper()
 	p := NewProvider(key.Provider)
@@ -115,12 +127,11 @@ func TestMemoHitReturnsEqualTrace(t *testing.T) {
 	}
 	// Mutating one clone must not leak into the cache.
 	b.Bandwidth.Matrix().Set(0, 1, -1)
-	c := m.Get(key)
-	if c.Bandwidth.Matrix().At(0, 1) == -1 {
+	if cached(m, key).Bandwidth.Matrix().At(0, 1) == -1 {
 		t.Fatal("clone mutation leaked into the cached trace")
 	}
 	st := m.Stats()
-	if st.Hits < 2 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -180,7 +191,7 @@ func TestMemoErrorsNotCached(t *testing.T) {
 	if _, err := m.getOrCompute(context.Background(), "", key, func() (*TemporalCalibration, error) { return measureFor(t, key), nil }); err != nil {
 		t.Fatalf("error must not be cached: %v", err)
 	}
-	if m.Get(key) == nil {
+	if cached(m, key) == nil {
 		t.Fatal("the retried measurement was not cached")
 	}
 }
@@ -199,17 +210,15 @@ func TestMemoLRUBound(t *testing.T) {
 	}
 	put(k1)
 	put(k2)
-	if m.Get(k1) == nil { // touch k1 so k2 is the LRU
-		t.Fatal("k1 missing")
-	}
+	put(k1) // a hit: touch k1 so k2 is the LRU
 	put(k3)
-	if st := m.Stats(); st.Entries != 2 {
-		t.Fatalf("entries %d, want 2", st.Entries)
+	if st := m.Stats(); st.Entries != 2 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 2 entries after 1 hit", st)
 	}
-	if m.Get(k2) != nil {
+	if cached(m, k2) != nil {
 		t.Fatal("k2 should have been evicted as LRU")
 	}
-	if m.Get(k1) == nil || m.Get(k3) == nil {
+	if cached(m, k1) == nil || cached(m, k3) == nil {
 		t.Fatal("k1 and k3 should survive")
 	}
 }
@@ -277,7 +286,7 @@ func TestMemoOwnerFairness(t *testing.T) {
 	}
 
 	// And the hot tenant still retains the most recent traces it can hold.
-	if m.Get(memoKey(4, 609)) == nil {
+	if cached(m, memoKey(4, 609)) == nil {
 		t.Fatal("hot tenant's most recent trace should survive its own burst")
 	}
 }

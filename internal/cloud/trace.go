@@ -49,22 +49,6 @@ func (tr *Trace) Clone() *Trace {
 	return out
 }
 
-// At returns the snapshot index whose time is closest to t (snapshots are
-// time-ordered).
-func (tr *Trace) At(t float64) int {
-	best, bestDist := 0, -1.0
-	for i, tm := range tr.Times {
-		d := tm - t
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 // InjectBursts overlays correlated congestion episodes: each affected
 // directed link (chosen with probability linkProb) suffers one contiguous
 // burst of `span` snapshots starting uniformly within [startLo, startHi),
@@ -207,12 +191,6 @@ func (rc *ReplayCluster) AdvanceTime(dt float64) {
 	for rc.cur+1 < rc.trace.Len() && rc.trace.Times[rc.cur+1] <= rc.now {
 		rc.cur++
 	}
-}
-
-// Seek jumps the replay clock to absolute time t (forward or backward).
-func (rc *ReplayCluster) Seek(t float64) {
-	rc.now = t
-	rc.cur = rc.trace.At(t)
 }
 
 // PairPerf returns the recorded performance at the current replay point.

@@ -14,7 +14,7 @@ import (
 
 // AdvisorConfig tunes the Advisor. Zero values select the paper's default
 // experimental settings: time step 10, threshold 100%, L1 effectiveness
-// norm, mean extraction.
+// norm, median extraction (rpca.ExtractMedian).
 type AdvisorConfig struct {
 	// TimeStep is the number of calibration rows in the TP-matrix.
 	TimeStep int

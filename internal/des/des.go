@@ -114,6 +114,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run fires events until the queue is empty.
+//
+//netlint:allow testonly the root BenchmarkSimnetFlows and the des and simnet tests run an engine until its queue is empty
 func (e *Engine) Run() {
 	for e.Step() {
 	}

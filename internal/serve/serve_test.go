@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,14 +133,14 @@ func TestServerRestartEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	tenants := []string{"alpha", "beta", "gamma"}
 
-	s1, hs1 := newTestServer(t, ctx, dir, Config{Shards: 2, SnapshotEvery: 4})
+	s1, hs1 := newTestServer(t, ctx, dir, Config{Shards: 2})
 	before := runTrace(t, hs1.URL, tenants)
 	hs1.Close()
 	if err := s1.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	s2, hs2 := newTestServer(t, ctx, dir, Config{Shards: 2, SnapshotEvery: 4})
+	s2, hs2 := newTestServer(t, ctx, dir, Config{Shards: 2})
 	defer s2.Close()
 	defer hs2.Close()
 	if q := s2.Quarantined(); len(q) != 0 {
@@ -195,16 +196,7 @@ func TestServerQuarantineIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Damage alpha's snapshot mid-payload.
-	snap := filepath.Join(dir, "alpha.ncsnap")
-	buf, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0x20
-	if err := os.WriteFile(snap, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageCreateRecord(t, filepath.Join(dir, "alpha.nclog"))
 
 	s2, hs2 := newTestServer(t, ctx, dir, Config{})
 	defer s2.Close()
@@ -234,6 +226,138 @@ func TestServerQuarantineIsolation(t *testing.T) {
 	}
 	if len(h.Quarantined) != 1 || h.Quarantined[0] != "alpha" {
 		t.Fatalf("healthz quarantined = %v, want [alpha]", h.Quarantined)
+	}
+}
+
+// damageCreateRecord flips a byte inside the journal's first frame, the
+// tenant's create record: past the 8-byte magic and the frame's 8-byte
+// length and checksum header, halfway into its payload. A tenant with
+// any mutation journals later frames, so the damage cannot pass as a
+// torn tail.
+func damageCreateRecord(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint32(buf[8:12]))
+	buf[16+n/2] ^= 0x20
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerLegacySnapshotQuarantines: an older build drained a tenant
+// by sealing its records into <id>.ncsnap and truncating <id>.nclog to
+// its magic. This build keeps every record in the journal, so it must
+// quarantine that tenant with a typed 410 whose reason names the
+// snapshot, not serve an empty or missing tenant, while its neighbor
+// answers byte-identically.
+func TestServerLegacySnapshotQuarantines(t *testing.T) {
+	ctx, done := context.WithCancel(context.Background())
+	defer done()
+	dir := t.TempDir()
+	tenants := []string{"alpha", "beta"}
+	s1, hs1 := newTestServer(t, ctx, dir, Config{})
+	before := runTrace(t, hs1.URL, tenants)
+	hs1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite alpha as the older build left it: the snapshot payload is
+	// the high-water sequence, then each record behind its 4-byte length.
+	jp, sp := filepath.Join(dir, "alpha.nclog"), filepath.Join(dir, "alpha.ncsnap")
+	store, err := checkpoint.OpenStore(jp, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint64(nil, store.Seq())
+	for _, r := range store.Records() {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r)))
+		payload = append(payload, r...)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.SaveSnapshot(sp, payload); err != nil {
+		t.Fatal(err)
+	}
+	j, err := checkpoint.Create(jp) // truncates to the magic
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, hs2 := newTestServer(t, ctx, dir, Config{})
+	defer s2.Close()
+	defer hs2.Close()
+	if q := s2.Quarantined(); len(q) != 1 || q[0] != "alpha" {
+		t.Fatalf("quarantined %v, want [alpha]", q)
+	}
+	code, body := doReq(t, http.MethodGet, hs2.URL+"/v1/tenants/alpha", "")
+	mustStatus(t, http.StatusGone, code, body)
+	var eb errorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "quarantined" || !strings.Contains(eb.Error, "alpha.ncsnap") {
+		t.Fatalf("legacy snapshot refusal must be typed and name alpha.ncsnap: %s", body)
+	}
+	if after := probeAll(t, hs2.URL, tenants[1:]); after["beta"] != before["beta"] {
+		t.Fatalf("beta diverged beside a quarantined legacy tenant:\nbefore: %s\nafter:  %s", before["beta"], after["beta"])
+	}
+}
+
+// TestFailedJournalAppendIsNotAcked: a mutation whose journal append
+// fails is not in the store, so it must not be acknowledged or leave a
+// trace. The calibrate answers a typed 5xx, the tenant's status still
+// reads the pre-mutation seq and calibrations, and a restart on the
+// directory answers byte-identically to the probe taken before it.
+func TestFailedJournalAppendIsNotAcked(t *testing.T) {
+	ctx, done := context.WithCancel(context.Background())
+	defer done()
+	dir := t.TempDir()
+	s1, hs1 := newTestServer(t, ctx, dir, Config{})
+	code, body := doReq(t, http.MethodPut, hs1.URL+"/v1/tenants/alpha", testTenantBody(11))
+	mustStatus(t, http.StatusCreated, code, body)
+	code, body = doReq(t, http.MethodPost, hs1.URL+"/v1/tenants/alpha/calibrate", "")
+	mustStatus(t, http.StatusOK, code, body)
+	before := probeAll(t, hs1.URL, []string{"alpha"})
+	var pre StatusResponse
+	if err := json.Unmarshal([]byte(body), &pre); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close alpha's store from inside its shard, the tenant's single
+	// writer, so the next Append fails.
+	sh := s1.shardFor("alpha")
+	if err := sh.submit(ctx, func(context.Context) error { return sh.tenants["alpha"].store.Close() }); err != nil {
+		t.Fatal(err)
+	}
+	code, body = doReq(t, http.MethodPost, hs1.URL+"/v1/tenants/alpha/calibrate", "")
+	var eb errorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil || code < 500 || eb.Code != "internal" {
+		t.Fatalf("calibrate with a failing journal answered %d %s, want a typed 5xx", code, body)
+	}
+	code, body = doReq(t, http.MethodGet, hs1.URL+"/v1/tenants/alpha", "")
+	mustStatus(t, http.StatusOK, code, body)
+	var post StatusResponse
+	if err := json.Unmarshal([]byte(body), &post); err != nil {
+		t.Fatal(err)
+	}
+	if post.Seq != pre.Seq || post.Calibrations != pre.Calibrations {
+		t.Fatalf("unjournaled calibrate moved the tenant: seq %d → %d, calibrations %d → %d", pre.Seq, post.Seq, pre.Calibrations, post.Calibrations)
+	}
+	hs1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, hs2 := newTestServer(t, ctx, dir, Config{})
+	defer s2.Close()
+	defer hs2.Close()
+	if after := probeAll(t, hs2.URL, []string{"alpha"}); after["alpha"] != before["alpha"] {
+		t.Fatalf("restart after a failed append diverged from the pre-mutation probe:\nbefore: %s\nafter:  %s", before["alpha"], after["alpha"])
 	}
 }
 
@@ -410,7 +534,8 @@ func TestServerMemoSharedAcrossTenants(t *testing.T) {
 }
 
 // TestServerDrainRefusesTyped: after Drain every request gets the typed
-// 503 and Close seals snapshots so the journals reopen compact.
+// 503, and after Close the tenant's journal, the only file in the
+// directory, reopens with every record.
 func TestServerDrainRefusesTyped(t *testing.T) {
 	ctx, done := context.WithCancel(context.Background())
 	defer done()
@@ -438,9 +563,28 @@ func TestServerDrainRefusesTyped(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Close sealed a snapshot: the journal tail is empty on reopen.
-	if _, err := os.Stat(filepath.Join(dir, "alpha.ncsnap")); err != nil {
-		t.Fatalf("drain did not seal a snapshot: %v", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "alpha.nclog" {
+		t.Fatalf("drained directory holds %v, want only alpha.nclog", entries)
+	}
+	store, err := checkpoint.OpenStore(filepath.Join(dir, "alpha.nclog"), filepath.Join(dir, "alpha.ncsnap"))
+	if err != nil {
+		t.Fatalf("reopen drained journal: %v", err)
+	}
+	defer store.Close()
+	var kinds []string
+	for _, rec := range store.Records() {
+		var o op
+		if err := json.Unmarshal(rec, &o); err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, o.Kind)
+	}
+	if store.Seq() != 2 || strings.Join(kinds, ",") != opCreate+","+opCalibrate {
+		t.Fatalf("drained journal replays seq %d with %v, want seq 2 with [create calibrate]", store.Seq(), kinds)
 	}
 }
 

@@ -29,16 +29,13 @@ import (
 // Config tunes the server. Zero values select the defaults in
 // parentheses.
 type Config struct {
-	// Dir is where per-tenant journals and snapshots live. Required.
+	// Dir is where the per-tenant journals live. Required.
 	Dir string
 	// Shards is the number of single-writer shard goroutines (4).
 	Shards int
 	// QueueDepth bounds each shard's admission queue (64); a full queue
 	// sheds requests with a typed 429 instead of queueing unboundedly.
 	QueueDepth int
-	// SnapshotEvery compacts a tenant's journal after this many tail
-	// records (64).
-	SnapshotEvery int
 	// MemoCapacity bounds the shared cross-tenant calibration memo (64).
 	MemoCapacity int
 	// DefaultTimeout bounds each request when the client sends no
@@ -52,9 +49,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 64
 	}
 	if c.MemoCapacity == 0 {
 		c.MemoCapacity = 64
@@ -116,7 +110,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 // loadExisting scans Dir and rebuilds each tenant before the shard
 // goroutines start (so the tenant maps are still single-owner). Damage
 // is contained per tenant: an unopenable store or unreplayable journal
-// quarantines that tenant and the scan continues.
+// quarantines that tenant and the scan continues. The scan also picks up
+// the <id>.ncsnap files older builds sealed records into, so such a
+// tenant is quarantined (OpenStore refuses the snapshot) rather than
+// silently missing, even where its journal is gone.
 func (s *Server) loadExisting() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -137,7 +134,7 @@ func (s *Server) loadExisting() error {
 	}
 	sort.Strings(sorted)
 	for _, id := range sorted {
-		store, err := checkpoint.OpenStore(s.journalPath(id), s.snapPath(id))
+		store, err := checkpoint.OpenStore(s.journalPath(id), s.legacySnapPath(id))
 		if err != nil {
 			s.quarantine(id, err)
 			continue
@@ -154,7 +151,10 @@ func (s *Server) loadExisting() error {
 }
 
 func (s *Server) journalPath(id string) string { return filepath.Join(s.cfg.Dir, id+".nclog") }
-func (s *Server) snapPath(id string) string    { return filepath.Join(s.cfg.Dir, id+".ncsnap") }
+
+// legacySnapPath is where older builds sealed a tenant's records; the
+// store refuses to open beside a file there.
+func (s *Server) legacySnapPath(id string) string { return filepath.Join(s.cfg.Dir, id+".ncsnap") }
 
 func (s *Server) shardFor(id string) *shard {
 	return s.shards[shardIndex(id, len(s.shards))]
@@ -199,8 +199,8 @@ func (s *Server) MemoStats() cloud.MemoStats { return s.memo.Stats() }
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // Close drains (if not already), closes every shard queue, waits for
-// the shard goroutines to finish their admitted work and seal
-// snapshots, and reports the first seal failure.
+// the shard goroutines to finish their admitted work and close every
+// tenant's journal, and reports the first close error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.Drain()
@@ -209,8 +209,8 @@ func (s *Server) Close() error {
 		}
 		s.wg.Wait()
 		for _, sh := range s.shards {
-			if sh.sealErr != nil && s.closeErr == nil {
-				s.closeErr = sh.sealErr
+			if sh.closeErr != nil && s.closeErr == nil {
+				s.closeErr = sh.closeErr
 			}
 		}
 	})
@@ -321,13 +321,12 @@ func (s *Server) mutate(ctx context.Context, id string, o op) (opResult, StatusR
 			return err
 		}
 		if err := t.journalOp(o); err != nil {
-			// Applied but not durable: roll the in-memory state back to
+			// Applied but not journaled: roll the in-memory state back to
 			// the journaled prefix so acks and the journal never diverge.
 			sh.rebuild(t)
 			return err
 		}
 		sh.mutations.Add(1)
-		sh.updateTail()
 		res, status = r, t.status()
 		return nil
 	})
@@ -377,7 +376,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if _, exists := sh.tenants[id]; exists {
 			return wrapf(errExists, "%s", id)
 		}
-		store, err := checkpoint.OpenStore(s.journalPath(id), s.snapPath(id))
+		store, err := checkpoint.OpenStore(s.journalPath(id), s.legacySnapPath(id))
 		if err != nil {
 			return err
 		}
@@ -386,11 +385,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			err = t.journalOp(op{Kind: opCreate, Cfg: &t.cfg})
 		}
 		if err != nil {
-			// Nothing admitted: drop the empty store files so a later
-			// create (or restart) doesn't trip over a record-less journal.
+			// Nothing admitted: drop the empty journal so a later create
+			// (or restart) doesn't trip over a record-less journal.
 			store.Close()
 			os.Remove(s.journalPath(id))
-			os.Remove(s.snapPath(id))
 			return err
 		}
 		sh.install(t)
@@ -531,7 +529,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Shed:         sh.shed.Load(),
 			Mutations:    sh.mutations.Load(),
 			Tenants:      sh.tenantN.Load(),
-			JournalTail:  sh.tail.Load(),
 			AdviceHits:   sh.adviceHits.Load(),
 			AdviceMisses: sh.adviceMisses.Load(),
 		})

@@ -46,12 +46,11 @@ type shard struct {
 	shed      atomic.Int64
 	mutations atomic.Int64
 	tenantN   atomic.Int64
-	tail      atomic.Int64 // journal records past the last snapshot, summed over tenants
 
 	adviceHits   atomic.Int64 // advise answers served from a tenant's memo
 	adviceMisses atomic.Int64 // advise answers planned afresh
 
-	sealErr error // first snapshot-seal failure during drain, read after wg.Wait
+	closeErr error // first journal-close failure during drain, read after wg.Wait
 }
 
 func newShard(srv *Server, depth int) *shard {
@@ -86,8 +85,7 @@ func (sh *shard) submit(ctx context.Context, run func(ctx context.Context) error
 }
 
 // loop is the shard goroutine: drain the queue until Close closes the
-// channel, then seal every tenant's snapshot so a restart replays a
-// compact journal.
+// channel, then close every tenant's journal.
 func (sh *shard) loop() {
 	defer sh.srv.wg.Done()
 	for tk := range sh.ch {
@@ -102,17 +100,14 @@ func (sh *shard) loop() {
 		close(tk.done)
 	}
 	for _, t := range sh.tenants {
-		if err := t.store.Snapshot(); err != nil && sh.sealErr == nil {
-			sh.sealErr = err
-		}
-		if err := t.store.Close(); err != nil && sh.sealErr == nil {
-			sh.sealErr = err
+		if err := t.store.Close(); err != nil && sh.closeErr == nil {
+			sh.closeErr = err
 		}
 	}
 }
 
 // close stops admission and closes the queue; the shard goroutine
-// finishes whatever was admitted, seals snapshots, and exits.
+// finishes whatever was admitted, closes the journals, and exits.
 func (sh *shard) close() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -136,28 +131,16 @@ func (sh *shard) tenantFor(id string) (*tenant, error) {
 }
 
 // install registers a tenant (startup load or create op) and refreshes
-// the shard gauges.
+// the tenant gauge.
 func (sh *shard) install(t *tenant) {
 	sh.tenants[t.id] = t
 	sh.tenantN.Store(int64(len(sh.tenants)))
-	sh.updateTail()
 }
 
-// drop removes a tenant (quarantine) and refreshes the gauges.
+// drop removes a tenant (quarantine) and refreshes the tenant gauge.
 func (sh *shard) drop(id string) {
 	delete(sh.tenants, id)
 	sh.tenantN.Store(int64(len(sh.tenants)))
-	sh.updateTail()
-}
-
-// updateTail recomputes the shard's journal-growth gauge. Called from
-// the shard goroutine after every journaled mutation.
-func (sh *shard) updateTail() {
-	var sum int64
-	for _, t := range sh.tenants {
-		sum += int64(t.store.TailRecords())
-	}
-	sh.tail.Store(sum)
 }
 
 // rebuild replaces a tenant whose last mutation failed partway with a

@@ -220,20 +220,15 @@ func (t *tenant) applyOp(ctx context.Context, o op) (res opResult, mutated bool,
 }
 
 // journalOp appends the op to the tenant's store after it applied
-// cleanly, then compacts when the tail has grown past the snapshot
-// cadence.
+// cleanly: one fsynced append, so an error means the op is not in the
+// store.
 func (t *tenant) journalOp(o op) error {
 	payload, err := json.Marshal(o)
 	if err != nil {
 		return err
 	}
-	if _, err := t.store.Append(payload); err != nil {
-		return err
-	}
-	if t.store.TailRecords() >= t.srv.cfg.SnapshotEvery {
-		return t.store.Snapshot()
-	}
-	return nil
+	_, err = t.store.Append(payload)
+	return err
 }
 
 // rebuildTenant reconstructs a tenant from its store's record history:

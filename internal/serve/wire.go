@@ -23,7 +23,7 @@ import (
 var ErrOverloaded = errors.New("serve: shard queue full — request shed")
 
 // ErrDraining is returned once the server has begun its shutdown drain:
-// no new work is admitted, in-flight work finishes, snapshots seal.
+// no new work is admitted, in-flight work finishes, journals close.
 var ErrDraining = errors.New("serve: draining — not admitting new requests")
 
 // Sentinels for the remaining refusal classes; writeError maps them to
@@ -178,18 +178,17 @@ type StatusResponse struct {
 	Streaming       bool    `json:"streaming"`
 }
 
-// ShardHealth is one shard's progress counters: queue depth and journal
-// tail growth are the "progress, not liveness" signals a supervisor
-// watches. AdviceHits and AdviceMisses split the shard's 200 advise
-// answers by whether the tenant's advice memo held the body or it was
-// planned afresh.
+// ShardHealth is one shard's progress counters: queue depth and the
+// served and mutation counts are the "progress, not liveness" signals a
+// supervisor watches. AdviceHits and AdviceMisses split the shard's 200
+// advise answers by whether the tenant's advice memo held the body or it
+// was planned afresh.
 type ShardHealth struct {
 	Queue        int   `json:"queue"`
 	Served       int64 `json:"served"`
 	Shed         int64 `json:"shed"`
 	Mutations    int64 `json:"mutations"`
 	Tenants      int64 `json:"tenants"`
-	JournalTail  int64 `json:"journal_tail"` // records journaled past the last sealed snapshot, summed over the shard's tenants
 	AdviceHits   int64 `json:"advice_hits"`
 	AdviceMisses int64 `json:"advice_misses"`
 }

@@ -199,9 +199,6 @@ func TestCDF(t *testing.T) {
 	if len(pts) != 4 || pts[3][1] != 1 {
 		t.Errorf("points: %v", pts)
 	}
-	if c.Len() != 4 {
-		t.Error("len")
-	}
 	if NewCDF(nil).Points(3) != nil {
 		t.Error("empty points should be nil")
 	}

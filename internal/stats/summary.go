@@ -83,9 +83,6 @@ func NewCDF(xs []float64) *CDF {
 // Quantile returns the q-quantile of the sample.
 func (c *CDF) Quantile(q float64) float64 { return Quantile(c.sorted, q) }
 
-// Len returns the number of observations in the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // RelImprovement returns (base-opt)/base, the fractional improvement of opt
 // over base; e.g. 0.3 means "30% faster than base". Returns NaN if base==0.
 func RelImprovement(base, opt float64) float64 {
