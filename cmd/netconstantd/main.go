@@ -68,7 +68,8 @@ func run() int {
 		return cli.Failf("netconstantd", "startup: %v", err)
 	}
 	for _, id := range s.Quarantined() {
-		fmt.Fprintf(os.Stderr, "netconstantd: tenant %s quarantined at startup — journal damaged\n", id)
+		reason, _ := s.QuarantineReason(id)
+		fmt.Fprintf(os.Stderr, "netconstantd: tenant %s quarantined at startup: %s\n", id, reason)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

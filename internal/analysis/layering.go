@@ -70,7 +70,7 @@ var layeringAllowed = map[string][]string{
 	"internal/faults": {"internal/cloud", "internal/netmodel", "internal/stats", "internal/topo"},
 
 	// L3 — decision layer.
-	"internal/core": {"internal/cloud", "internal/mat", "internal/mpi", "internal/netmodel", "internal/rpca", "internal/topo"},
+	"internal/core": {"internal/cancel", "internal/cloud", "internal/mat", "internal/mpi", "internal/netmodel", "internal/rpca", "internal/topo"},
 	"internal/apps": {"internal/mpi", "internal/sparse", "internal/stats"},
 
 	// L4 — the experiment pipeline.

@@ -163,9 +163,9 @@ func TestCampaignReproducible(t *testing.T) {
 	}
 }
 
-// TestStreamOracleSeededPlans: the streaming differential oracle holds on
-// seeded plans — batch agreement before and after a regime-triggered
-// partial re-solve, bit-for-bit deterministic.
+// TestStreamOracleSeededPlans: the streaming oracle holds on seeded
+// plans — a regime-triggered partial re-solve installs the batch analysis
+// of the edited calibration, bit-for-bit deterministic.
 func TestStreamOracleSeededPlans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration-heavy")

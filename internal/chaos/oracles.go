@@ -49,10 +49,10 @@ func failf(oracle, format string, args ...any) Failure {
 //     keep Norm(N_E) finite, grade a health within range, honor the
 //     confidence→strategy fallback ladder, and be bit-for-bit
 //     deterministic across identical runs.
-//   - stream: a streaming session fed the batch path's own trace and
-//     seeded pair re-measurements must agree with a cold batch solve
-//     within 1e-10 before and after a regime-triggered partial re-solve,
-//     never escalate the regime trigger to a full calibration, and be
+//   - stream: a streaming session fed seeded pair re-measurements must
+//     serve the regime trigger with a partial re-solve, never a full
+//     calibration, that installs bit for bit the constant and Norm(N_E)
+//     core.DecomposeTP gives on the edited calibration, and be
 //     bit-for-bit deterministic across identical runs.
 //   - clos: on a random ECMP Clos fabric, the component-sharded max-min
 //     fill must stay bitwise equal to a whole-network reference fill,

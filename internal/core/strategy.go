@@ -164,7 +164,13 @@ func DecomposeTP(tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractM
 // the solver: the advisor builds one per analysis, so an idle advisor
 // keeps none.
 func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
-	a := tp.Matrix()
+	return decomposeTP(s, tp.Matrix(), opts, extract)
+}
+
+// decomposeTP is DecomposeTPWith on a TP-matrix's steps×N² data matrix a,
+// which it does not modify. A streaming partial re-solve calls it on the
+// session's edited matrices.
+func decomposeTP(s *rpca.Solver, a *mat.Dense, opts rpca.Options, extract rpca.ExtractMethod) (*Decomposition, error) {
 	if opts.Lambda == 0 && a.Rows() > 0 {
 		opts.Lambda = 1 / math.Sqrt(float64(a.Rows()))
 	}
@@ -175,10 +181,11 @@ func DecomposeTPWith(s *rpca.Solver, tp *netmodel.TPMatrix, opts rpca.Options, e
 	row := rpca.ConstantRow(res.D, extract)
 	return &Decomposition{
 		ConstantRow: row,
-		NormE:       normE(a, row),
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		RankD:       res.RankD,
+		// Clamped to 1 like rpca.RelNorm; the masked route is not.
+		NormE:      min(relNormE(a, row, nil), 1),
+		Iterations: res.Iterations,
+		Converged:  res.Converged,
+		RankD:      res.RankD,
 	}, nil
 }
 
@@ -206,15 +213,6 @@ func DecomposeTPMaskedWith(s *rpca.Solver, tp *netmodel.TPMatrix, mask *mat.Dens
 		Converged:   res.Converged,
 		RankD:       res.RankD,
 	}, nil
-}
-
-// normE is the Norm(N_E) of a fully observed TP-matrix a against its
-// constant row: relNormE clamped to 1 like rpca.RelNorm (the masked route
-// is not). DecomposeTPWith and a streaming partial re-solve both use it,
-// so a resolve of an unedited calibration reports the batch value bit for
-// bit.
-func normE(a *mat.Dense, row []float64) float64 {
-	return min(relNormE(a, row, nil), 1)
 }
 
 // relNormE is the paper's Norm(N_E) in L1, ‖N_A − N_D‖₁ / ‖N_A‖₁ with

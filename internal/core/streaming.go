@@ -1,14 +1,14 @@
 package core
 
-// Streaming guidance maintenance: instead of re-running a full calibration
-// and cold decomposition whenever measurements trickle in, the advisor can
-// open a streaming session — two rpca.StreamingSolvers (latency and
-// bandwidth) seeded from the last full calibration — and feed re-measured
+// Streaming guidance maintenance is Algorithm 1's partial recalibration:
+// instead of re-running a full calibration whenever measurements trickle
+// in, the advisor opens a streaming session — copies of the last full
+// calibration's latency and bandwidth TP-matrices — and edits re-measured
 // pair columns into it. The divergence-EWMA regime detector then triggers
-// a partial re-solve over the updated matrices rather than a fresh
-// calibration; only a spike past the hard threshold still forces a full
-// re-calibration (which ends the streaming session, since its matrices no
-// longer describe the installed guidance).
+// a partial re-solve, the batch analysis's own decomposition of the edited
+// matrices, rather than a fresh calibration; only a spike past the hard
+// threshold still forces a full re-calibration (which ends the streaming
+// session, since its matrices no longer describe the installed guidance).
 
 import (
 	"context"
@@ -16,14 +16,17 @@ import (
 	"fmt"
 	"math"
 
+	"netconstant/internal/cancel"
+	"netconstant/internal/mat"
 	"netconstant/internal/rpca"
 )
 
-// streamState is an open streaming session: one solver per performance
-// direction, both seeded from the same calibration.
+// streamState is an open streaming session: the calibration's two
+// steps×n² data matrices, edited in place by StreamPair.
 type streamState struct {
-	lat, bw *rpca.StreamingSolver
-	n       int // cluster size; columns are the n² pair indices
+	lat, bw *mat.Dense
+	n       int             // cluster size; columns are the n² pair indices
+	ctx     context.Context // bounds every partial re-solve of the session
 }
 
 // ErrNotStreaming is returned by streaming entry points when no session is
@@ -37,11 +40,11 @@ type errCannotStream string
 func (e errCannotStream) Error() string { return "core: BeginStreamingCtx (stream/begin) " + string(e) }
 func (e errCannotStream) Unwrap() error { return ErrNotStreaming }
 
-// BeginStreamingCtx opens a streaming session from the last full
-// calibration. The context is retained for the session: it bounds the
-// seeding resolves and every subsequent partial re-solve, mirroring how
-// long-lived pipelines thread one cancellation scope through their update
-// loops.
+// BeginStreamingCtx opens a streaming session on copies of the last full
+// calibration's TP-matrices. It solves nothing: until a pair is streamed,
+// a partial re-solve installs exactly what the calibration's analysis
+// did. The context is retained for the session and bounds every partial
+// re-solve; a done context opens no session.
 func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if a.lastCal == nil {
 		return errCannotStream("before any calibration")
@@ -49,23 +52,18 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 	if a.lastCal.Mask != nil {
 		return errCannotStream("needs a completely observed calibration")
 	}
-	rows := a.lastCal.Latency.Steps()
-	if rows == 0 {
+	if a.lastCal.Latency.Steps() == 0 {
 		return errCannotStream("with an empty calibration")
 	}
-	// Match the batch TP convention (DecomposeTPWith): λ = 1/√rows for the
-	// fat TP-matrix, not the generic 1/√max-dim default.
-	solve := rpca.Options{Lambda: 1 / math.Sqrt(float64(rows)), Ctx: ctx}
-	opts := rpca.StreamOptions{Extract: a.cfg.Extract, Solve: solve}
-	lat, err := rpca.NewStreamingSolver(a.lastCal.Latency.Matrix(), opts)
-	if err != nil {
+	if err := cancel.Check(ctx, "core.BeginStreaming", 0, 0); err != nil {
 		return err
 	}
-	bw, err := rpca.NewStreamingSolver(a.lastCal.Bandwidth.Matrix(), opts)
-	if err != nil {
-		return err
+	a.stream = &streamState{
+		lat: a.lastCal.Latency.Matrix(),
+		bw:  a.lastCal.Bandwidth.Matrix(),
+		n:   a.lastCal.Latency.N,
+		ctx: ctx,
 	}
-	a.stream = &streamState{lat: lat, bw: bw, n: a.lastCal.Latency.N}
 	return nil
 }
 
@@ -73,10 +71,12 @@ func (a *Advisor) BeginStreamingCtx(ctx context.Context) error {
 func (a *Advisor) StreamingActive() bool { return a.stream != nil }
 
 // StreamPair ingests a re-measured pair: the latency and bandwidth time
-// series (length TimeStep) replace the src→dst column (src·n + dst) of
-// the session's TP-matrices. Both series are checked before either is
-// written, so a rejected pair leaves the session as it was. The installed
-// guidance changes at the next partial re-solve.
+// series (one sample per calibration row) replace the src→dst column
+// (src·n + dst) of the session's matrices. Both series are checked before
+// either is written, so a rejected pair leaves the session as it was; a
+// NaN or ±Inf sample is rejected with an error matching
+// rpca.ErrNonFinite. The installed guidance changes at the next partial
+// re-solve.
 func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 	if a.stream == nil {
 		return ErrNotStreaming
@@ -86,58 +86,56 @@ func (a *Advisor) StreamPair(src, dst int, lat, bw []float64) error {
 		return fmt.Errorf("core: StreamPair (%d,%d) outside %d-VM cluster", src, dst, n)
 	}
 	j := src*n + dst
-	// ReplaceColumn checks its column before writing it, so checking bw
-	// first means a rejected pair writes neither column.
-	if err := a.stream.bw.CheckColumn(j, bw); err != nil {
-		return err
+	rows := a.stream.lat.Rows()
+	for _, s := range []struct {
+		name   string
+		series []float64
+	}{{"latency", lat}, {"bandwidth", bw}} {
+		if len(s.series) != rows {
+			return fmt.Errorf("core: StreamPair (%d,%d) %s series has %d samples, want %d", src, dst, s.name, len(s.series), rows)
+		}
+		for i, v := range s.series {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: StreamPair (%d,%d) %s: %w", src, dst, s.name, &rpca.NonFiniteError{Row: i, Col: j, Value: v})
+			}
+		}
 	}
-	if err := a.stream.lat.ReplaceColumn(j, lat); err != nil {
-		return err
+	for i := 0; i < rows; i++ {
+		a.stream.lat.Set(i, j, lat[i])
+		a.stream.bw.Set(i, j, bw[i])
 	}
-	return a.stream.bw.ReplaceColumn(j, bw)
+	return nil
 }
 
 // PartialResolves returns how many regime-triggered (or explicit)
 // partial re-solves the streaming session(s) have run.
 func (a *Advisor) PartialResolves() int { return a.partialResolves }
 
-// PartialResolve re-solves both streaming matrices and installs the
-// refreshed constant component and NormE as the advisor's guidance — the
-// alternative to a full re-calibration, which would probe the cluster
-// again. NormE is computed as a batch analysis computes it, so a resolve
-// of an unedited calibration installs exactly what the analysis did.
+// PartialResolve decomposes both session matrices as a batch analysis
+// decomposes a calibration and installs the refreshed constant component
+// and Norm(N_E) as the advisor's guidance — the alternative to a full
+// re-calibration, which would probe the cluster again. A re-solve of an
+// unedited session installs exactly what the calibration's analysis did.
 func (a *Advisor) PartialResolve() error {
 	if a.stream == nil {
 		return ErrNotStreaming
 	}
-	if _, err := a.stream.lat.Resolve(); err != nil {
+	opts := rpca.Options{Ctx: a.stream.ctx}
+	solver := rpca.NewSolver()
+	latD, err := decomposeTP(solver, a.stream.lat, opts, a.cfg.Extract)
+	if err != nil {
 		return err
 	}
-	if _, err := a.stream.bw.Resolve(); err != nil {
+	bwD, err := decomposeTP(solver, a.stream.bw, opts, a.cfg.Extract)
+	if err != nil {
 		return err
 	}
-	bwRow := a.stream.bw.Constant()
-	a.constant = PerfFromRows(a.stream.n, a.stream.lat.Constant(), bwRow)
-	a.normE = normE(a.stream.bw.Matrix(), bwRow)
+	a.constant = PerfFromRows(a.stream.n, latD.ConstantRow, bwD.ConstantRow)
+	a.normE = bwD.NormE
 	a.partialResolves++
 	// Refreshed guidance resets the divergence regime tracker, exactly as
 	// a full analyze() does.
 	a.divEWMA = 0
 	a.regimeRun = 0
 	return nil
-}
-
-// VerifyStreaming runs the differential oracle on both streaming solvers:
-// a fresh batch solve of the identical matrices, compared against the
-// streaming state. The chaos stream oracle and the ext-stream figure call
-// this to pin the streaming path to the batch solver.
-func (a *Advisor) VerifyStreaming() (lat, bw rpca.StreamAgreement, err error) {
-	if a.stream == nil {
-		return lat, bw, ErrNotStreaming
-	}
-	if lat, err = a.stream.lat.Verify(); err != nil {
-		return lat, bw, err
-	}
-	bw, err = a.stream.bw.Verify()
-	return lat, bw, err
 }

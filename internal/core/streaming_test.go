@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"netconstant/internal/mat"
 	"netconstant/internal/netmodel"
 	"netconstant/internal/rpca"
 	"netconstant/internal/stats"
@@ -31,8 +32,8 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 	if !adv.StreamingActive() {
 		t.Fatal("session not active after BeginStreaming")
 	}
-	if got := len(adv.stream.lat.Constant()); got != 36 {
-		t.Fatalf("streaming constant row has %d pairs, want 36", got)
+	if got := adv.stream.lat.Cols(); got != 36 {
+		t.Fatalf("streaming session has %d pair columns, want 36", got)
 	}
 	// A fresh full calibration supersedes the session.
 	if err := adv.CalibrateCtx(context.Background()); err != nil {
@@ -52,25 +53,56 @@ func TestAdvisorStreamingLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdvisorStreamPairAndPartialResolve: an accepted pair lands at
+// column src·n + dst of both session matrices and nowhere else, the
+// installed guidance moves only at the next partial re-solve, and the
+// re-solve pulls the constant toward the re-measured regime.
 func TestAdvisorStreamPairAndPartialResolve(t *testing.T) {
-	adv := streamAdvisor(t, 6, AdvisorConfig{})
-	rows := adv.LastCalibration().Latency.Steps()
+	const n = 6
+	adv := streamAdvisor(t, n, AdvisorConfig{})
+	tc := adv.LastCalibration()
+	rows := tc.Latency.Steps()
 	lat := make([]float64, rows)
 	bw := make([]float64, rows)
 	for i := range lat {
 		lat[i] = 5e-3 // a migrated pair: much slower latency,
 		bw[i] = 1e6   // much thinner pipe
 	}
-	for _, pair := range [][2]int{{0, 1}, {1, 0}, {2, 5}} {
+	pairs := [][2]int{{0, 1}, {1, 0}, {2, 5}}
+	for _, pair := range pairs {
 		if err := adv.StreamPair(pair[0], pair[1], lat, bw); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := adv.StreamPair(9, 0, lat, bw); err == nil {
-		t.Fatal("out-of-cluster pair accepted")
+	for _, m := range []struct {
+		name     string
+		got      []float64
+		cal      []float64
+		streamed []float64
+	}{
+		{"latency", adv.stream.lat.Data(), tc.Latency.Matrix().Data(), lat},
+		{"bandwidth", adv.stream.bw.Data(), tc.Bandwidth.Matrix().Data(), bw},
+	} {
+		for idx, v := range m.got {
+			want := m.cal[idx]
+			for _, pair := range pairs {
+				if idx%(n*n) == pair[0]*n+pair[1] {
+					want = m.streamed[idx/(n*n)]
+				}
+			}
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s session row %d column %d = %v, want %v", m.name, idx/(n*n), idx%(n*n), v, want)
+			}
+		}
 	}
 
 	before := adv.Constant()
+	if err := adv.StreamPair(9, 0, lat, bw); err == nil {
+		t.Fatal("out-of-cluster pair accepted")
+	}
+	if adv.Constant() != before || adv.PartialResolves() != 0 {
+		t.Fatal("streaming a pair moved the installed guidance before a partial re-solve")
+	}
 	if err := adv.PartialResolve(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +124,11 @@ func TestAdvisorStreamPairAndPartialResolve(t *testing.T) {
 	}
 }
 
-// TestStreamPairRejectedLeavesSession: a pair whose bandwidth series is
-// rejected (a NaN, or one sample short), or whose latency series is,
-// returns an error and leaves both session matrices bit-identical, so the
-// next partial re-solve installs exactly what it would have without the
-// call.
+// TestStreamPairRejectedLeavesSession: a pair outside the cluster, or
+// whose bandwidth or latency series is rejected (a NaN or +Inf sample,
+// which must match rpca.ErrNonFinite, or one sample short), returns an
+// error and leaves both session matrices bit-identical, so the next
+// partial re-solve installs exactly what it would have without the call.
 func TestStreamPairRejectedLeavesSession(t *testing.T) {
 	sameBits := func(t *testing.T, what string, got, want []float64) {
 		t.Helper()
@@ -116,23 +148,41 @@ func TestStreamPairRejectedLeavesSession(t *testing.T) {
 	for i := range lat {
 		lat[i], bw[i] = 5e-3, 1e6
 	}
-	nanLat := append([]float64(nil), lat...)
-	nanLat[rows/2] = math.NaN()
-	nanBW := append([]float64(nil), bw...)
-	nanBW[rows/2] = math.NaN()
+	with := func(series []float64, v float64) []float64 {
+		out := append([]float64(nil), series...)
+		out[rows/2] = v
+		return out
+	}
 	for _, c := range []struct {
-		name    string
-		lat, bw []float64
-	}{{"NaN bw", lat, nanBW}, {"short bw", lat, bw[:rows-1]}, {"NaN lat", nanLat, bw}} {
+		name      string
+		src, dst  int
+		lat, bw   []float64
+		nonFinite bool
+	}{
+		{"NaN bw", 0, 1, lat, with(bw, math.NaN()), true},
+		{"+Inf bw", 0, 1, lat, with(bw, math.Inf(1)), true},
+		{"short bw", 0, 1, lat, bw[:rows-1], false},
+		{"NaN lat", 0, 1, with(lat, math.NaN()), bw, true},
+		{"+Inf lat", 0, 1, with(lat, math.Inf(1)), bw, true},
+		{"short lat", 0, 1, lat[:rows-1], bw, false},
+		{"src past n", 6, 1, lat, bw, false},
+		{"negative src", -1, 1, lat, bw, false},
+		{"dst past n", 0, 6, lat, bw, false},
+		{"negative dst", 0, -1, lat, bw, false},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			adv := streamAdvisor(t, 6, AdvisorConfig{})
-			latBefore := adv.stream.lat.Matrix().Clone()
-			bwBefore := adv.stream.bw.Matrix().Clone()
-			if err := adv.StreamPair(0, 1, c.lat, c.bw); err == nil {
-				t.Fatal("rejected series accepted")
+			latBefore := adv.stream.lat.Clone()
+			bwBefore := adv.stream.bw.Clone()
+			err := adv.StreamPair(c.src, c.dst, c.lat, c.bw)
+			if err == nil {
+				t.Fatal("rejected pair accepted")
 			}
-			sameBits(t, "latency matrix", adv.stream.lat.Matrix().Data(), latBefore.Data())
-			sameBits(t, "bandwidth matrix", adv.stream.bw.Matrix().Data(), bwBefore.Data())
+			if errors.Is(err, rpca.ErrNonFinite) != c.nonFinite {
+				t.Fatalf("err = %v; matches rpca.ErrNonFinite: %v, want %v", err, !c.nonFinite, c.nonFinite)
+			}
+			sameBits(t, "latency matrix", adv.stream.lat.Data(), latBefore.Data())
+			sameBits(t, "bandwidth matrix", adv.stream.bw.Data(), bwBefore.Data())
 			if err := adv.PartialResolve(); err != nil {
 				t.Fatal(err)
 			}
@@ -190,37 +240,6 @@ func TestAdvisorObserveRegimeUsesPartialResolve(t *testing.T) {
 	}
 }
 
-// TestAdvisorVerifyStreaming pins the streaming session to the batch
-// differential oracle at the acceptance tolerance.
-func TestAdvisorVerifyStreaming(t *testing.T) {
-	adv := streamAdvisor(t, 6, AdvisorConfig{})
-	rows := adv.LastCalibration().Latency.Steps()
-	lat := make([]float64, rows)
-	bw := make([]float64, rows)
-	for i := range lat {
-		lat[i] = 300e-6
-		bw[i] = 15e6
-	}
-	if err := adv.StreamPair(3, 4, lat, bw); err != nil {
-		t.Fatal(err)
-	}
-	agLat, agBw, err := adv.VerifyStreaming()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ag := range []struct {
-		name string
-		rel  float64
-	}{
-		{"latency D", agLat.RelFroD}, {"latency constant", agLat.ConstantRel},
-		{"bandwidth D", agBw.RelFroD}, {"bandwidth constant", agBw.ConstantRel},
-	} {
-		if !(ag.rel <= 1e-10) {
-			t.Errorf("%s disagreement %.3e (want <= 1e-10)", ag.name, ag.rel)
-		}
-	}
-}
-
 func TestAdvisorBeginStreamingErrors(t *testing.T) {
 	_, vc := testCluster(t, 4, 41)
 	adv := NewAdvisor(vc, stats.NewRNG(5), AdvisorConfig{})
@@ -244,8 +263,10 @@ func TestAdvisorBeginStreamingErrors(t *testing.T) {
 // analysis of the session's matrices. With no pair streamed it must
 // install exactly what the calibration's own analysis installed; after
 // three streamed pairs, exactly what DecomposeTP gives on TP-matrix copies
-// the test edits itself at column src·n + dst. The constant matrices and
-// NormE are compared bit for bit.
+// the test edits itself at column src·n + dst. The gate case (CI's
+// stream-oracle-gate) streams 98 re-measured pairs into a 14-VM, 24-step
+// calibration and checks 7 times along the way. The constant matrices
+// and NormE are compared bit for bit.
 func TestPartialResolveMatchesBatchAnalysis(t *testing.T) {
 	const n = 8
 	ctx := context.Background()
@@ -322,5 +343,72 @@ func TestPartialResolveMatchesBatchAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("seed %d after 3 streamed pairs", seed), adv, PerfFromRows(n, latD.ConstantRow, bwD.ConstantRow), bwD.NormE)
+	}
+
+	// The gate case: a 14-VM calibration of 24 steps (196 pair columns).
+	// The last 98 off-diagonal pairs in row-major order are re-measured
+	// from the live cluster one at a time, and the session is re-solved
+	// and checked after every 16th pair and at the end.
+	const gateN, gateSteps, streamed, checkEvery, wantChecks = 14, 24, 98, 16, 7
+	_, vc := testCluster(t, gateN, 1)
+	adv := NewAdvisor(vc, stats.NewRNG(101), AdvisorConfig{TimeStep: gateSteps})
+	if err := adv.CalibrateCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := adv.BeginStreamingCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tc := adv.LastCalibration()
+	// The test's own edited copies: the calibration's snapshots, written
+	// at (src, dst), which a TP-matrix row vectorizes to src·n + dst.
+	latSnaps := make([]*mat.Dense, gateSteps)
+	bwSnaps := make([]*mat.Dense, gateSteps)
+	for s := range latSnaps {
+		latSnaps[s], bwSnaps[s] = tc.Latency.Snapshot(s), tc.Bandwidth.Snapshot(s)
+	}
+	batch := func(snaps []*mat.Dense) *Decomposition {
+		t.Helper()
+		tp := netmodel.NewTPMatrix(gateN)
+		for s, snap := range snaps {
+			tp.Append(tc.Latency.Times[s], snap)
+		}
+		d, err := DecomposeTP(tp, rpca.Options{}, adv.cfg.Extract)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var offDiag [][2]int
+	for src := 0; src < gateN; src++ {
+		for dst := 0; dst < gateN; dst++ {
+			if src != dst {
+				offDiag = append(offDiag, [2]int{src, dst})
+			}
+		}
+	}
+	checks := 0
+	for k, p := range offDiag[len(offDiag)-streamed:] {
+		lat, bw := make([]float64, gateSteps), make([]float64, gateSteps)
+		for s := range lat {
+			vc.AdvanceTime(30)
+			l := vc.PairPerf(p[0], p[1])
+			lat[s], bw[s] = l.Alpha, l.Beta
+			latSnaps[s].Set(p[0], p[1], l.Alpha)
+			bwSnaps[s].Set(p[0], p[1], l.Beta)
+		}
+		if err := adv.StreamPair(p[0], p[1], lat, bw); err != nil {
+			t.Fatal(err)
+		}
+		if done := k + 1; done%checkEvery == 0 || done == streamed {
+			if err := adv.PartialResolve(); err != nil {
+				t.Fatal(err)
+			}
+			latD, bwD := batch(latSnaps), batch(bwSnaps)
+			check(fmt.Sprintf("gate after %d streamed pairs", done), adv, PerfFromRows(gateN, latD.ConstantRow, bwD.ConstantRow), bwD.NormE)
+			checks++
+		}
+	}
+	if checks != wantChecks {
+		t.Fatalf("gate case ran %d checks, want %d", checks, wantChecks)
 	}
 }

@@ -47,6 +47,8 @@ var ErrManifestMismatch = errors.New("exp: checkpoint manifest does not match th
 // (Version 1 journals hold APG results). Version 3: every initial
 // calibration is measured on a seeded replica; a Version 2 manifest may
 // record a memo-less run, whose calibrations measured the live cluster.
+// Version 4: ext-stream scores partial and full recalibration against
+// ground truth; older journals hold its streaming-vs-batch table.
 type manifest struct {
 	Version           int
 	Seed              int64
@@ -65,7 +67,7 @@ type manifest struct {
 
 func manifestOf(cfg Config) manifest {
 	return manifest{
-		Version:           3,
+		Version:           4,
 		Seed:              cfg.Seed,
 		VMs:               cfg.VMs,
 		SmallVMs:          cfg.SmallVMs,

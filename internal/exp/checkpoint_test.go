@@ -127,7 +127,8 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 // manifest version holds results of older code, so resuming it with the
 // same configuration must be refused too. A Version 2 manifest may carry
 // "Memo":false, a run whose calibrations measured the live cluster;
-// decoding ignores that dropped key, so only the version refuses it.
+// decoding ignores that dropped key, so only the version refuses it. A
+// Version 3 journal holds ext-stream's streaming-vs-batch table.
 func TestCheckpointOldVersionRefused(t *testing.T) {
 	cfg := Quick()
 	v1 := manifestOf(cfg)
@@ -137,10 +138,12 @@ func TestCheckpointOldVersionRefused(t *testing.T) {
 		Memo bool
 	}{manifestOf(cfg), false}
 	v2.Version = 2
+	v3 := manifestOf(cfg)
+	v3.Version = 3
 	for _, c := range []struct {
 		name string
 		old  any
-	}{{"version 1", v1}, {"version 2 memo-less", v2}} {
+	}{{"version 1", v1}, {"version 2 memo-less", v2}, {"version 3", v3}} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			payload, err := json.Marshal(c.old)

@@ -133,7 +133,7 @@ func Figures() []Figure {
 			}
 			return []*Table{r.Table}, nil
 		}},
-		{"ext-stream", "streaming decomposition vs batch oracle", func(cfg Config) ([]*Table, error) {
+		{"ext-stream", "partial vs full recalibration against ground truth", func(cfg Config) ([]*Table, error) {
 			t, err := ExtStreaming(cfg)
 			if err != nil {
 				return nil, err

@@ -14,8 +14,6 @@ package mat
 // Unless noted otherwise, out must not alias an input; LinComb3Into
 // allows out to alias any input because element i reads only index i.
 
-import "math"
-
 // --- matrix · matrix ---------------------------------------------------
 
 func mulRange(out, a, b *Dense, lo, hi int) {
@@ -343,18 +341,4 @@ func (m *Dense) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
-}
-
-// NormFroDiff returns ‖a − b‖_F without materializing the difference —
-// the convergence criterion of the RPCA solvers, allocation-free.
-//
-//netlint:hotpath
-func NormFroDiff(a, b *Dense) float64 {
-	a.sameDims(b)
-	var s float64
-	for i := range a.data {
-		d := a.data[i] - b.data[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

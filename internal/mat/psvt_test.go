@@ -77,7 +77,7 @@ func TestSVTWorkspaceRankGrowth(t *testing.T) {
 	if rank != wantRank {
 		t.Fatalf("rank growth: rank = %d, want %d", rank, wantRank)
 	}
-	if diff := NormFroDiff(got, want); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
+	if diff := got.Sub(want).NormFrobenius(); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
 		t.Fatalf("rank growth: result off by %g", diff)
 	}
 	fresh := NewDense(r, c)
@@ -120,7 +120,7 @@ func TestSVTWorkspaceShapeRebind(t *testing.T) {
 		if rank != wantRank {
 			t.Fatalf("%dx%d: rank = %d, want %d", r, c, rank, wantRank)
 		}
-		if diff := NormFroDiff(got, want); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
+		if diff := got.Sub(want).NormFrobenius(); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
 			t.Fatalf("%dx%d: rebind result off by %g", r, c, diff)
 		}
 	}

@@ -273,8 +273,6 @@ func (tp *TPMatrix) Append(t float64, snapshot *mat.Dense) {
 func (tp *TPMatrix) Steps() int { return len(tp.rows) }
 
 // Snapshot reconstructs the i-th snapshot as an N×N matrix.
-//
-//netlint:allow testonly core's and cloud's tests read calibration snapshots with it
 func (tp *TPMatrix) Snapshot(i int) *mat.Dense {
 	return Devectorize(tp.rows[i], tp.N)
 }

@@ -66,7 +66,7 @@ func decomposeAPG(a *mat.Dense, opts Options) (*Result, error) {
 			qd[i] = mat.Shrink(v, lambda*mu/2)
 		}
 
-		change := mat.NormFroDiff(dPrev, d) + mat.NormFroDiff(ePrev, e)
+		change := dPrev.Sub(d).NormFrobenius() + ePrev.Sub(e).NormFrobenius()
 		d, dPrev = dPrev, d
 		e, ePrev = ePrev, e
 		tPrev, t = t, (1+math.Sqrt(1+4*t*t))/2

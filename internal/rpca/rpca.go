@@ -16,8 +16,7 @@
 // thresholding of A − D + Y/μ at λ/μ for the sparse block, then updates
 // the multiplier Y ← Y + μ(A − D − E) and grows the penalty μ
 // geometrically. DecomposeMasked runs the same iteration with
-// missing-entry projection, and the streaming solver's resolves run it
-// over the columns received so far.
+// missing-entry projection.
 //
 // In this repository A is a temporal performance matrix (one row per
 // all-link calibration of a virtual cluster), D captures the constant

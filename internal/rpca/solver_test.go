@@ -53,7 +53,7 @@ func TestSolverMatchesPackageFunctions(t *testing.T) {
 			t.Fatalf("trial %d: fresh (it=%d rank=%d) vs reused (it=%d rank=%d)",
 				trial, fresh.Iterations, fresh.RankD, reused.Iterations, reused.RankD)
 		}
-		if d := mat.NormFroDiff(fresh.D, reused.D); d != 0 {
+		if d := fresh.D.Sub(reused.D).NormFrobenius(); d != 0 {
 			t.Fatalf("trial %d: reused solver D deviates by %g", trial, d)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSolverResultsDetached(t *testing.T) {
 	if _, err := s.Decompose(a2, Options{MaxIter: 80}); err != nil {
 		t.Fatal(err)
 	}
-	if mat.NormFroDiff(r1.D, d1) != 0 {
+	if r1.D.Sub(d1).NormFrobenius() != 0 {
 		t.Fatal("second solve mutated the first result: arena leaked into Result")
 	}
 }
@@ -146,9 +146,9 @@ func TestSolverMaskedMatchesPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Iterations != reused.Iterations || mat.NormFroDiff(fresh.D, reused.D) != 0 {
+	if fresh.Iterations != reused.Iterations || fresh.D.Sub(reused.D).NormFrobenius() != 0 {
 		t.Fatalf("masked reuse deviates: it %d vs %d, |ΔD| = %g",
-			fresh.Iterations, reused.Iterations, mat.NormFroDiff(fresh.D, reused.D))
+			fresh.Iterations, reused.Iterations, fresh.D.Sub(reused.D).NormFrobenius())
 	}
 }
 

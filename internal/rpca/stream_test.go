@@ -1,8 +1,15 @@
 package rpca
 
+// The advisor's streaming session edits re-measured pair columns into a
+// copy of its last calibration in place and re-solves the edited matrix
+// with Solver.Decompose. These tests run that workload on the solver: one
+// Solver re-solving a matrix whose columns are overwritten between solves
+// must return what a fresh batch solve of the same contents returns.
+
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,8 +21,7 @@ import (
 // streamTrace builds a synthetic TP-matrix of r rows and c pair columns
 // and c/2 re-measurements: columns drawn from the same planted constant
 // subspace, with their own sparse spikes, that re-measure the last c/2
-// pairs in order — the streaming workload production runs (seed the last
-// calibration, then replace re-measured pairs).
+// pairs in order.
 func streamTrace(seed int64, r, c, rank int, spikeFrac float64) (*mat.Dense, [][]float64) {
 	rng := rand.New(rand.NewSource(seed))
 	all := syntheticTP(rng, r, c+c/2, rank, spikeFrac)
@@ -61,16 +67,40 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
-// TestStreamingAgreesWithBatch is the differential-oracle acceptance test
-// in the shape production runs: seed the whole trace, replace the last
-// half of its columns with re-measurements, and Verify after every
-// checkEvery-th replacement and at the end. Each Verify resolves, and the
-// streaming state must equal a cold batch IALM solve bit for bit — D, E
-// and the constant row. The batch solve runs on the test's own edited
-// copy of the trace, not on the solver's matrix, so the matrix is
-// checked too, and Verify must report zero disagreement. The gate case is
-// CI's stream-oracle-gate. The rows10 case has the advisor's shape (ten
-// time steps per pair column).
+// requireBatchBits fails unless got, a re-solve of a on a reused Solver,
+// equals a fresh batch solve of a copy of a bit for bit: D, E, the
+// constant row and the iteration record.
+func requireBatchBits(t *testing.T, what string, got *Result, a *mat.Dense) {
+	t.Helper()
+	batch, err := NewSolver().Decompose(a.Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != batch.Iterations || got.Converged != batch.Converged || got.RankD != batch.RankD {
+		t.Fatalf("%s: re-solve ran %d iterations (converged %v, rank %d), batch %d (%v, %d)",
+			what, got.Iterations, got.Converged, got.RankD, batch.Iterations, batch.Converged, batch.RankD)
+	}
+	for _, m := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"D", got.D.Data(), batch.D.Data()},
+		{"E", got.E.Data(), batch.E.Data()},
+		{"constant row", ConstantRow(got.D, ExtractMedian), ConstantRow(batch.D, ExtractMedian)},
+	} {
+		if !sameBits(m.got, m.want) {
+			t.Fatalf("%s: re-solve %s differs bitwise from the batch solve", what, m.name)
+		}
+	}
+}
+
+// TestStreamingAgreesWithBatch runs the streaming workload on one Solver:
+// solve the trace, replace the last half of its columns in place with
+// re-measurements, and re-solve after every checkEvery-th replacement and
+// at the end. Each re-solve must equal a fresh batch solve of a copy of
+// the edited matrix bit for bit. The gate case has the shape of core's
+// gate case (196 pair columns, 24 steps, 98 replacements, 7 checks); the
+// rows10 case has the advisor's ten time steps per pair column.
 func TestStreamingAgreesWithBatch(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -86,225 +116,138 @@ func TestStreamingAgreesWithBatch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, remeasured := streamTrace(tc.seed, tc.rows, tc.cols, tc.rank, 0.05)
-			s, err := NewStreamingSolver(a, StreamOptions{})
-			if err != nil {
+			s := NewSolver()
+			if _, err := s.Decompose(a, Options{}); err != nil {
 				t.Fatal(err)
 			}
-			edited := a.Clone()
 			checks := 0
 			check := func(replaced int) {
 				t.Helper()
-				ag, err := s.Verify()
+				res, err := s.Decompose(a, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				checks++
-				// Written so that a NaN agreement fails too.
-				if !(ag.RelFroD == 0) || !(ag.RelFroE == 0) || !(ag.ConstantRel == 0) {
-					t.Fatalf("check %d after %d replacements: streaming vs batch disagreement D %.3e, E %.3e, constant row %.3e (want 0)",
-						checks, replaced, ag.RelFroD, ag.RelFroE, ag.ConstantRel)
-				}
-				batch, err := NewSolver().Decompose(edited, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, m := range []struct {
-					name      string
-					got, want []float64
-				}{
-					{"D", s.last.D.Data(), batch.D.Data()},
-					{"E", s.last.E.Data(), batch.E.Data()},
-					{"constant row", s.Constant(), ConstantRow(batch.D, ExtractMedian)},
-				} {
-					if !sameBits(m.got, m.want) {
-						t.Fatalf("check %d after %d replacements: streaming %s differs bitwise from the batch solve of the trace", checks, replaced, m.name)
-					}
-				}
+				requireBatchBits(t, fmt.Sprintf("after %d replacements", replaced), res, a)
 			}
 			for k, col := range remeasured {
-				j := replaceAt(a, k)
-				if err := s.ReplaceColumn(j, col); err != nil {
-					t.Fatal(err)
-				}
-				setColumn(edited, j, col)
+				setColumn(a, replaceAt(a, k), col)
 				if n := k + 1; tc.checkEvery > 0 && n%tc.checkEvery == 0 && n != len(remeasured) {
 					check(n)
 				}
 			}
 			check(len(remeasured))
 			if checks != tc.wantChecks {
-				t.Fatalf("ran %d oracle checks, want %d", checks, tc.wantChecks)
-			}
-			if r, c := s.a.Dims(); r != tc.rows || c != tc.cols {
-				t.Fatalf("matrix is %dx%d, want %dx%d", r, c, tc.rows, tc.cols)
+				t.Fatalf("ran %d checks, want %d", checks, tc.wantChecks)
 			}
 		})
 	}
 }
 
-// BenchmarkStreamingTrace times the gate trace of TestStreamingAgreesWithBatch
-// (24 rows, 196 pair columns, rank 3, 5% spikes): "stream" seeds the
-// trace and replaces its last 98 columns with a resolve after every 16th
-// replacement and at the end; "cold" is what the batch pipeline would do
-// per epoch instead, a fresh IALM solve of the edited matrix after each
-// of the 98 replacements.
-func BenchmarkStreamingTrace(b *testing.B) {
-	a, remeasured := streamTrace(1, 24, 196, 3, 0.05)
-	b.Run("stream", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := NewStreamingSolver(a, StreamOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k, col := range remeasured {
-				if err := s.ReplaceColumn(replaceAt(a, k), col); err != nil {
-					b.Fatal(err)
-				}
-				if n := k + 1; n%16 == 0 || n == len(remeasured) {
-					if _, err := s.Resolve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		mats := make([]*mat.Dense, len(remeasured))
-		edited := a.Clone()
-		for k, col := range remeasured {
-			setColumn(edited, replaceAt(a, k), col)
-			mats[k] = edited.Clone()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, m := range mats {
-				if _, err := NewSolver().Decompose(m, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// TestStreamingDeterminism: two identical streaming runs must produce
-// bit-identical constants and agreement numbers.
+// TestStreamingDeterminism: two identical streaming runs on one Solver
+// each must produce bit-identical constant rows and iteration counts at
+// every re-solve.
 func TestStreamingDeterminism(t *testing.T) {
-	run := func() ([]float64, StreamAgreement) {
+	run := func() (constants []float64, iters []int) {
 		a, remeasured := streamTrace(13, 24, 128, 3, 0.05)
-		s, err := NewStreamingSolver(a, StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewSolver()
 		for k, col := range remeasured {
-			if err := s.ReplaceColumn(replaceAt(a, k), col); err != nil {
-				t.Fatal(err)
-			}
-			if (k+1)%24 == 0 {
-				if _, err := s.Resolve(); err != nil {
+			setColumn(a, replaceAt(a, k), col)
+			if (k+1)%24 == 0 || k+1 == len(remeasured) {
+				res, err := s.Decompose(a, Options{})
+				if err != nil {
 					t.Fatal(err)
 				}
+				constants = append(constants, ConstantRow(res.D, ExtractMedian)...)
+				iters = append(iters, res.Iterations)
 			}
 		}
-		before := s.Constant()
-		ag, err := s.Verify()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(before, s.Constant()...), ag
+		return constants, iters
 	}
-	c1, ag1 := run()
-	c2, ag2 := run()
-	if ag1 != ag2 {
-		t.Fatalf("agreement diverged: %+v vs %+v", ag1, ag2)
+	c1, it1 := run()
+	c2, it2 := run()
+	if len(it1) != 3 || len(it1) != len(it2) {
+		t.Fatalf("re-solves: %d and %d, want 3", len(it1), len(it2))
+	}
+	for i := range it1 {
+		if it1[i] != it2[i] {
+			t.Fatalf("re-solve %d: %d vs %d iterations across identical runs", i, it1[i], it2[i])
+		}
 	}
 	if !sameBits(c1, c2) {
 		t.Fatal("constant rows differ bitwise across identical runs")
 	}
 }
 
-// TestStreamingReplaceColumn: a re-measured pair overwrites its stored
-// column in place; the constant row moves only at the next resolve.
+// TestStreamingReplaceColumn: a re-measured pair overwrites its column in
+// place; the constant row moves only at the next re-solve. An earlier
+// Result owns its matrices, so the edit leaves it as it was, and the
+// re-solve reads the new column.
 func TestStreamingReplaceColumn(t *testing.T) {
-	seedM, _ := streamTrace(23, 12, 64, 2, 0)
-	s, err := NewStreamingSolver(seedM, StreamOptions{})
+	a, _ := streamTrace(23, 12, 64, 2, 0)
+	s := NewSolver()
+	first, err := s.Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	constBefore := s.Constant()
+	constBefore := ConstantRow(first.D, ExtractMedian)
 	col := make([]float64, 12)
 	for i := range col {
 		col[i] = 42
 	}
-	if err := s.ReplaceColumn(3, col); err != nil {
-		t.Fatal(err)
+	setColumn(a, 3, col)
+	if !sameBits(ConstantRow(first.D, ExtractMedian), constBefore) {
+		t.Fatal("editing the matrix moved the constant row of an earlier solve")
 	}
-	for i := 0; i < 12; i++ {
-		if got := s.a.At(i, 3); got != 42 {
-			t.Fatalf("stored column 3 row %d = %v, want 42", i, got)
-		}
-	}
-	if !s.dirty || !sameBits(s.Constant(), constBefore) {
-		t.Fatal("a replacement must mark the solver dirty and leave the constant row to the next resolve")
-	}
-	if _, err := s.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	// The resolve pulls the all-42 column toward the trace's low-rank
-	// structure: it reads 38.6, not 42.
-	if got := s.Constant()[3]; !(math.Abs(got-38.6) <= 0.05) {
-		t.Fatalf("resolved constant of the replaced column = %v, want 38.6", got)
-	}
-	if err := s.ReplaceColumn(99, col); err == nil {
-		t.Fatal("out-of-range replace did not error")
-	}
-	if err := s.ReplaceColumn(0, col[:5]); err == nil {
-		t.Fatal("short column did not error")
-	}
-}
-
-// TestStreamingCancellation: a cancelled solve context must make the
-// seeding resolve, and so NewStreamingSolver, fail with the typed
-// cancellation error.
-func TestStreamingCancellation(t *testing.T) {
-	ctx, cancelFn := context.WithCancel(context.Background())
-	cancelFn()
-	a, _ := streamTrace(29, 12, 32, 2, 0)
-	s, err := NewStreamingSolver(a, StreamOptions{Solve: Options{Ctx: ctx}})
-	if !errors.Is(err, cancel.ErrCanceled) || s != nil {
-		t.Fatalf("NewStreamingSolver = %v, %v, want nil and cancellation", s, err)
-	}
-}
-
-// TestStreamingRejectsBadInput: an empty seed must be refused, and
-// NaN/Inf measurement columns and shape mismatches must be rejected
-// before touching state.
-func TestStreamingRejectsBadInput(t *testing.T) {
-	for _, m := range []*mat.Dense{mat.NewDense(0, 0), mat.NewDense(8, 0), mat.NewDense(0, 8)} {
-		if _, err := NewStreamingSolver(m, StreamOptions{}); err == nil {
-			r, c := m.Dims()
-			t.Fatalf("empty %dx%d seed did not error", r, c)
-		}
-	}
-	a, _ := streamTrace(31, 8, 32, 2, 0)
-	s, err := NewStreamingSolver(a, StreamOptions{})
+	res, err := s.Decompose(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), s.a.Data()...)
-	constBefore := s.Constant()
-	bad := make([]float64, 8)
-	bad[3] = math.NaN()
-	if err := s.ReplaceColumn(2, bad); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("NaN column err = %v, want ErrNonFinite", err)
+	// The re-solve pulls the all-42 column toward the trace's low-rank
+	// structure: it reads 38.6, not 42.
+	if got := ConstantRow(res.D, ExtractMedian)[3]; !(math.Abs(got-38.6) <= 0.05) {
+		t.Fatalf("re-solved constant of the replaced column = %v, want 38.6", got)
 	}
-	bad[3] = math.Inf(1)
-	if err := s.ReplaceColumn(2, bad); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("Inf column err = %v, want ErrNonFinite", err)
+}
+
+// cancelAfter is a context that cancels itself on its checks+1-th Err
+// call, so a solve observes the cancellation mid-iteration.
+type cancelAfter struct {
+	context.Context
+	stop   context.CancelFunc
+	checks int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.checks--; c.checks < 0 {
+		c.stop()
 	}
-	if err := s.ReplaceColumn(2, make([]float64, 5)); err == nil {
-		t.Fatal("short column did not error")
+	return c.Context.Err()
+}
+
+// TestStreamingCancellation: a re-solve cancelled mid-iteration fails with
+// the typed cancellation error and no result, and leaves nothing behind
+// in the reused Solver: the next re-solve of the edited matrix equals a
+// fresh batch solve bit for bit.
+func TestStreamingCancellation(t *testing.T) {
+	a, remeasured := streamTrace(29, 12, 32, 2, 0)
+	s := NewSolver()
+	if _, err := s.Decompose(a, Options{}); err != nil {
+		t.Fatal(err)
 	}
-	if !sameBits(s.a.Data(), before) || !sameBits(s.Constant(), constBefore) || s.dirty {
-		t.Fatal("rejected columns touched the solver's state")
+	for k, col := range remeasured {
+		setColumn(a, replaceAt(a, k), col)
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	res, err := s.Decompose(a, Options{Ctx: &cancelAfter{Context: ctx, stop: stop, checks: 5}})
+	var ce *cancel.Error
+	if res != nil || !errors.Is(err, cancel.ErrCanceled) || !errors.As(err, &ce) || ce.Done != 5 {
+		t.Fatalf("cancelled re-solve = %v, %v; want no result and cancellation at iteration 5", res, err)
+	}
+	res, err = s.Decompose(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBatchBits(t, "re-solve after a cancelled one", res, a)
 }

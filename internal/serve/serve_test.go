@@ -182,8 +182,8 @@ func TestServerRestartEquivalenceDifferentShardCount(t *testing.T) {
 }
 
 // TestServerQuarantineIsolation: damaging one tenant's files quarantines
-// exactly that tenant — typed refusal for it, byte-identical answers for
-// its neighbors, and a /healthz listing.
+// exactly that tenant — a typed refusal for it that names the corrupt
+// frame, byte-identical answers for its neighbors, and a /healthz listing.
 func TestServerQuarantineIsolation(t *testing.T) {
 	ctx, done := context.WithCancel(context.Background())
 	defer done()
@@ -201,15 +201,12 @@ func TestServerQuarantineIsolation(t *testing.T) {
 	s2, hs2 := newTestServer(t, ctx, dir, Config{})
 	defer s2.Close()
 	defer hs2.Close()
+	// The reason is the corrupt frame: the create record fails its CRC.
 	code, body := doReq(t, http.MethodGet, hs2.URL+"/v1/tenants/alpha", "")
-	mustStatus(t, http.StatusGone, code, body)
-	var eb errorBody
-	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "quarantined" {
-		t.Fatalf("quarantined refusal not typed: %s", body)
-	}
+	mustQuarantine(t, s2, "alpha", code, body, "alpha.nclog", "payload CRC mismatch")
 	// Mutations are refused too.
 	code, body = doReq(t, http.MethodPost, hs2.URL+"/v1/tenants/alpha/calibrate", "")
-	mustStatus(t, http.StatusGone, code, body)
+	mustQuarantine(t, s2, "alpha", code, body, "alpha.nclog", "payload CRC mismatch")
 	// Neighbors are untouched.
 	after := probeAll(t, hs2.URL, tenants[1:])
 	for _, id := range tenants[1:] {
@@ -244,6 +241,31 @@ func damageCreateRecord(t *testing.T, path string) {
 	buf[16+n/2] ^= 0x20
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mustQuarantine checks a typed 410 for tenant id: its error is the
+// sentinel, the id and the reason the server recorded (what
+// netconstantd's startup line prints), and the reason names its cause
+// in each of words.
+func mustQuarantine(t *testing.T, s *Server, id string, code int, body string, words ...string) {
+	t.Helper()
+	mustStatus(t, http.StatusGone, code, body)
+	reason, ok := s.QuarantineReason(id)
+	if !ok {
+		t.Fatalf("%s answered 410 but has no recorded reason", id)
+	}
+	var eb errorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "quarantined" {
+		t.Fatalf("quarantined refusal not typed: %s", body)
+	}
+	if want := "serve: tenant quarantined: " + id + ": " + reason; eb.Error != want {
+		t.Fatalf("410 error %q, want %q", eb.Error, want)
+	}
+	for _, w := range words {
+		if !strings.Contains(reason, w) {
+			t.Fatalf("quarantine reason %q does not say %q", reason, w)
+		}
 	}
 }
 
@@ -298,11 +320,7 @@ func TestServerLegacySnapshotQuarantines(t *testing.T) {
 		t.Fatalf("quarantined %v, want [alpha]", q)
 	}
 	code, body := doReq(t, http.MethodGet, hs2.URL+"/v1/tenants/alpha", "")
-	mustStatus(t, http.StatusGone, code, body)
-	var eb errorBody
-	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Code != "quarantined" || !strings.Contains(eb.Error, "alpha.ncsnap") {
-		t.Fatalf("legacy snapshot refusal must be typed and name alpha.ncsnap: %s", body)
-	}
+	mustQuarantine(t, s2, "alpha", code, body, "alpha.ncsnap", "snapshot left by an older build")
 	if after := probeAll(t, hs2.URL, tenants[1:]); after["beta"] != before["beta"] {
 		t.Fatalf("beta diverged beside a quarantined legacy tenant:\nbefore: %s\nafter:  %s", before["beta"], after["beta"])
 	}
@@ -658,7 +676,8 @@ func TestStreamBeginWithoutCalibrationIs409(t *testing.T) {
 
 // TestServerOverCapJournalQuarantines: a create record over the shape
 // caps, found in the journal at startup, fails the same validation on
-// replay, so that tenant is quarantined (typed 410) and the rest load.
+// replay, so that tenant is quarantined (a typed 410 naming the create
+// record and the cap) and the rest load.
 func TestServerOverCapJournalQuarantines(t *testing.T) {
 	ctx, done := context.WithCancel(context.Background())
 	defer done()
@@ -684,7 +703,7 @@ func TestServerOverCapJournalQuarantines(t *testing.T) {
 		t.Fatalf("quarantined %v, want [big]", q)
 	}
 	code, body := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/big", "")
-	mustStatus(t, http.StatusGone, code, body)
+	mustQuarantine(t, s, "big", code, body, "create replay", "steps must be between 1 and 30, got 31")
 	code, body = doReq(t, http.MethodPut, hs.URL+"/v1/tenants/ok", testTenantBody(1))
 	mustStatus(t, http.StatusCreated, code, body)
 }

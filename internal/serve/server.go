@@ -168,7 +168,9 @@ func (s *Server) quarantine(id string, err error) {
 	s.quarantined[id] = err.Error()
 }
 
-func (s *Server) quarantineReason(id string) (string, bool) {
+// QuarantineReason returns why a tenant is quarantined — the error its
+// store or replay recorded — and whether it is.
+func (s *Server) QuarantineReason(id string) (string, bool) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	reason, ok := s.quarantined[id]
@@ -370,7 +372,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFor(id)
 	var status StatusResponse
 	err = sh.submit(ctx, func(ctx context.Context) error {
-		if reason, quarantined := s.quarantineReason(id); quarantined {
+		if reason, quarantined := s.QuarantineReason(id); quarantined {
 			return wrapf(errQuarantined, "%s: %s", id, reason)
 		}
 		if _, exists := sh.tenants[id]; exists {

@@ -124,7 +124,7 @@ func (sh *shard) tenantFor(id string) (*tenant, error) {
 	if t, ok := sh.tenants[id]; ok {
 		return t, nil
 	}
-	if reason, ok := sh.srv.quarantineReason(id); ok {
+	if reason, ok := sh.srv.QuarantineReason(id); ok {
 		return nil, wrapf(errQuarantined, "%s: %s", id, reason)
 	}
 	return nil, wrapf(errNotFound, "%s", id)

@@ -32,7 +32,7 @@ var (
 	errNotFound    = errors.New("serve: no such tenant")
 	errExists      = errors.New("serve: tenant already exists")
 	errBadRequest  = errors.New("serve: bad request")
-	errQuarantined = errors.New("serve: tenant quarantined — journal damaged")
+	errQuarantined = errors.New("serve: tenant quarantined")
 	errEncoding    = errors.New("serve: response encoding failed")
 )
 
