@@ -6,13 +6,13 @@ import (
 	"go/types"
 )
 
-// Goroutinepurity encodes the contract the PR 3 sweep runner and the PR 2
-// mat worker pool rely on for byte-identical `-workers N` output: a
-// goroutine body may only publish results through index-addressed slice
-// slots (`errs[i] = …`), never by mutating shared captured state, whose
-// final value would depend on goroutine interleaving. Inside `go func`
-// closures in internal/exp and internal/mat it flags writes where the
-// target is captured from outside the closure:
+// Goroutinepurity encodes the contract the sweep runner relies on for
+// byte-identical `-workers N` output: a goroutine body may only publish
+// results through index-addressed slice slots (`errs[i] = …`), never by
+// mutating shared captured state, whose final value would depend on
+// goroutine interleaving. Inside `go func` closures in internal/exp and
+// internal/mat it flags writes where the target is captured from outside
+// the closure:
 //
 //   - plain or compound assignment (and ++/--) to a captured variable;
 //   - writes into a captured map (also a data race);

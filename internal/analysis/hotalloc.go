@@ -28,8 +28,7 @@ import (
 //     `x[:0]` directly, or `x = make([]T, 0, n)`), the arena-reuse idiom
 //     the fill and routing scratch already follow
 //   - map and slice composite literals (struct and array literals are
-//     allowed: value structs stay on the stack and &task{...} is the
-//     pool-dispatch idiom, a single escaping header per parallel launch)
+//     allowed: value structs stay on the stack)
 //   - closure literals and go statements
 //   - any fmt call (Sprintf and friends allocate; error paths that
 //     genuinely need one carry an allow naming the reason)
@@ -156,7 +155,7 @@ func (c *hotallocChecker) check() {
 			c.reportf(n.Pos(), "builds a closure: the header and captures escape per call")
 			return false // constructs inside are subsumed by this finding
 		case *ast.GoStmt:
-			c.reportf(n.Pos(), "spawns a goroutine: hand work to the mat pool instead")
+			c.reportf(n.Pos(), "spawns a goroutine: its stack and captures are allocated per call")
 			return false
 		case *ast.CompositeLit:
 			switch c.pass.TypesInfo.TypeOf(n).Underlying().(type) {

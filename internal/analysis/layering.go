@@ -60,7 +60,7 @@ var layeringAllowed = map[string][]string{
 	"internal/netmodel": {"internal/mat"},
 	"internal/netcoord": {"internal/mat"},
 	"internal/rpca":     {"internal/cancel", "internal/mat"},
-	"internal/simnet":   {"internal/des", "internal/mat", "internal/stats", "internal/topo"},
+	"internal/simnet":   {"internal/des", "internal/stats", "internal/topo"},
 	"internal/workflow": {"internal/netmodel", "internal/stats"},
 	"internal/mapping":  {"internal/mat", "internal/netmodel", "internal/stats"},
 

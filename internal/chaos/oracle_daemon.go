@@ -10,8 +10,10 @@ package chaos
 //     advise probes byte-identically to an uninterrupted twin — the
 //     journal is the state, the process is disposable;
 //   - a damaged tenant journal must quarantine that tenant alone: the
-//     tenant answers with the typed "quarantined" refusal, /healthz
-//     names exactly it, and every neighbor's probes stay byte-identical;
+//     tenant answers with the typed "quarantined" refusal, which names
+//     the journal by its file name and not the daemon's directory,
+//     /healthz names exactly it, and every neighbor's probes stay
+//     byte-identical;
 //   - a SIGTERM drain must exit 130 with the journals closed (the
 //     repo's two-stage drain contract).
 //
@@ -312,6 +314,9 @@ func oracleDaemon(p Plan, opts Options) (fails []Failure) {
 		}
 		if status != http.StatusGone || !strings.Contains(body, `"code":"quarantined"`) {
 			fails = append(fails, failf(oracle, "damaged tenant answered %d %s, want a typed 410 quarantined refusal", status, strings.TrimSpace(body)))
+		}
+		if !strings.Contains(body, " "+tenants[0]+".nclog") || strings.Contains(body, dir) {
+			fails = append(fails, failf(oracle, "damaged tenant's 410 must name its journal by file name, not under %s: %s", dir, strings.TrimSpace(body)))
 		}
 		hstatus, health, err := d3.do(daemonReq{"GET", "/healthz", ""})
 		if err != nil || hstatus != http.StatusOK {

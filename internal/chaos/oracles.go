@@ -56,9 +56,9 @@ func failf(oracle, format string, args ...any) Failure {
 //     bit-for-bit deterministic across identical runs.
 //   - clos: on a random ECMP Clos fabric, the component-sharded max-min
 //     fill must stay bitwise equal to a whole-network reference fill,
-//     byte-identical at GOMAXPROCS 1 and 8 and across replays,
-//     satisfy the max-min invariants, and agree with a
-//     bottleneck-structure fill within 1e-9 relative.
+//     byte-identical across two replays, satisfy the max-min
+//     invariants, and agree with a bottleneck-structure fill within
+//     1e-9 relative.
 func RunOracles(p Plan) []Failure {
 	var fails []Failure
 	fails = append(fails, oracleJournal(p)...)

@@ -552,3 +552,42 @@ func (m *Dense) NormNuclear() float64 {
 	}
 	return s
 }
+
+// TestRoundRobinCoverage verifies the tournament schedule pairs every
+// unordered column pair exactly once per sweep, for even and odd counts.
+func TestRoundRobinCoverage(t *testing.T) {
+	for _, c := range []int{2, 3, 4, 5, 8, 9, 17} {
+		n := c
+		if n%2 == 1 {
+			n++
+		}
+		seen := make(map[[2]int]int)
+		pairs := make([][2]int, n/2)
+		for k := 0; k < n-1; k++ {
+			roundRobinPairs(pairs, k, n, c)
+			inRound := make(map[int]bool)
+			for _, pq := range pairs {
+				if pq[0] < 0 {
+					continue
+				}
+				if pq[0] >= pq[1] || pq[1] >= c {
+					t.Fatalf("c=%d round %d: bad pair %v", c, k, pq)
+				}
+				if inRound[pq[0]] || inRound[pq[1]] {
+					t.Fatalf("c=%d round %d: column reused within round", c, k)
+				}
+				inRound[pq[0]], inRound[pq[1]] = true, true
+				seen[pq]++
+			}
+		}
+		want := c * (c - 1) / 2
+		if len(seen) != want {
+			t.Fatalf("c=%d: schedule covered %d pairs, want %d", c, len(seen), want)
+		}
+		for pq, n := range seen {
+			if n != 1 {
+				t.Fatalf("c=%d: pair %v visited %d times", c, pq, n)
+			}
+		}
+	}
+}

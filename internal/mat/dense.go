@@ -5,7 +5,9 @@
 // QR, and the thresholding operators used by proximal-gradient methods.
 //
 // The package is self-contained (stdlib only) and uses float64 throughout.
-// Matrices are stored row-major.
+// Matrices are stored row-major. Every kernel is one sequential loop on
+// the calling goroutine, so the code alone fixes its floating-point
+// order, and with it every bit of a result.
 package mat
 
 import (
@@ -184,8 +186,7 @@ func (m *Dense) sameDims(b *Dense) {
 }
 
 // Mul returns the matrix product m·b. It panics on inner-dimension mismatch.
-// The inner loop is ordered (i, k, j) for cache-friendly row-major access;
-// large products run on the package worker pool (see parallel.go).
+// The inner loop is ordered (i, k, j) for cache-friendly row-major access.
 //
 //netlint:allow testonly rpca's tests build planted low-rank inputs with it
 func (m *Dense) Mul(b *Dense) *Dense {

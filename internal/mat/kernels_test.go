@@ -98,12 +98,12 @@ func spiky(rng *rand.Rand, r, c int, poison bool) *Dense {
 }
 
 // rowCounts are the row counts the differential tests sweep: every
-// remainder mod 4, the TP-matrix height 10, and the parallel gate.
+// remainder mod 4 and the TP-matrix height 10.
 var rowCounts = []int{1, 2, 3, 4, 5, 6, 7, 9, 10, 13}
 
 // TestGramMatchesReference: the four-accumulator Gram equals the
-// one-dot-product-at-a-time loop bit for bit, sequentially and through
-// the pool, on row counts of every remainder mod 4.
+// one-dot-product-at-a-time loop bit for bit on row counts of every
+// remainder mod 4.
 func TestGramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, r := range rowCounts {
@@ -111,12 +111,10 @@ func TestGramMatchesReference(t *testing.T) {
 			m := spiky(rng, r, c, false)
 			want := NewDense(r, r)
 			gramRangeReference(want, m)
-			for _, p := range []int{1, 4} {
-				got := NewDense(r, r)
-				withParallelism(p, func() { GramInto(got, m) })
-				if !sameBits(got, want) {
-					t.Fatalf("%dx%d at parallelism %d: Gram differs from the reference loop", r, c, p)
-				}
+			got := NewDense(r, r)
+			GramInto(got, m)
+			if !sameBits(got, want) {
+				t.Fatalf("%dx%d: Gram differs from the reference loop", r, c)
 			}
 		}
 	}
@@ -135,12 +133,10 @@ func TestMulATBMatchesReference(t *testing.T) {
 				b := spiky(rng, r, c, true)
 				want := NewDense(k, c)
 				mulATBReference(want, a, b)
-				for _, p := range []int{1, 4} {
-					got := NewDense(k, c)
-					withParallelism(p, func() { mulATBInto(got, a, b) })
-					if !sameBits(got, want) {
-						t.Fatalf("%dx%d ᵀ· %dx%d at parallelism %d: mulATBInto differs from the reference loop", r, k, r, c, p)
-					}
+				got := NewDense(k, c)
+				mulATBInto(got, a, b)
+				if !sameBits(got, want) {
+					t.Fatalf("%dx%d ᵀ· %dx%d: mulATBInto differs from the reference loop", r, k, r, c)
 				}
 			}
 		}
@@ -166,14 +162,40 @@ func TestReconstructMatchesReference(t *testing.T) {
 				}
 				want := NewDense(r, c)
 				reconstructReference(want, u, vt, shat)
-				for _, p := range []int{1, 4} {
-					got := NewDense(r, c)
-					withParallelism(p, func() { reconstructInto(got, u, shat, vt) })
-					if !sameBits(got, want) {
-						t.Fatalf("%dx%d rank %d at parallelism %d: reconstructInto differs from the reference loop", r, c, rank, p)
-					}
+				got := NewDense(r, c)
+				reconstructInto(got, u, shat, vt)
+				if !sameBits(got, want) {
+					t.Fatalf("%dx%d rank %d: reconstructInto differs from the reference loop", r, c, rank)
 				}
 			}
 		}
+	}
+}
+
+// TestParallelKernelsMatchNaive pins Mul and mulATBInto to straight
+// reference loops in sequential order.
+func TestParallelKernelsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := RandomNormal(rng, 23, 310, 0, 1)
+	b := RandomNormal(rng, 310, 17, 0, 1)
+
+	naiveMul := NewDense(23, 17)
+	for i := 0; i < 23; i++ {
+		for j := 0; j < 17; j++ {
+			var s float64
+			for k2 := 0; k2 < 310; k2++ {
+				s += a.At(i, k2) * b.At(k2, j)
+			}
+			naiveMul.Set(i, j, s)
+		}
+	}
+	if got := a.Mul(b); !got.ApproxEqual(naiveMul, 1e-12) {
+		t.Error("Mul deviates from naive triple loop")
+	}
+	atb := NewDense(310, 310)
+	mulATBInto(atb, a, a)
+	gramT := a.T().Gram()
+	if !atb.ApproxEqual(gramT, 1e-12) {
+		t.Error("mulATBInto(aᵀa) deviates from T().Gram()")
 	}
 }

@@ -62,7 +62,7 @@ func view(h *Dense, r, c int, buf []float64) *Dense {
 // SVTInto computes out = SVT_tau(m) — shrink every singular value of m by
 // tau, drop the negatives, reconstruct — returning the surviving count
 // (the rank of out). out must be preallocated with m's shape and must not
-// alias m. Results are byte-identical at any parallelism.
+// alias m.
 //
 //netlint:hotpath
 func (ws *SVTWorkspace) SVTInto(out, m *Dense, tau float64) int {
@@ -170,9 +170,11 @@ func copyLeadingColumns(dst []float64, src *Dense, n int) {
 
 // --- reconstruction kernel ----------------------------------------------
 
-func reconstructRange(out, u, vt *Dense, shat []float64, lo, hi int) {
+// reconstructInto computes out = U · diag(shat) · Vᵀ for the leading
+// len(shat) components, with Vᵀ supplied row-major (k×c).
+func reconstructInto(out, u *Dense, shat []float64, vt *Dense) {
 	ku, c := u.cols, out.cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < out.rows; i++ {
 		orow := out.data[i*c : (i+1)*c]
 		for j := range orow {
 			orow[j] = 0
@@ -183,22 +185,4 @@ func reconstructRange(out, u, vt *Dense, shat []float64, lo, hi int) {
 		}
 		rows.flush(orow)
 	}
-}
-
-type reconstructTask struct {
-	out, u, vt *Dense
-	shat       []float64
-}
-
-func (t *reconstructTask) Run(lo, hi int) { reconstructRange(t.out, t.u, t.vt, t.shat, lo, hi) }
-
-// reconstructInto computes out = U · diag(shat) · Vᵀ for the leading
-// len(shat) components, with Vᵀ supplied row-major (k×c).
-func reconstructInto(out, u *Dense, shat []float64, vt *Dense) {
-	if work := len(shat) * out.rows * out.cols; parGate(work) {
-		grain := maxInt(1, parMinWork/maxInt(1, len(shat)*out.cols))
-		parallelFor(out.rows, grain, &reconstructTask{out: out, u: u, vt: vt, shat: shat})
-		return
-	}
-	reconstructRange(out, u, vt, shat, 0, out.rows)
 }

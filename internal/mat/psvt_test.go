@@ -54,8 +54,8 @@ func TestSVTWorkspaceSquareMatchesSVT(t *testing.T) {
 	ws := NewSVTWorkspace()
 	got := NewDense(40, 50)
 	rank := ws.SVTInto(got, m, 2.0)
-	if rank != wantRank || !bitsEqual(got, want) {
-		t.Fatalf("square route: rank %d vs %d, bitwise match %v", rank, wantRank, bitsEqual(got, want))
+	if rank != wantRank || !sameBits(got, want) {
+		t.Fatalf("square route: rank %d vs %d, bitwise match %v", rank, wantRank, sameBits(got, want))
 	}
 }
 
@@ -81,8 +81,8 @@ func TestSVTWorkspaceRankGrowth(t *testing.T) {
 		t.Fatalf("rank growth: result off by %g", diff)
 	}
 	fresh := NewDense(r, c)
-	if rank := NewSVTWorkspace().SVTInto(fresh, high, 5.0); rank != wantRank || !bitsEqual(got, fresh) {
-		t.Fatalf("rank growth: result depends on the previous call (fresh rank %d, bitwise match %v)", rank, bitsEqual(got, fresh))
+	if rank := NewSVTWorkspace().SVTInto(fresh, high, 5.0); rank != wantRank || !sameBits(got, fresh) {
+		t.Fatalf("rank growth: result depends on the previous call (fresh rank %d, bitwise match %v)", rank, sameBits(got, fresh))
 	}
 }
 
@@ -122,33 +122,6 @@ func TestSVTWorkspaceShapeRebind(t *testing.T) {
 		}
 		if diff := got.Sub(want).NormFrobenius(); diff > 1e-6*math.Max(1, want.NormFrobenius()) {
 			t.Fatalf("%dx%d: rebind result off by %g", r, c, diff)
-		}
-	}
-}
-
-// TestSVTWorkspaceParallelDeterminism: workspace results must be bitwise
-// identical at any parallelism.
-func TestSVTWorkspaceParallelDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	r, c := 48, 512
-	seq := make([]*Dense, 4)
-	par := make([]*Dense, 4)
-	iterates := make([]*Dense, 4)
-	for i := range iterates {
-		iterates[i] = lowRankPlusNoise(rng, r, c, 4, 60, 0.02)
-	}
-	run := func(dst []*Dense) {
-		ws := NewSVTWorkspace()
-		for i, m := range iterates {
-			dst[i] = NewDense(r, c)
-			ws.SVTInto(dst[i], m, 5.0)
-		}
-	}
-	withParallelism(1, func() { run(seq) })
-	withParallelism(8, func() { run(par) })
-	for i := range seq {
-		if !bitsEqual(seq[i], par[i]) {
-			t.Fatalf("iterate %d: SVTInto differs between 1 and 8 workers", i)
 		}
 	}
 }

@@ -122,22 +122,16 @@ func (m *Dense) svdGram() *SVDResult {
 	return &SVDResult{U: u, S: s, V: v}
 }
 
-// jacobiPairsTask rotates a set of disjoint column pairs of one
-// round-robin round. Pairs within a round touch disjoint column pairs of
-// both w and v, so chunks are bitwise independent and the parallel result
-// matches a sequential pass over the same round exactly.
-type jacobiPairsTask struct {
-	w, v  *Dense
-	pairs [][2]int
-	rot   []byte // rot[i] set to 1 iff pairs[i] was rotated
-	tol   float64
-}
-
-func (t *jacobiPairsTask) Run(lo, hi int) {
-	w, v := t.w, t.v
+// jacobiRound rotates the column pairs of one round-robin round,
+// skipping byes, and reports whether it rotated any pair. The pairs of a
+// round are disjoint, so no rotation reads a column another one writes.
+func jacobiRound(w, v *Dense, pairs [][2]int, tol float64) (rotated bool) {
 	r, c := w.rows, w.cols
-	for pi := lo; pi < hi; pi++ {
-		p, q := t.pairs[pi][0], t.pairs[pi][1]
+	for _, pq := range pairs {
+		p, q := pq[0], pq[1]
+		if p < 0 {
+			continue
+		}
 		// Column inner products.
 		var app, aqq, apq float64
 		for i := 0; i < r; i++ {
@@ -147,10 +141,10 @@ func (t *jacobiPairsTask) Run(lo, hi int) {
 			aqq += wq * wq
 			apq += wp * wq
 		}
-		if math.Abs(apq) <= t.tol*math.Sqrt(app*aqq) {
+		if math.Abs(apq) <= tol*math.Sqrt(app*aqq) {
 			continue
 		}
-		t.rot[pi] = 1
+		rotated = true
 		// Jacobi rotation angle that orthogonalizes columns p, q.
 		tau := (aqq - app) / (2 * apq)
 		var tt float64
@@ -174,6 +168,7 @@ func (t *jacobiPairsTask) Run(lo, hi int) {
 			v.data[i*c+q] = sn*vp + cs*vq
 		}
 	}
+	return rotated
 }
 
 // roundRobinPairs fills pairs with round k of the (n-1)-round tournament
@@ -204,9 +199,8 @@ func roundRobinPairs(pairs [][2]int, k, n, limit int) {
 
 // svdJacobi computes the thin SVD by one-sided Jacobi orthogonalization of
 // the columns of the (tall-or-square oriented) working matrix. Each sweep
-// is a round-robin tournament over the columns: the pairs of one round are
-// disjoint, so the round can be rotated in parallel with a bitwise result
-// identical to the sequential pass over the same schedule.
+// is a round-robin tournament over the columns; the tournament fixes the
+// order of the rotations, and with it every bit of the result.
 func (m *Dense) svdJacobi() *SVDResult {
 	transposed := m.rows < m.cols
 	var w *Dense
@@ -226,37 +220,12 @@ func (m *Dense) svdJacobi() *SVDResult {
 	}
 	if c > 1 {
 		pairs := make([][2]int, n/2)
-		rot := make([]byte, n/2)
-		t := jacobiPairsTask{w: w, v: v, pairs: pairs, rot: rot, tol: tol}
-		// Pair work: inner products + both rotations, ~(6r + 8r + 8c) flops.
-		pairWork := 14*r + 8*c
-		grain := maxInt(1, parMinWork/pairWork)
 		for sweep := 0; sweep < maxSweeps; sweep++ {
 			rotated := false
 			for k := 0; k < n-1; k++ {
 				roundRobinPairs(pairs, k, n, c)
-				// Compact out byes so chunks stay balanced.
-				np := 0
-				for _, pq := range pairs {
-					if pq[0] >= 0 {
-						pairs[np] = pq
-						np++
-					}
-				}
-				for i := 0; i < np; i++ {
-					rot[i] = 0
-				}
-				t.pairs = pairs[:np]
-				t.rot = rot[:np]
-				if parGate(np * pairWork) {
-					parallelFor(np, grain, &t)
-				} else {
-					t.Run(0, np)
-				}
-				for i := 0; i < np; i++ {
-					if rot[i] != 0 {
-						rotated = true
-					}
+				if jacobiRound(w, v, pairs, tol) {
+					rotated = true
 				}
 			}
 			if !rotated {

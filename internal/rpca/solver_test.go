@@ -3,7 +3,6 @@ package rpca
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"netconstant/internal/mat"
@@ -81,11 +80,8 @@ func TestSolverResultsDetached(t *testing.T) {
 
 // TestIALMStepAllocationFree is the headline regression for the arena
 // solver: once it is bound and past the cold SVT, each IALM iteration,
-// masked variant included, must perform zero heap allocations (sequential
-// path; GOMAXPROCS is pinned to 1 because pool dispatch allocates task
-// chunks).
+// masked variant included, must perform zero heap allocations.
 func TestIALMStepAllocationFree(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(8))
 	a := syntheticTP(rng, 48, 512, 3, 0.05)
 

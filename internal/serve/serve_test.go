@@ -246,11 +246,14 @@ func damageCreateRecord(t *testing.T, path string) {
 
 // mustQuarantine checks a typed 410 for tenant id: its error is the
 // sentinel, the id and the reason the server recorded (what
-// netconstantd's startup line prints), and the reason names its cause
-// in each of words.
+// netconstantd's startup line prints), the reason names its cause in
+// each of words, and the body does not carry the server's Dir.
 func mustQuarantine(t *testing.T, s *Server, id string, code int, body string, words ...string) {
 	t.Helper()
 	mustStatus(t, http.StatusGone, code, body)
+	if strings.Contains(body, s.cfg.Dir) {
+		t.Fatalf("410 publishes the journal directory %s: %s", s.cfg.Dir, body)
+	}
 	reason, ok := s.QuarantineReason(id)
 	if !ok {
 		t.Fatalf("%s answered 410 but has no recorded reason", id)

@@ -161,11 +161,17 @@ func (s *Server) shardFor(id string) *shard {
 }
 
 // quarantine marks a tenant unreachable; every request for it gets the
-// typed refusal until an operator repairs or removes its files.
+// typed refusal until an operator repairs or removes its files. The
+// recorded reason names the tenant's files relative to Dir, so the
+// refusal does not publish where the daemon keeps its journals.
 func (s *Server) quarantine(id string, err error) {
+	reason := err.Error()
+	for _, path := range []string{s.journalPath(id), s.legacySnapPath(id)} {
+		reason = strings.ReplaceAll(reason, path, filepath.Base(path))
+	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	s.quarantined[id] = err.Error()
+	s.quarantined[id] = reason
 }
 
 // QuarantineReason returns why a tenant is quarantined — the error its

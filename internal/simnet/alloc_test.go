@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -70,74 +69,47 @@ func loadFabric(tr *topo.Topology, seed int64, verify bool) *Sim {
 }
 
 // Property test: on random Clos and fat-tree fabrics with random
-// placements and background flows, the component-sharded parallel fill
-// must be byte-identical to the sequential fill at every worker count
-// (GOMAXPROCS sizes the mat worker pool), and to the whole-network
-// reference fill (verifyGlobal runs it side by side after every event).
+// placements and background flows, the component-sharded fill must match
+// the whole-network reference fill (verifyGlobal runs it side by side
+// after every event), and a whole-network refill must see at least one
+// component when flows are active.
 func TestPropertyShardedByteIdenticalAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := randomFabric(rand.New(rand.NewSource(seed)))
-		var want uint64
-		for i, workers := range []int{1, 2, 8} {
-			old := runtime.GOMAXPROCS(workers)
-			s := loadFabric(tr, seed, true)
-			comps, flows := s.RefillAll()
-			fp := s.RateFingerprint()
-			runtime.GOMAXPROCS(old)
-			if err := s.VerifyError(); err != nil {
-				t.Fatalf("seed %d workers %d: sharded fill diverged from global: %v", seed, workers, err)
-			}
-			if comps < 1 && flows > 0 {
-				t.Fatalf("seed %d workers %d: refill saw %d components for %d flows", seed, workers, comps, flows)
-			}
-			if i == 0 {
-				want = fp
-			} else if fp != want {
-				t.Fatalf("seed %d: rate fingerprint differs at %d workers: %#x != %#x", seed, workers, fp, want)
-			}
+		s := loadFabric(tr, seed, true)
+		comps, flows := s.RefillAll()
+		if err := s.VerifyError(); err != nil {
+			t.Fatalf("seed %d: sharded fill diverged from global: %v", seed, err)
+		}
+		if comps < 1 && flows > 0 {
+			t.Fatalf("seed %d: refill saw %d components for %d flows", seed, comps, flows)
 		}
 	}
 }
 
-// The parallel dispatch path (>= shardParMinFlows dirty flows across >= 2
-// components) must also be byte-identical: many disjoint same-leaf pairs
-// form many independent components, and a RefillAll seeds them all at
-// once.
+// Many disjoint same-leaf pairs form many independent components, and a
+// RefillAll seeds them all at once: the refill must find each leaf's
+// component and match the whole-network reference fill.
 func TestManyComponentParallelRefill(t *testing.T) {
 	tr := topo.NewClos(topo.ClosConfig{Leaves: 32, ServersPerLeaf: 4, Spines: 2, ServerBps: 1e6})
 	srv := tr.Servers()
-	build := func() *Sim {
-		s := New(tr)
-		s.SetVerifyGlobal(true)
-		// Three flows per leaf, strictly leaf-local: each leaf is its own
-		// connected component of the sharing graph.
-		for leaf := 0; leaf < 32; leaf++ {
-			base := leaf * 4
-			s.StartFlow(srv[base], srv[base+1], 1e9, nil)
-			s.StartFlow(srv[base+1], srv[base+2], 1e9, nil)
-			s.StartFlow(srv[base+2], srv[base+3], 1e9, nil)
-		}
-		s.Eng.RunUntil(1)
-		return s
+	s := New(tr)
+	s.SetVerifyGlobal(true)
+	// Three flows per leaf, strictly leaf-local: each leaf is its own
+	// connected component of the sharing graph.
+	for leaf := 0; leaf < 32; leaf++ {
+		base := leaf * 4
+		s.StartFlow(srv[base], srv[base+1], 1e9, nil)
+		s.StartFlow(srv[base+1], srv[base+2], 1e9, nil)
+		s.StartFlow(srv[base+2], srv[base+3], 1e9, nil)
 	}
-	var want uint64
-	for i, workers := range []int{1, 8} {
-		old := runtime.GOMAXPROCS(workers)
-		s := build()
-		comps, flows := s.RefillAll()
-		fp := s.RateFingerprint()
-		runtime.GOMAXPROCS(old)
-		if err := s.VerifyError(); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if comps != 32 || flows != 96 {
-			t.Fatalf("workers %d: refill shape (%d comps, %d flows), want (32, 96)", workers, comps, flows)
-		}
-		if i == 0 {
-			want = fp
-		} else if fp != want {
-			t.Fatalf("parallel refill fingerprint %#x != sequential %#x", fp, want)
-		}
+	s.Eng.RunUntil(1)
+	comps, flows := s.RefillAll()
+	if err := s.VerifyError(); err != nil {
+		t.Fatal(err)
+	}
+	if comps != 32 || flows != 96 {
+		t.Fatalf("refill shape (%d comps, %d flows), want (32, 96)", comps, flows)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"slices"
 
 	"netconstant/internal/des"
-	"netconstant/internal/mat"
 	"netconstant/internal/stats"
 	"netconstant/internal/topo"
 )
@@ -174,8 +173,7 @@ type Sim struct {
 // compSpan addresses one connected component of the dirty subgraph as
 // half-open index ranges into dirtyLinks and dirtyFlows. collectDirty
 // discovers components seed by seed, so each component's links and flows
-// occupy contiguous ranges; the spans are the index-addressed result
-// slots the parallel fill shards write into.
+// occupy contiguous ranges, which fillDirty fills one span at a time.
 type compSpan struct {
 	linkLo, linkHi int
 	flowLo, flowHi int
@@ -729,11 +727,6 @@ func precedes(share float64, l topo.LinkID, minShare float64, minLink topo.LinkI
 	return share < minShare || (share == minShare && l < minLink)
 }
 
-// shardParMinFlows gates parallel dispatch of component fills: below this
-// many dirty flows the fill is too cheap to amortize handing shards to
-// the worker pool.
-const shardParMinFlows = 64
-
 // seedFill sets the fill slices to the fill state (residual capacity,
 // unfixed count, fair share) of each link, in order.
 //
@@ -761,15 +754,13 @@ func (s *Sim) fillComp(c *component) {
 }
 
 // fillDirty computes each dirty flow's share into f.newRate. The prepass
-// seeds the fill state for every dirty link globally and points each
-// link's linkSlot at it; the spans in s.comps then address disjoint
-// ranges of that state, so the per-component fills are independent and —
-// when there are enough components and flows to pay for dispatch — run
-// concurrently on the mat worker pool. Per-component filling performs
+// seeds the fill state for every dirty link and points each link's
+// linkSlot at it; the spans in s.comps then address disjoint ranges of
+// that state, and each is filled in turn. Per-component filling performs
 // exactly the floating-point operations a whole-network fill performs on
 // that component (its selections restricted to one component occur in
 // that component's local-min order and touch only its state), so the
-// result is byte-identical at any worker count.
+// result is the whole-network fill's, bit for bit.
 //
 //netlint:hotpath
 func (s *Sim) fillDirty() {
@@ -777,21 +768,9 @@ func (s *Sim) fillDirty() {
 	for k, l := range s.dirtyLinks {
 		s.linkSlot[l] = int32(k)
 	}
-	if len(s.comps) >= 2 && len(s.dirtyFlows) >= shardParMinFlows && mat.Parallelism() > 1 {
-		//netlint:allow hotalloc one closure per sharded refill dispatch, amortized over all component fills it fans out
-		mat.ParallelShards(len(s.comps), func(c int) { s.fillSpanAt(s.comps[c]) })
-		return
-	}
 	for _, sp := range s.comps {
-		s.fillSpanAt(sp)
+		s.fillSpan(s.dirtyFlows[sp.flowLo:sp.flowHi], s.dirtyLinks[sp.linkLo:sp.linkHi], s.fillShare[sp.linkLo:sp.linkHi])
 	}
-}
-
-// fillSpanAt fills one span of the dirty set.
-//
-//netlint:hotpath
-func (s *Sim) fillSpanAt(sp compSpan) {
-	s.fillSpan(s.dirtyFlows[sp.flowLo:sp.flowHi], s.dirtyLinks[sp.linkLo:sp.linkHi], s.fillShare[sp.linkLo:sp.linkHi])
 }
 
 // fillSpan runs progressive filling restricted to flows, a union of
@@ -807,8 +786,6 @@ func (s *Sim) fillSpanAt(sp compSpan) {
 // not precede that floor. A shared link's share is kept in its fill slot,
 // computed from the same operands the scan would divide, so the scan only
 // compares; a link with no unfixed flow reads +Inf and never wins.
-// Concurrent spans are safe: their flows, the flows' paths and the
-// spans' fill slots are disjoint by construction.
 //
 //netlint:hotpath
 func (s *Sim) fillSpan(flows []*Flow, links []topo.LinkID, shares []float64) {
